@@ -134,19 +134,11 @@ class RuntimeSignature:
             key=len,
             default="",
         )
-        self.field_matchers: Dict[FieldPath, TemplateMatcher] = {
-            path: TemplateMatcher(template)
-            for path, template in signature.request.fields.items()
-        }
         #: precomputed (path, path-string, template) rows in field order
         self.field_rows: List[Tuple[FieldPath, str, ValueTemplate]] = [
             (path, path.to_string(), template)
             for path, template in signature.request.fields.items()
         ]
-        self.fields_by_string: Dict[str, Tuple[FieldPath, ValueTemplate]] = {
-            path_string: (path, template)
-            for path, path_string, template in self.field_rows
-        }
         #: the variant field-sets as one frozenset, so membership tests
         #: on the hot path are O(1) instead of rebuilding a throwaway
         #: ``set(...)`` per call
@@ -155,19 +147,11 @@ class RuntimeSignature:
         self.out_edges: List[DependencyEdge] = []
         #: edges where this signature is the successor
         self.in_edges: List[DependencyEdge] = []
-        self._build_plan: Optional["SignatureBuildPlan"] = None
-
-    @property
-    def build_plan(self) -> "SignatureBuildPlan":
-        """The copy-on-write build plan, computed once per signature.
-
-        Every :class:`RequestInstance` replicated from this signature
-        shares the plan; per-instance state is only the dep bindings
-        and the per-field resolution memos.
-        """
-        if self._build_plan is None:
-            self._build_plan = SignatureBuildPlan(self)
-        return self._build_plan
+        #: the copy-on-write build plan, decided once per signature.
+        #: Every :class:`RequestInstance` replicated from this signature
+        #: shares it; per-instance state is only the dep bindings and
+        #: the per-field resolution memos.
+        self.build_plan = SignatureBuildPlan(self)
 
     # ------------------------------------------------------------------
     @property
@@ -224,36 +208,90 @@ FIELD_CONST = "const"
 FIELD_DEP = "dep"
 FIELD_DYNAMIC = "dynamic"
 
-
-def _classify_template(template: ValueTemplate) -> str:
-    has_dep = False
-    for atom in template.atoms:
-        if isinstance(atom, (UnknownAtom, AltAtom)):
-            return FIELD_DYNAMIC
-        if isinstance(atom, DepAtom):
-            has_dep = True
-    return FIELD_DEP if has_dep else FIELD_CONST
+#: planned atom steps, mirroring :meth:`RequestInstance.resolve_field`
+STEP_CONST = 0
+STEP_DEP = 1
+STEP_TAG = 2
+STEP_ALT = 3
 
 
 class _PlanField:
-    """One field row of a build plan: classification + constant parts."""
+    """One field row of a build plan, decided once per signature.
 
-    __slots__ = ("path", "path_string", "template", "kind", "const_value",
-                 "root", "part0")
+    Carries the resolution class and constant parts for the builder,
+    the atom steps with each wildcard tag's per-user scope already
+    decided, the learn action for an observed value of the field, and
+    the store keys whose learning can resolve it.
+    """
+
+    __slots__ = ("path", "path_string", "kind", "const_value", "root",
+                 "part0", "steps", "tags", "single_tag", "per_user",
+                 "has_dep", "reads_field")
 
     def __init__(self, path: FieldPath, path_string: str,
                  template: ValueTemplate) -> None:
         self.path = path
         self.path_string = path_string
-        self.template = template
-        self.kind = _classify_template(template)
+        self.root = path.root
+        self.part0 = str(path.parts[0]) if path.parts else ""
+        atoms = template.atoms
+        #: (step, constant text or tag, tag is per-user) per atom
+        self.steps: List[Tuple[int, str, bool]] = []
+        #: (tag, per-user) per top-level wildcard atom
+        self.tags: List[Tuple[str, bool]] = []
+        self.reads_field = False
+        top_dep = False
+        for atom in atoms:
+            if isinstance(atom, ConstAtom):
+                self.steps.append((STEP_CONST, str(atom.value), False))
+            elif isinstance(atom, DepAtom):
+                self.steps.append((STEP_DEP, "", False))
+                top_dep = True
+            elif isinstance(atom, UnknownAtom):
+                per_user = is_per_user_tag(atom.tag)
+                self.steps.append((STEP_TAG, atom.tag, per_user))
+                self.tags.append((atom.tag, per_user))
+                if len(atoms) == 1:
+                    self.reads_field = True
+            elif isinstance(atom, AltAtom):
+                self.steps.append((STEP_ALT, "", False))
+                self.reads_field = True
+        #: the tag an observed value of a lone-wildcard field teaches
+        self.single_tag: Optional[str] = (
+            atoms[0].tag
+            if len(atoms) == 1 and isinstance(atoms[0], UnknownAtom)
+            else None
+        )
+        #: observed values of this field are dependency-derived, never
+        #: cached — a dependency inside an alternation option counts too
+        self.has_dep = bool(template.dep_atoms())
+        #: observed values of this field are stored per user — a per-user
+        #: tag inside an alternation option counts too
+        self.per_user = any(
+            is_per_user_tag(atom.tag) for atom in template.unknown_atoms()
+        )
+        if self.tags or self.reads_field:
+            self.kind = FIELD_DYNAMIC
+        elif top_dep:
+            self.kind = FIELD_DEP
+        else:
+            self.kind = FIELD_CONST
         self.const_value: Optional[str] = (
-            "".join(str(atom.value) for atom in template.atoms)
+            "".join(text for _step, text, _per_user in self.steps)
             if self.kind == FIELD_CONST
             else None
         )
-        self.root = path.root
-        self.part0 = str(path.parts[0]) if path.parts else ""
+
+    def wake_keys(self, user: str, site: str) -> List[Tuple]:
+        """Store keys whose learning can resolve this field for ``user``
+        (dependency atoms are bound at spawn and never wake)."""
+        keys: List[Tuple] = [
+            ("tag", user if per_user else None, tag) for tag, per_user in self.tags
+        ]
+        if self.reads_field:
+            keys.append(("field", user, site, self.path_string))
+            keys.append(("field", None, site, self.path_string))
+        return keys
 
 
 class SignatureBuildPlan:
@@ -265,36 +303,44 @@ class SignatureBuildPlan:
     every replica from scratch on every build attempt.  The plan hoists
     everything replica-independent to the signature: fully-constant
     field values are resolved here exactly once, each field's
-    resolution class is precomputed (so build attempts skip the atom
-    walk for settled fields), and the body skeleton kind plus the
-    variant frozensets are carried along.  Instances keep only their
-    dep bindings, pred context, and two small memos.
+    resolution class and tag scopes are precomputed (so build attempts
+    skip the atom walk for settled fields), and the body skeleton kind
+    plus the variant frozensets are carried along.  The learner reads
+    its per-signature decisions from here too: which URI captures and
+    field values to learn, in which scope, and whether the signature
+    sends the cookie jar.  Instances keep only their dep bindings, pred
+    context, and two small memos.
     """
 
-    __slots__ = ("signature", "method", "body_kind", "uri_template",
-                 "uri_kind", "uri_const", "uri_path", "uri_path_string",
-                 "rows", "variants", "variants_set")
+    __slots__ = ("signature", "method", "body_kind", "uri", "rows",
+                 "variants", "variants_set", "multi_variant",
+                 "uri_captures", "sends_cookie")
 
     def __init__(self, runtime: RuntimeSignature) -> None:
         request = runtime.signature.request
         self.signature = runtime
         self.method = request.method
         self.body_kind = request.body_kind
-        self.uri_template = request.uri
-        self.uri_path = FieldPath("uri")
-        self.uri_path_string = self.uri_path.to_string()
-        self.uri_kind = _classify_template(request.uri)
-        self.uri_const: Optional[str] = (
-            "".join(str(atom.value) for atom in request.uri.atoms)
-            if self.uri_kind == FIELD_CONST
-            else None
-        )
+        uri_path = FieldPath("uri")
+        self.uri = _PlanField(uri_path, uri_path.to_string(), request.uri)
         self.rows: List[_PlanField] = [
             _PlanField(path, path_string, template)
             for path, path_string, template in runtime.field_rows
         ]
         self.variants = runtime.signature.variants
         self.variants_set = runtime.variants_set
+        self.multi_variant = len(self.variants) > 1
+        matcher = runtime.uri_matcher
+        #: (capture group, tag, per-user) per URI wildcard atom
+        self.uri_captures: List[Tuple[int, str, bool]] = [
+            (group, atom.tag, is_per_user_tag(atom.tag))
+            for atom, group in zip(matcher.group_atoms, matcher.group_indices)
+            if isinstance(atom, UnknownAtom)
+        ]
+        self.sends_cookie = any(
+            row.root == "header" and row.part0.lower() == "cookie"
+            for row in self.rows
+        )
 
 
 class _TrieNode:
@@ -581,12 +627,17 @@ class ValueStore:
 
     # -- writes ---------------------------------------------------------
     def learn_tag(self, user: str, tag: str, value: str) -> None:
-        if is_per_user_tag(tag):
-            key = (user, tag)
+        self.learn_scoped_tag(user if is_per_user_tag(tag) else None, tag, value)
+
+    def learn_scoped_tag(self, scope: Optional[str], tag: str, value: str) -> None:
+        """Learn ``tag`` for user ``scope`` (None: app-level) — the
+        per-user decision already made by the caller's build plan."""
+        if scope is not None:
+            key = (scope, tag)
             if self._user_tags.get(key) != value:
                 self._user_tags[key] = value
                 self.version += 1
-                self._notify(("tag", user, tag))
+                self._notify(("tag", scope, tag))
         else:
             if self._global_tags.get(tag) != value:
                 self._global_tags[tag] = value
@@ -623,8 +674,11 @@ class ValueStore:
 
     # -- reads ----------------------------------------------------------
     def tag_value(self, user: str, tag: str) -> Optional[str]:
-        if is_per_user_tag(tag):
-            return self._user_tags.get((user, tag))
+        return self.scoped_tag_value(user if is_per_user_tag(tag) else None, tag)
+
+    def scoped_tag_value(self, scope: Optional[str], tag: str) -> Optional[str]:
+        if scope is not None:
+            return self._user_tags.get((scope, tag))
         return self._global_tags.get(tag)
 
     def field_value(self, user: str, site: str, path: str) -> Optional[str]:
@@ -658,10 +712,12 @@ class RequestInstance:
         #: ``condition`` policies
         self.pred_context: Dict[str, object] = {}
         self._last_attempt: Optional[Tuple] = None
-        #: learner bookkeeping: enqueue order and frozen dedupe key
-        #: (``dep_values`` never change once the instance is queued)
+        #: learner bookkeeping: enqueue order, frozen dedupe key
+        #: (``dep_values`` never change once the instance is queued),
+        #: and the wake-index keys it is registered under (None: none)
         self.pending_seq = 0
         self.pending_key: Optional[Tuple] = None
+        self.wake_keys: Optional[Tuple] = None
         #: COW build memos: dep-class fields resolve once per instance
         #: (dep bindings are frozen after spawn); dynamic-class fields
         #: are memoized per ``store.version``.  Both are invalidated by
@@ -676,6 +732,9 @@ class RequestInstance:
         # templates read dep values too) — drop the build memos
         self._dep_resolved.clear()
         self._memo_version = -1
+        # ...and the failed-attempt marker, or try_build would skip a
+        # build the new binding may complete
+        self._last_attempt = None
 
     def dedupe_key(self) -> Tuple:
         """Identity of this instance: signature + dep bindings."""
@@ -795,13 +854,8 @@ class RequestInstance:
         if not use_plan:
             return self._build_naive(store, preferred_variant)
         plan = self.signature.build_plan
-        if self._memo_version != store.version:
-            self._memo = {}
-            self._memo_version = store.version
-        uri_string = self._resolve_planned(
-            plan.uri_kind, plan.uri_const, plan.uri_path,
-            plan.uri_path_string, plan.uri_template, store,
-        )
+        self._sync_memo(store)
+        uri_string = self._resolve_planned(plan.uri, store)
         if uri_string is None:
             return None
         try:
@@ -809,10 +863,7 @@ class RequestInstance:
         except ValueError:
             return None
         resolved = {
-            row.path_string: self._resolve_planned(
-                row.kind, row.const_value, row.path, row.path_string,
-                row.template, store,
-            )
+            row.path_string: self._resolve_planned(row, store)
             for row in plan.rows
         }
         variant = self.choose_variant(store, preferred_variant, resolved)
@@ -841,22 +892,38 @@ class RequestInstance:
                     row.path.assign(request, value)
         return request
 
-    def _resolve_planned(
-        self,
-        kind: str,
-        const_value: Optional[str],
-        path: FieldPath,
-        path_string: str,
-        template: ValueTemplate,
-        store: ValueStore,
-    ) -> Optional[str]:
+    def unresolved_rows(self, store: ValueStore) -> Optional[List[_PlanField]]:
+        """The plan rows that do not resolve against ``store``, or None
+        when the URI does not resolve or parse (then any value the
+        instance reads may complete it).  Right after a failed build
+        every lookup is served from the build memos."""
+        plan = self.signature.build_plan
+        self._sync_memo(store)
+        uri_string = self._resolve_planned(plan.uri, store)
+        if uri_string is None:
+            return None
+        try:
+            Uri.parse(uri_string)
+        except ValueError:
+            return None
+        return [row for row in plan.rows if self._resolve_planned(row, store) is None]
+
+    def _sync_memo(self, store: ValueStore) -> None:
+        """Drop the dynamic-field memo once ``store.version`` moved."""
+        if self._memo_version != store.version:
+            self._memo = {}
+            self._memo_version = store.version
+
+    def _resolve_planned(self, row: _PlanField, store: ValueStore) -> Optional[str]:
         """One field through the plan: memoized by resolution class."""
+        kind = row.kind
         if kind == FIELD_CONST:
-            return const_value
+            return row.const_value
+        path_string = row.path_string
         if kind == FIELD_DEP:
             value = self._dep_resolved.get(path_string)
             if value is None:
-                value = self.resolve_field(path, template, store, path_string)
+                value = self._resolve_steps(row, store)
                 if value is not None:
                     # dep bindings are frozen after spawn, so a resolved
                     # value never changes; an unresolved one stays cheap
@@ -865,9 +932,42 @@ class RequestInstance:
             return value
         if path_string in self._memo:
             return self._memo[path_string]
-        value = self.resolve_field(path, template, store, path_string)
+        value = self._resolve_steps(row, store)
         self._memo[path_string] = value
         return value
+
+    def _resolve_steps(self, row: _PlanField, store: ValueStore) -> Optional[str]:
+        """:meth:`resolve_field` over the plan's precomputed atom steps."""
+        path_string = row.path_string
+        dep_value = self.dep_values.get(path_string)
+        parts: List[str] = []
+        for step, text, per_user in row.steps:
+            if step == STEP_CONST:
+                parts.append(text)
+            elif step == STEP_DEP:
+                if dep_value is None:
+                    return None
+                parts.append(dep_value)
+            elif step == STEP_TAG:
+                value = None
+                if row.single_tag is not None:
+                    value = store.field_value(self.user, self.signature.site, path_string)
+                if value is None:
+                    value = store.scoped_tag_value(
+                        self.user if per_user else None, text
+                    )
+                if value is None:
+                    return None
+                parts.append(value)
+            else:  # STEP_ALT
+                if dep_value is not None:
+                    parts.append(dep_value)
+                    continue
+                value = store.field_value(self.user, self.signature.site, path_string)
+                if value is None:
+                    return None
+                parts.append(value)
+        return "".join(parts)
 
     def _build_naive(
         self, store: ValueStore, preferred_variant: Optional[frozenset] = None

@@ -12,6 +12,21 @@ For every HTTP transaction the proxy observes it:
    instances, replicated per list element — Fig. 7 case 1;
 4. retries pending instances whose missing values may now be known.
 
+Pending-instance wake index
+---------------------------
+An instance is built once at the drain after it is enqueued.  If that
+build fails, the instance is filed in the wake index under the store
+keys of the values it is missing — the tag and field keys of the plan
+rows the build left unresolved, plus its ``(user, site)`` variant key
+when the signature has more than one variant; every key its signature
+reads when the URI did not resolve or parse.  Values never leave the
+store and dep bindings are frozen at spawn, so a resolved field stays
+resolved: a drain retries exactly the instances under a key that fired
+since the last drain, in enqueue order.  Completion and eviction remove
+an instance from its buckets, so the index holds only live instances.
+Which tags are per-user, and what an observed field teaches, is decided
+once per signature in its :class:`~repro.proxy.instances.SignatureBuildPlan`.
+
 Cookie state is tracked per user (the §2 "user context"): responses'
 ``Set-Cookie`` headers update a per-user jar, and the ``env:cookie``
 wildcard resolves to the jar's current header for the target origin,
@@ -42,13 +57,9 @@ is drained.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.model import (
-    AltAtom,
-    AnalysisResult,
-    UnknownAtom,
-)
+from repro.analysis.model import AnalysisResult
 from repro.httpmsg.cookies import CookieJar
 from repro.httpmsg.fieldpath import FieldPath
 from repro.httpmsg.message import Request, Response, Transaction
@@ -60,7 +71,6 @@ from repro.proxy.instances import (
     SignatureMatcher,
     ValueStore,
     build_runtime_signatures,
-    is_per_user_tag,
 )
 
 MAX_PENDING = 10_000
@@ -157,15 +167,15 @@ class DynamicLearner:
         self.preferred_variant: Dict[Tuple[str, str], frozenset] = {}
         # pending-instance state: a FIFO deque for eviction order (may
         # hold stale entries, skipped lazily), the live-instance map,
-        # and the wake index mapping each missing tag/field key to the
-        # instances blocked on it, so learning a value retries only the
-        # affected instances instead of rescanning the whole list
+        # and the wake index mapping each store key to the live
+        # instances missing a value under it (enqueue seq → instance),
+        # so learning a value retries only the instances it can complete
         self._queue: Deque[RequestInstance] = deque()
         self._pending_keys: Dict[Tuple, RequestInstance] = {}
         #: live pending instances per (user, site) — backs the proxy's
         #: ``wildcard_pending`` miss-cause attribution in O(1)
         self._pending_sites: Dict[Tuple[str, str], int] = {}
-        self._wake_index: Dict[Tuple, List[RequestInstance]] = {}
+        self._wake_index: Dict[Tuple, Dict[int, RequestInstance]] = {}
         self._woken: Dict[Tuple, None] = {}  # ordered set of fired keys
         self._fresh: List[RequestInstance] = []
         self._enqueue_seq = 0
@@ -333,31 +343,33 @@ class DynamicLearner:
     def _learn_from_request(
         self, signature: RuntimeSignature, request: Request, user: str
     ) -> None:
+        # every scope and learn action below was decided once, when the
+        # signature's build plan was made
+        plan = signature.build_plan
+        store = self.store
         # URI wildcards: match with capture groups, learn tag values
         base_uri = request.uri.origin() + request.uri.path
-        captures = signature.uri_matcher.match(base_uri)
-        if captures:
-            for atom, value in captures:
-                if isinstance(atom, UnknownAtom):
-                    self.store.learn_tag(user, atom.tag, value)
+        matched = signature.uri_matcher.pattern.fullmatch(base_uri)
+        if matched is not None:
+            for group, tag, per_user in plan.uri_captures:
+                store.learn_scoped_tag(
+                    user if per_user else None, tag, matched.group(group) or ""
+                )
         # field values + the variant actually present
         present: List[str] = []
-        for path, template in signature.signature.request.fields.items():
-            values = path.extract(request)
+        for row in plan.rows:
+            values = row.path.extract(request)
             if not values:
                 continue
-            present.append(path.to_string())
-            value = str(values[0])
-            if template.dep_atoms():
+            present.append(row.path_string)
+            if row.has_dep:
                 continue  # dependency-derived: per-instance, never cached
-            per_user = any(
-                is_per_user_tag(atom.tag) for atom in template.unknown_atoms()
-            )
-            self.store.learn_field(
-                user, signature.site, path.to_string(), value, per_user
-            )
-            if len(template.atoms) == 1 and isinstance(template.atoms[0], UnknownAtom):
-                self.store.learn_tag(user, template.atoms[0].tag, value)
+            value = str(values[0])
+            store.learn_field(user, signature.site, row.path_string, value, row.per_user)
+            if row.single_tag is not None:
+                store.learn_scoped_tag(
+                    user if row.per_user else None, row.single_tag, value
+                )
         variant = frozenset(present)
         if variant in signature.variants_set:
             slot = (user, signature.site)
@@ -378,12 +390,9 @@ class DynamicLearner:
         jar.store_from_response(origin, transaction.response)
         # follow the client's session: signatures that send a Cookie
         # header will send the *updated* jar contents next time
-        sends_cookie = signature is not None and any(
-            path.root == "header" and str(path.parts[0]).lower() == "cookie"
-            for path in signature.signature.request.fields
-        )
-        if sends_cookie:
-            self.store.learn_tag(user, "env:cookie", jar.cookie_header(origin))
+        if signature is not None and signature.build_plan.sends_cookie:
+            # env:cookie is a per-user tag
+            self.store.learn_scoped_tag(user, "env:cookie", jar.cookie_header(origin))
 
     # ------------------------------------------------------------------
     # predecessor routine: replicate successor instances per value
@@ -475,38 +484,58 @@ class DynamicLearner:
         else:
             self._pending_sites.pop(slot, None)
 
-    def _wake_keys(self, instance: RequestInstance) -> Set[Tuple]:
-        """Every store/variant key whose learning could help resolve
-        ``instance`` — a superset, so waking is always sound.
+    def _wake_keys(self, instance: RequestInstance) -> Tuple:
+        """The store/variant keys whose learning can complete
+        ``instance`` after a failed build.
 
-        Mirrors :meth:`RequestInstance.resolve_field`: wildcard atoms
-        read the tag store (and, for single-atom templates, the
-        observed field value); alternations read the observed field
-        value; dependency atoms are bound at spawn time and never wake.
+        Only the keys of the plan rows the build left unresolved: a
+        value never leaves the store and dep bindings are frozen at
+        spawn, so a resolved field stays resolvable.  When the URI did
+        not resolve or parse, every key the instance reads.  The
+        ``(user, site)`` variant key joins when the signature has more
+        than one variant, since a new preferred variant can complete an
+        instance without any new value.
         """
-        keys: Set[Tuple] = set()
-        signature = instance.signature
+        plan = instance.signature.build_plan
+        rows = instance.unresolved_rows(self.store)
+        if rows is None:
+            rows = [plan.uri] + plan.rows
         user = instance.user
-        site = signature.site
-        rows = [("uri", signature.signature.request.uri)]
-        rows.extend(
-            (path_string, template)
-            for _path, path_string, template in signature.field_rows
-        )
-        for path_string, template in rows:
-            for atom in template.atoms:
-                if isinstance(atom, UnknownAtom):
-                    tag_user = user if is_per_user_tag(atom.tag) else None
-                    keys.add(("tag", tag_user, atom.tag))
-                    if len(template.atoms) == 1:
-                        keys.add(("field", user, site, path_string))
-                        keys.add(("field", None, site, path_string))
-                elif isinstance(atom, AltAtom):
-                    keys.add(("field", user, site, path_string))
-                    keys.add(("field", None, site, path_string))
-        if len(signature.signature.variants) > 1:
-            keys.add(("variant", user, site))
-        return keys
+        site = plan.signature.site
+        keys: Dict[Tuple, None] = {}
+        for row in rows:
+            for key in row.wake_keys(user, site):
+                keys[key] = None
+        if plan.multi_variant:
+            keys[("variant", user, site)] = None
+        return tuple(keys)
+
+    def _register(self, instance: RequestInstance) -> None:
+        """File ``instance`` under the keys of the values it is missing."""
+        keys = self._wake_keys(instance)
+        instance.wake_keys = keys
+        seq = instance.pending_seq
+        index = self._wake_index
+        for key in keys:
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {seq: instance}
+            else:
+                bucket[seq] = instance
+
+    def _unregister(self, instance: RequestInstance) -> None:
+        """Drop a completed or evicted ``instance`` from its buckets."""
+        keys = instance.wake_keys
+        if keys is None:
+            return
+        instance.wake_keys = None
+        seq = instance.pending_seq
+        index = self._wake_index
+        for key in keys:
+            bucket = index[key]
+            del bucket[seq]
+            if not bucket:
+                del index[key]
 
     def _enqueue(self, instance: RequestInstance) -> None:
         key = instance.dedupe_key()
@@ -517,6 +546,7 @@ class DynamicLearner:
             if self._is_live(dropped):
                 del self._pending_keys[dropped.pending_key]
                 self._forget_pending(dropped)
+                self._unregister(dropped)
         self._enqueue_seq += 1
         instance.pending_seq = self._enqueue_seq
         instance.pending_key = key
@@ -524,45 +554,40 @@ class DynamicLearner:
         self._pending_keys[key] = instance
         slot = (instance.user, instance.signature.site)
         self._pending_sites[slot] = self._pending_sites.get(slot, 0) + 1
-        for wake_key in self._wake_keys(instance):
-            self._wake_index.setdefault(wake_key, []).append(instance)
+        # not registered yet: the first build (at the next drain) tells
+        # which values the instance is actually missing
         self._fresh.append(instance)
         if PERF.enabled:
             PERF.incr("learner.enqueued")
 
     def _drain_pending(self) -> List[ReadyPrefetch]:
-        """Retry the instances a learned value could have unblocked.
+        """Retry the instances a learned value could have completed.
 
         Only freshly enqueued instances and those registered under a
         key that fired since the last drain are rebuilt — the seed
-        rescanned the entire pending list on every observation.
+        rescanned the entire pending list on every observation.  A
+        fresh instance that fails its first build is registered under
+        the keys of the values it is missing.
         """
         ready: List[ReadyPrefetch] = []
         if not self._fresh and not self._woken:
             return ready
         candidates: Dict[int, RequestInstance] = {}
         for instance in self._fresh:
-            candidates[id(instance)] = instance
+            if self._is_live(instance):  # may have been evicted since
+                candidates[instance.pending_seq] = instance
         self._fresh = []
         if self._woken:
-            fired = list(self._woken)
+            index = self._wake_index
+            for wake_key in self._woken:
+                bucket = index.get(wake_key)
+                if bucket is not None:
+                    candidates.update(bucket)
             self._woken.clear()
-            for wake_key in fired:
-                bucket = self._wake_index.get(wake_key)
-                if bucket is None:
-                    continue
-                live = [i for i in bucket if self._is_live(i)]
-                if live:
-                    self._wake_index[wake_key] = live
-                    for instance in live:
-                        candidates[id(instance)] = instance
-                else:
-                    del self._wake_index[wake_key]
         # retry in enqueue order so completions surface exactly as the
         # seed's full-list scan surfaced them
-        for instance in sorted(candidates.values(), key=lambda i: i.pending_seq):
-            if not self._is_live(instance):
-                continue
+        for seq in sorted(candidates):
+            instance = candidates[seq]
             preferred = self.preferred_variant.get(
                 (instance.user, instance.signature.site)
             )
@@ -574,7 +599,10 @@ class DynamicLearner:
                 ready.append(ReadyPrefetch(instance, request))
                 del self._pending_keys[instance.pending_key]
                 self._forget_pending(instance)
+                self._unregister(instance)
                 self.completed_count += 1
+            elif instance.wake_keys is None:
+                self._register(instance)
         # compact the deque once stale (completed/evicted) entries
         # dominate, keeping eviction amortized O(1)
         if len(self._queue) > 2 * len(self._pending_keys) + 64:

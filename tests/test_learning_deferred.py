@@ -15,16 +15,44 @@ observation.  This file pins that claim:
   interleavings on the synthetic feed→detail analysis;
 * and for the bounded queue's failure mode — a full queue drops the
   observation, counts ``learn.queue_overflow``, and never blocks.
+
+It also holds the reference drain for the missing-key wake index:
+:class:`RescanLearner` rebuilds every live pending instance on every
+drain (the seed's rescan) and learns the seed's way, and must yield the
+very same ready list — site, user and serialised request, in order —
+and the very same learned store on the five apps' recorded sessions,
+in every teaching order of a synthetic successor that reads each kind
+of wake key, and on fuzzed observe/drain interleavings of both.
 """
+
+import itertools
 
 import pytest
 
+from repro.analysis.model import (
+    AltAtom,
+    AnalysisResult,
+    ConstAtom,
+    DepAtom,
+    DependencyEdge,
+    RequestTemplate,
+    ResponseTemplate,
+    TransactionSignature,
+    UnknownAtom,
+    ValueTemplate,
+)
 from repro.analysis.pipeline import AnalysisOptions, analyze_apk
 from repro.apps import all_apps
 from repro.apps.registry import get_app
 from repro.experiments.scale import record_session_transactions
+from repro.httpmsg.body import FormBody, JsonBody
+from repro.httpmsg.fieldpath import FieldPath
+from repro.httpmsg.headers import Headers
+from repro.httpmsg.message import Request, Response, Transaction
+from repro.httpmsg.uri import Uri
 from repro.httpmsg.wire import serialize_request
-from repro.proxy.learning import DynamicLearner
+from repro.proxy.instances import is_per_user_tag
+from repro.proxy.learning import DynamicLearner, ReadyPrefetch
 from tests.test_proxy_learning import (
     detail_transaction,
     feed_transaction,
@@ -55,12 +83,246 @@ def _keys(ready_list):
     return [_key(r) for r in ready_list]
 
 
+def _wire_keys(ready_list):
+    """Site, user and serialised request of each completed prefetch."""
+    return [
+        (r.instance.signature.site, r.instance.user, serialize_request(r.request))
+        for r in ready_list
+    ]
+
+
+class RescanLearner(DynamicLearner):
+    """Reference drain: the seed's rescan, with no wake index.
+
+    Every live pending instance is built (no failed-attempt marker, no
+    registration, no build plan) on every drain, in enqueue order.  It
+    learns from observed requests the seed's way too, walking each
+    field template (alternation options included) per observation
+    instead of reading the per-signature plan.
+    """
+
+    def _learn_from_request(self, signature, request, user):
+        captures = signature.uri_matcher.match(
+            request.uri.origin() + request.uri.path
+        )
+        for atom, value in captures or ():
+            if isinstance(atom, UnknownAtom):
+                self.store.learn_tag(user, atom.tag, value)
+        present = []
+        for path, template in signature.signature.request.fields.items():
+            values = path.extract(request)
+            if not values:
+                continue
+            present.append(path.to_string())
+            if template.dep_atoms():
+                continue
+            value = str(values[0])
+            per_user = any(
+                is_per_user_tag(atom.tag) for atom in template.unknown_atoms()
+            )
+            self.store.learn_field(
+                user, signature.site, path.to_string(), value, per_user
+            )
+            if len(template.atoms) == 1 and isinstance(template.atoms[0], UnknownAtom):
+                self.store.learn_tag(user, template.atoms[0].tag, value)
+        variant = frozenset(present)
+        if variant in signature.variants_set:
+            self.preferred_variant[(user, signature.site)] = variant
+
+    def _drain_pending(self):
+        self._fresh = []
+        self._woken.clear()
+        ready = []
+        for instance in self._pending:
+            preferred = self.preferred_variant.get(
+                (instance.user, instance.signature.site)
+            )
+            request = instance.build(self.store, preferred, use_plan=False)
+            if request is not None:
+                ready.append(ReadyPrefetch(instance, request))
+                del self._pending_keys[instance.pending_key]
+                self._forget_pending(instance)
+                self.completed_count += 1
+        return ready
+
+
+def _assert_same_store(indexed, rescan):
+    """Both learners learned the very same values, in the same scopes."""
+    for name in ("_global_tags", "_user_tags", "_global_fields", "_user_fields"):
+        assert getattr(indexed.store, name) == getattr(rescan.store, name), name
+
+
 def _drain_all(learner):
     """Pump the budgeted drain until the queue is empty."""
     ready = []
     while learner.learn_queue_depth:
         ready.extend(learner.drain_learn_queue())
     return ready
+
+
+def _wake_zoo_analysis():
+    """One successor reading every kind of wake key.
+
+    ``Detail#0`` takes its host from its own wildcard (unknown until a
+    Detail request is seen, so its first builds fail on the URI), the
+    per-user cookie, a dependency binding, an alternation, an
+    app-level lone wildcard, a per-user wildcard inside a mixed
+    template, an alternation with a per-user option (learned per
+    user), and a binding from a predecessor that never runs.  Its
+    larger variant needs that binding, so it builds only after the app
+    is seen sending the smaller variant.  ``Tok#0``, ``Agent#0`` and
+    ``Ping#0`` each teach one value alone.  ``Side#0`` is spawned next
+    to Detail and binds an alternation with a dependency option, whose
+    observed values are never learned.
+    """
+    api = UnknownAtom("env:config:api_host")
+    cookie = FieldPath.parse("header.Cookie")
+    items = FieldPath.parse("body.items[].id")
+
+    def get(site, atoms, fields=None, paths=()):
+        return TransactionSignature(
+            site,
+            RequestTemplate(
+                method="GET", uri=ValueTemplate(atoms), fields=fields or {}
+            ),
+            ResponseTemplate(paths=set(paths)),
+        )
+
+    cookie_field = {cookie: ValueTemplate([UnknownAtom("env:cookie")])}
+    detail_fields = {
+        cookie: ValueTemplate([UnknownAtom("env:cookie")]),
+        FieldPath.parse("body.cid"): ValueTemplate([DepAtom("Feed#0", items)]),
+        FieldPath.parse("body.mode"): ValueTemplate(
+            [AltAtom([ValueTemplate.const("a"), ValueTemplate.const("b")])]
+        ),
+        FieldPath.parse("body.tok"): ValueTemplate([UnknownAtom("env:config:tok")]),
+        FieldPath.parse("body.mix"): ValueTemplate(
+            [ConstAtom("ua-"), UnknownAtom("env:userAgent")]
+        ),
+        FieldPath.parse("body.who"): ValueTemplate(
+            [AltAtom([ValueTemplate.unknown("env:cookie"), ValueTemplate.const("x")])]
+        ),
+        FieldPath.parse("body.ref"): ValueTemplate(
+            [DepAtom("Ghost#0", FieldPath.parse("body.ref"))]
+        ),
+    }
+    every = frozenset(path.to_string() for path in detail_fields)
+    detail = TransactionSignature(
+        "Detail#0",
+        RequestTemplate(
+            method="POST",
+            uri=ValueTemplate(
+                [UnknownAtom("env:config:detail_host"), ConstAtom("/detail")]
+            ),
+            fields=detail_fields,
+            body_kind="form",
+        ),
+        ResponseTemplate(),
+        variants=[every, every - {"body.ref"}],
+    )
+    pick = FieldPath.parse("body.pick")
+    side = TransactionSignature(
+        "Side#0",
+        RequestTemplate(
+            method="POST",
+            uri=ValueTemplate([api, ConstAtom("/side")]),
+            fields={
+                pick: ValueTemplate(
+                    [AltAtom([ValueTemplate([DepAtom("Feed#0", items)]),
+                              ValueTemplate.const("home")])]
+                )
+            },
+            body_kind="form",
+        ),
+        ResponseTemplate(),
+    )
+    signatures = [
+        get("Feed#0", [api, ConstAtom("/feed")], cookie_field, [items]),
+        detail,
+        side,
+        get("Tok#0", [api, ConstAtom("/tok/"), UnknownAtom("env:config:tok")]),
+        get("Agent#0", [api, ConstAtom("/agent/"), UnknownAtom("env:userAgent")]),
+        get("Ping#0", [api, ConstAtom("/ping")], cookie_field),
+    ]
+    edges = [
+        DependencyEdge("Feed#0", items, "Detail#0", FieldPath.parse("body.cid")),
+        DependencyEdge("Feed#0", items, "Side#0", pick),
+    ]
+    return AnalysisResult("zoo", signatures, edges)
+
+
+#: what each zoo observation teaches: ``feed`` spawns Detail instances;
+#: ``host`` is a bare Detail request (its host only); ``mode`` a Detail
+#: request carrying only the alternation; ``v1``/``v2`` Detail requests
+#: in the larger/smaller variant, same values, so ``v2`` after ``v1``
+#: changes only the preferred variant; ``side`` a Side request
+ZOO_OPS = ("feed", "host", "ping", "tok", "agent", "mode", "v1", "v2", "side")
+
+
+def _zoo_transaction(op, value=0):
+    """One observation of the wake-key zoo; ``value`` is a small int."""
+    api = "https://api.test.com"
+    headers = Headers()
+    if op == "feed":
+        request = Request(
+            "GET", Uri.parse(api + "/feed"), Headers([("Cookie", "bsid=c")])
+        )
+        body = JsonBody({"items": [{"id": "i{}".format(value)}, {"id": "j"}]})
+        return Transaction(request, Response(200, headers, body=body))
+    if op == "ping":
+        headers.add("Set-Cookie", "bsid={}".format(value))
+        request = Request("GET", Uri.parse(api + "/ping"))
+    elif op in ("tok", "agent"):
+        request = Request("GET", Uri.parse("{}/{}/v{}".format(api, op, value)))
+    elif op == "side":
+        request = Request(
+            "POST",
+            Uri.parse(api + "/side"),
+            body=FormBody([("pick", "i{}".format(value))]),
+        )
+    else:
+        names = {
+            "host": (),
+            "mode": ("mode",),
+            "v1": ("cid", "mode", "tok", "mix", "who", "ref"),
+            "v2": ("cid", "mode", "tok", "mix", "who"),
+        }[op]
+        fields = [
+            (name, "b" if name == "mode" else "{}{}".format(name, value))
+            for name in names
+        ]
+        request = Request(
+            "POST",
+            Uri.parse("https://d{}.test.com/detail".format(value)),
+            Headers([("Cookie", "bsid=d")]) if op in ("v1", "v2") else Headers(),
+            body=FormBody(fields),
+        )
+    return Transaction(request, Response(200, headers, body=JsonBody({"ok": 1})))
+
+
+def _assert_zoo_matches_rescan(steps):
+    """Feed ``(op, user, value, budget)`` steps (budget None: no drain)
+    to the indexed learner and the rescan; every drain must agree."""
+    analysis = _wake_zoo_analysis()
+    indexed = DynamicLearner(analysis, learn_mode="deferred")
+    rescan = RescanLearner(analysis, learn_mode="deferred")
+    completed = 0
+    for op, user, value, budget in steps:
+        transaction = _zoo_transaction(op, value)
+        indexed.observe(transaction, user)
+        rescan.observe(transaction, user)
+        if budget is not None:
+            ready = indexed.drain_learn_queue(budget=budget)
+            assert _wire_keys(ready) == _wire_keys(
+                rescan.drain_learn_queue(budget=budget)
+            )
+            completed += len(ready)
+    ready = _drain_all(indexed)
+    assert _wire_keys(ready) == _wire_keys(_drain_all(rescan))
+    assert indexed.pending_count == rescan.pending_count
+    assert indexed.completed_count == rescan.completed_count
+    _assert_same_store(indexed, rescan)
+    return completed + len(ready)
 
 
 def _app_fixture(name):
@@ -111,6 +373,62 @@ def test_deferred_drained_at_end_equals_inline_as_set(name):
     deferred_ready = _drain_all(deferred)
     assert _keys(deferred_ready) == _keys(inline_ready)
     assert deferred.deferred_drained == len(transactions)
+
+
+def test_wake_keys_equal_rescan_in_every_teaching_order():
+    """Spawn and teach the zoo's values in every order, then switch to
+    the smaller variant, draining after each observation: each
+    instance completes at the very drain where the rescan does."""
+    completed = 0
+    for order in itertools.permutations(
+        ("feed", "host", "tok", "agent", "mode", "v1")
+    ):
+        completed += _assert_zoo_matches_rescan(
+            [(op, "u1", 0, 1) for op in order + ("v2",)]
+        )
+    assert completed > 0
+
+
+def test_alternation_learn_scope_equals_rescan_across_users():
+    """u1 teaches every Detail value, the per-user alternation included,
+    and sends Side's dependency alternation; u2's instances keep waiting
+    for u2's own alternation value, exactly as in the rescan."""
+    steps = [
+        (op, "u1", 0, 1)
+        for op in ("feed", "host", "tok", "agent", "v1", "v2", "side")
+    ]
+    steps += [("feed", "u2", 1, 1), ("ping", "u2", 1, 1), ("v2", "u2", 1, 1)]
+    assert _assert_zoo_matches_rescan(steps) > 0
+
+
+@pytest.mark.parametrize("name", APP_NAMES, ids=str)
+def test_wake_index_equals_rescan_on_recorded_sessions(name):
+    """Missing-key wake index vs the rescan, drained per observation.
+
+    Two users replay the session half a session apart, so per-user
+    values (cookies, user agents) of one user keep changing while the
+    other user's instances wait.
+    """
+    transactions, analysis = _app_fixture(name)
+    indexed = DynamicLearner(analysis, learn_mode="deferred")
+    rescan = RescanLearner(analysis, learn_mode="deferred")
+    half = len(transactions) // 2
+    schedule = [("u1", t) for t in transactions[:half]]
+    for first, second in zip(transactions[half:], transactions):
+        schedule.extend([("u1", first), ("u2", second)])
+    schedule.extend(("u2", t) for t in transactions[len(transactions) - half:])
+    completed = 0
+    for user, transaction in schedule:
+        indexed.observe(transaction, user)
+        rescan.observe(transaction, user)
+        indexed_ready = indexed.drain_learn_queue(budget=None)
+        assert _wire_keys(indexed_ready) == _wire_keys(
+            rescan.drain_learn_queue(budget=None)
+        )
+        completed += len(indexed_ready)
+    assert completed == rescan.completed_count > 0
+    assert indexed.pending_count == rescan.pending_count
+    _assert_same_store(indexed, rescan)
 
 
 def test_budgeted_drain_processes_fifo_and_stops_at_budget():
@@ -204,6 +522,7 @@ if HAVE_HYPOTHESIS:
         analysis = make_analysis()
         inline = DynamicLearner(analysis)
         deferred = DynamicLearner(analysis, learn_mode="deferred")
+        rescan = RescanLearner(analysis, learn_mode="deferred")
         inline_ready = []
         deferred_ready = []
         for step, (kind, budget, do_drain) in enumerate(plan):
@@ -219,10 +538,69 @@ if HAVE_HYPOTHESIS:
                 user = "u2"
             inline_ready.extend(inline.observe(transaction, user))
             assert deferred.observe(transaction, user) == []
+            rescan.observe(transaction, user)
             if do_drain:
-                deferred_ready.extend(deferred.drain_learn_queue(budget=budget))
-        deferred_ready.extend(_drain_all(deferred))
+                drained = deferred.drain_learn_queue(budget=budget)
+                assert _wire_keys(drained) == _wire_keys(
+                    rescan.drain_learn_queue(budget=budget)
+                )
+                deferred_ready.extend(drained)
+        drained = _drain_all(deferred)
+        assert _wire_keys(drained) == _wire_keys(_drain_all(rescan))
+        deferred_ready.extend(drained)
         assert deferred.learn_queue_depth == 0
         assert set(_keys(deferred_ready)) == set(_keys(inline_ready))
         assert deferred.pending_count == inline.pending_count
         assert deferred.completed_count == inline.completed_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(APP_NAMES),
+        plan=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10_000),  # transaction
+                st.sampled_from(["u1", "u2", "u3"]),
+                st.integers(min_value=0, max_value=3),  # drain budget after
+                st.booleans(),  # drain at all after this observation?
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_fuzzed_interleavings_wake_index_equals_rescan(name, plan):
+        """Recorded transactions in any order, by any user, under any
+        drain budgets: every drain yields the rescan's ready list."""
+        transactions, analysis = _app_fixture(name)
+        indexed = DynamicLearner(analysis, learn_mode="deferred")
+        rescan = RescanLearner(analysis, learn_mode="deferred")
+        for pick, user, budget, do_drain in plan:
+            transaction = transactions[pick % len(transactions)]
+            indexed.observe(transaction, user)
+            rescan.observe(transaction, user)
+            if do_drain:
+                assert _wire_keys(
+                    indexed.drain_learn_queue(budget=budget)
+                ) == _wire_keys(rescan.drain_learn_queue(budget=budget))
+        assert _wire_keys(_drain_all(indexed)) == _wire_keys(_drain_all(rescan))
+        assert indexed.pending_count == rescan.pending_count
+        assert indexed.completed_count == rescan.completed_count
+        _assert_same_store(indexed, rescan)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(ZOO_OPS),
+                st.sampled_from(["u1", "u2"]),
+                st.integers(min_value=0, max_value=1),  # value
+                st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_fuzzed_wake_keys_equal_rescan(steps):
+        """Every kind of wake key, learned alone or together, in any
+        order, for either user, under any drain budgets: every drain
+        yields the rescan's list."""
+        _assert_zoo_matches_rescan(steps)

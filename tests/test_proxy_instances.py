@@ -213,6 +213,22 @@ def test_try_build_skips_until_new_knowledge():
     assert instance.try_build(store) is not None
 
 
+def test_fill_after_failed_try_build_allows_retry():
+    signature = successor_signature()
+    instance = RequestInstance(signature, "u1")
+    store = ValueStore()
+    store.learn_tag("u1", "env:config:api_host", "https://a.com")
+    store.learn_tag("u1", "env:cookie", "bsid=1")
+    # only the dependency binding is missing: the attempt fails
+    assert instance.try_build(store) is None
+    # the binding arrives without any store change; the failed-attempt
+    # marker must not hide the now-complete build
+    instance.fill(FieldPath.parse("body.cid"), "x")
+    request = instance.try_build(store)
+    assert request is not None
+    assert request.body.get("cid") == "x"
+
+
 def test_variant_adaptation_prefers_observed():
     fields = {
         FieldPath.parse("body.a"): ValueTemplate.const("1"),

@@ -2,6 +2,7 @@
 
 
 from repro.analysis.model import (
+    AltAtom,
     AnalysisResult,
     ConstAtom,
     DepAtom,
@@ -193,3 +194,66 @@ def test_variant_learned_from_observation():
     learner.observe(detail_transaction(), "u1")
     variant = learner.preferred_variant.get(("u1", "Detail.fetch#0"))
     assert variant == frozenset({"header.Cookie", "body.cid", "body._ver"})
+
+
+# -- alternation fields: the learn action looks inside the options -----------
+def alternation_analysis():
+    """Search sends ``body.who``, the per-user cookie on one branch and a
+    constant on the other, and ``body.ref``, a Feed item id on one
+    branch and a constant on the other (the analyzer merges
+    branch-dependent values into such alternations)."""
+    dep = DepAtom("Feed.onStart#0", FieldPath.parse("body.items[].id"))
+    search = TransactionSignature(
+        "Search.run#0",
+        RequestTemplate(
+            method="POST",
+            uri=ValueTemplate([host(), ConstAtom("/search")]),
+            fields={
+                FieldPath.parse("body.who"): ValueTemplate(
+                    [AltAtom([ValueTemplate.unknown("env:cookie"),
+                              ValueTemplate.const("x")])]
+                ),
+                FieldPath.parse("body.ref"): ValueTemplate(
+                    [AltAtom([ValueTemplate([dep]), ValueTemplate.const("home")])]
+                ),
+            },
+            body_kind="form",
+        ),
+        ResponseTemplate(),
+    )
+    analysis = make_analysis()
+    return AnalysisResult(
+        "com.test", analysis.signatures + [search], analysis.dependencies
+    )
+
+
+def search_transaction(who, ref):
+    request = Request(
+        "POST",
+        Uri.parse("https://api.test.com/search"),
+        body=FormBody([("who", who), ("ref", ref)]),
+    )
+    return Transaction(request, Response(200, body=JsonBody({"ok": True})))
+
+
+def test_alternation_with_per_user_option_is_learned_per_user():
+    learner = DynamicLearner(alternation_analysis())
+    learner.observe(search_transaction("bsid=secret-u1", "home"), "u1")
+    store = learner.store
+    assert store.field_value("u1", "Search.run#0", "body.who") == "bsid=secret-u1"
+    # another user's prefetches must never carry u1's value
+    assert store.field_value("u2", "Search.run#0", "body.who") is None
+
+
+def test_alternation_with_dependency_option_is_never_cached():
+    learner = DynamicLearner(alternation_analysis())
+    fired = []
+    learner.store.add_listener(fired.append)
+    learner.observe(search_transaction("x", "a1"), "u1")
+    store = learner.store
+    assert store.field_value("u1", "Search.run#0", "body.ref") is None
+    assert store.field_value("u2", "Search.run#0", "body.ref") is None
+    assert not [key for key in fired if key[-1] == "body.ref"]
+    # the sibling field is still learned, for u1 only
+    assert store.field_value("u1", "Search.run#0", "body.who") == "x"
+    assert store.field_value("u2", "Search.run#0", "body.who") is None

@@ -1,12 +1,15 @@
 """Wake-index tests: learning a value retries only blocked instances.
 
 The seed rescanned the entire pending list on every observation; the
-wake index maps each missing tag/field key to the instances blocked on
-it.  These tests pin the targeting (only affected instances retried)
-and the unchanged observable behavior (pending_count, dedupe,
-oldest-first eviction at MAX_PENDING).
+wake index files an instance, after its first build fails, under the
+keys of the values that build left unresolved, and drops it from every
+bucket when it completes or is evicted.  These tests pin the targeting
+(only instances missing the learned value are retried), the index
+holding only live instances, and the unchanged observable behavior
+(pending_count, dedupe, oldest-first eviction at MAX_PENDING).
 """
 
+import pytest
 
 from repro.analysis.model import (
     AnalysisResult,
@@ -19,8 +22,11 @@ from repro.analysis.model import (
     UnknownAtom,
     ValueTemplate,
 )
-from repro.httpmsg.body import JsonBody
+from repro.apps import all_apps
+from repro.experiments.scale import record_session_transactions
+from repro.httpmsg.body import FormBody, JsonBody
 from repro.httpmsg.fieldpath import FieldPath
+from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.httpmsg.uri import Uri
 from repro.proxy import learning as learning_module
@@ -210,8 +216,6 @@ def test_evicted_instances_do_not_wake(monkeypatch):
 def test_preferred_variant_change_wakes_instances():
     """A newly observed field-set variant can complete an instance even
     when no store value changed: the (user, site) variant wake key."""
-    from repro.httpmsg.body import FormBody
-
     feed = TransactionSignature(
         "Feed#0",
         RequestTemplate(
@@ -272,3 +276,169 @@ def test_preferred_variant_change_wakes_instances():
     assert ready[0].request.body.get("cid") == "a1"
     assert ready[0].request.body.get("ref") is None
     assert learner.pending_count == 0
+
+
+# -- missing-key registration ------------------------------------------------
+def cookie_analysis():
+    """Feed sends the cookie jar; Detail waits on the cookie, a dep
+    binding and an app-level ``env:config:vip`` value."""
+    cookie = FieldPath.parse("header.Cookie")
+    feed = TransactionSignature(
+        "Feed#0",
+        RequestTemplate(
+            method="GET",
+            uri=ValueTemplate([host(), ConstAtom("/feed")]),
+            fields={cookie: ValueTemplate([UnknownAtom("env:cookie")])},
+        ),
+        ResponseTemplate(paths={FieldPath.parse("body.items[].id")}),
+    )
+    detail = TransactionSignature(
+        "Detail#0",
+        RequestTemplate(
+            method="POST",
+            uri=ValueTemplate([host(), ConstAtom("/detail")]),
+            fields={
+                cookie: ValueTemplate([UnknownAtom("env:cookie")]),
+                FieldPath.parse("body.cid"): ValueTemplate(
+                    [DepAtom("Feed#0", FieldPath.parse("body.items[].id"))]
+                ),
+                FieldPath.parse("body.vip"): ValueTemplate(
+                    [UnknownAtom("env:config:vip")]
+                ),
+            },
+            body_kind="form",
+        ),
+        ResponseTemplate(),
+    )
+    edges = [
+        DependencyEdge(
+            "Feed#0", FieldPath.parse("body.items[].id"),
+            "Detail#0", FieldPath.parse("body.cid"),
+        )
+    ]
+    return AnalysisResult("t", [feed, detail], edges)
+
+
+def cookie_feed(cookie, set_cookie, item_ids=("a1", "b2")):
+    headers = Headers()
+    headers.add("Set-Cookie", set_cookie)
+    return Transaction(
+        Request(
+            "GET",
+            Uri.parse("https://api.test.com/feed"),
+            Headers([("Cookie", cookie)]),
+        ),
+        Response(
+            200,
+            headers,
+            body=JsonBody({"items": [{"id": i} for i in item_ids]}),
+        ),
+    )
+
+
+def detail_request(fields, cookie="bsid=client"):
+    return Transaction(
+        Request(
+            "POST",
+            Uri.parse("https://api.test.com/detail"),
+            Headers([("Cookie", cookie)]),
+            body=FormBody(list(fields)),
+        ),
+        Response(200, body=JsonBody({"ok": True})),
+    )
+
+
+def indexed_instances(learner):
+    found = {}
+    for bucket in learner._wake_index.values():
+        for instance in bucket.values():
+            found[id(instance)] = instance
+    return list(found.values())
+
+
+def test_cookie_changes_do_not_retry_instance_missing_other_field(monkeypatch):
+    learner = DynamicLearner(cookie_analysis())
+    learner.observe(cookie_feed("bsid=0", "bsid=1"), "u1")
+    assert learner.pending_count == 2
+    # registered under the missing vip value only, not the cookie
+    for instance in learner._pending:
+        rows = instance.unresolved_rows(learner.store)
+        assert [row.path_string for row in rows] == ["body.vip"]
+        assert ("tag", "u1", "env:cookie") not in instance.wake_keys
+        assert ("tag", None, "env:config:vip") in instance.wake_keys
+    counts = count_try_builds(monkeypatch)
+    # env:cookie changes (new Set-Cookie on a cookie-sending signature)
+    version = learner.store.version
+    assert learner.observe(cookie_feed("bsid=1", "bsid=2"), "u1") == []
+    # header.Cookie of Detail itself changes (and env:cookie with it);
+    # the request carries no vip, so nothing the instances miss arrives
+    assert learner.observe(detail_request([("cid", "zz")], "bsid=3"), "u1") == []
+    assert learner.store.version > version
+    assert counts.get("Detail#0", 0) == 0
+    # the value they do miss wakes and completes them
+    ready = learner.observe(detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
+    assert counts["Detail#0"] == 2
+    assert sorted(r.request.body.get("cid") for r in ready) == ["a1", "b2"]
+    assert learner._wake_index == {}
+
+
+def test_instance_built_on_first_attempt_is_never_registered():
+    learner = DynamicLearner(cookie_analysis())
+    learner.observe(detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
+    ready = learner.observe(cookie_feed("bsid=0", "bsid=1"), "u1")
+    assert len(ready) == 2
+    assert all(r.instance.wake_keys is None for r in ready)
+    assert learner._wake_index == {}
+    assert learner.pending_count == 0
+
+
+def test_uri_unresolved_registers_every_read_key():
+    """Without the host, the build fails before any field resolves, so
+    the instance falls back to every key its signature reads."""
+    learner = DynamicLearner(cookie_analysis())
+    instance = RequestInstance(learner._by_site["Detail#0"], "u1")
+    instance.fill(FieldPath.parse("body.cid"), "a1")
+    learner._enqueue(instance)
+    assert learner._drain_pending() == []
+    assert instance.unresolved_rows(learner.store) is None
+    assert set(instance.wake_keys) == {
+        ("tag", None, "env:config:api_host"),
+        ("tag", "u1", "env:cookie"),
+        ("field", "u1", "Detail#0", "header.Cookie"),
+        ("field", None, "Detail#0", "header.Cookie"),
+        ("tag", None, "env:config:vip"),
+        ("field", "u1", "Detail#0", "body.vip"),
+        ("field", None, "Detail#0", "body.vip"),
+    }
+
+
+@pytest.mark.parametrize("max_pending", [learning_module.MAX_PENDING, 8])
+def test_wake_index_holds_only_live_instances_after_five_app_replay(
+    monkeypatch, max_pending
+):
+    """Completed and evicted instances leave every bucket."""
+    monkeypatch.setattr(learning_module, "MAX_PENDING", max_pending)
+    from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+    from repro.apps.registry import get_app
+
+    registered = 0
+    for name in all_apps():
+        analysis = analyze_apk(
+            get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
+        )
+        learner = DynamicLearner(analysis, learn_mode="deferred")
+        transactions = record_session_transactions(name)
+        for user in ("u1", "u2", "u3"):
+            for transaction in transactions:
+                learner.observe(transaction, user)
+                learner.drain_learn_queue()
+        indexed = indexed_instances(learner)
+        registered += len(indexed)
+        assert all(learner._is_live(instance) for instance in indexed)
+        for key, bucket in learner._wake_index.items():
+            assert bucket  # empty buckets are pruned
+            for seq, instance in bucket.items():
+                assert instance.pending_seq == seq
+                assert key in instance.wake_keys
+        assert learner.pending_count <= max_pending
+    assert registered > 0  # the replay leaves some instances waiting
