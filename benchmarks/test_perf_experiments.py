@@ -1,6 +1,6 @@
-"""Parallel experiment engine benchmark: fan-out, cache, sim fast path.
+"""Parallel experiment engine benchmark: fan-out and artifact cache.
 
-Three measurements, one per layer of the engine, written to
+Two measurements, one per layer of the engine, written to
 ``BENCH_experiments.json`` at the repo root:
 
 * a fig15-style sweep (all apps x RTTs) run serially and over a
@@ -12,11 +12,7 @@ Three measurements, one per layer of the engine, written to
   projection falls back to in-process execution when the pool cannot
   pay for itself;
 * the analysis artifact cache: cold ``prepare_app`` vs a warm load
-  from disk for the same app;
-* the simulator event loop: the same spawn-heavy workload under the
-  fast-path and heap-only compat schedulers.  The structural claim is
-  counter-based (inline starts replace scheduler pops one-for-one);
-  events/sec in both modes is recorded for the trajectory.
+  from disk for the same app.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from conftest import banner
 from repro.experiments import parallel, scenario
 from repro.experiments.cache import AnalysisArtifactCache
 from repro.metrics.perf import PERF
-from repro.netsim.sim import Delay, Simulator
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_experiments.json"
 
@@ -105,60 +100,7 @@ def test_perf_experiments(tmp_path):
         },
     }
 
-    # -- layer 3: sim fast path vs compat ------------------------------
-    def spawn_chains(sim, chains=4000):
-        def leaf():
-            yield Delay(0.0)
-            return 1
-
-        def chain():
-            total = yield sim.spawn(leaf())
-            total += yield sim.spawn(leaf())
-            yield Delay(0.001)
-            return total
-
-        def root():
-            # sequential spawn-then-wait chains: the transport/origin
-            # pattern the inline-completion path exists for
-            total = 0
-            for _ in range(chains):
-                total += yield sim.spawn(chain())
-            # plus a batch of overlapping children (never inlined —
-            # siblings are queued ahead), so both paths are exercised
-            children = [sim.spawn(leaf()) for _ in range(chains // 4)]
-            for child in children:
-                total += yield child
-            return total
-
-        return root
-
-    sim_modes = {}
-    for mode, fast_path in (("fast", True), ("compat", False)):
-        best_s, events, inline = None, 0, 0
-        for _ in range(3):
-            sim = Simulator(fast_path=fast_path)
-            with PERF.capture():
-                started = time.perf_counter()
-                sim.run_process(spawn_chains(sim)())
-                elapsed = time.perf_counter() - started
-                events = PERF.get("sim.events")
-                inline = PERF.get("sim.inline_starts")
-            if best_s is None or elapsed < best_s:
-                best_s = elapsed
-        steps = events + inline
-        sim_modes[mode] = {
-            "wall_s": best_s,
-            "scheduler_pops": events,
-            "inline_starts": inline,
-            "steps_per_s": steps / best_s if best_s else 0.0,
-        }
-    result["sim"] = sim_modes
-    result["sim"]["pop_reduction"] = 1.0 - (
-        sim_modes["fast"]["scheduler_pops"]
-        / float(sim_modes["compat"]["scheduler_pops"])
-    )
-
-    banner("Parallel experiment engine: fan-out / cache / sim fast path")
+    banner("Parallel experiment engine: fan-out / cache")
     print(
         "sweep: {} cells, serial {:.2f}s, {}-worker pool {:.2f}s "
         "({:.2f}x, byte-identical={})".format(
@@ -173,28 +115,12 @@ def test_perf_experiments(tmp_path):
             cache_stats["writes"], cache_stats["hits"],
         )
     )
-    for mode in ("fast", "compat"):
-        stats = sim_modes[mode]
-        print(
-            "sim {:<7} {:>9.0f} steps/s  ({} pops, {} inline starts)".format(
-                mode, stats["steps_per_s"], stats["scheduler_pops"],
-                stats["inline_starts"],
-            )
-        )
 
     # correctness is unconditional
     assert identical
     # the cache turns multi-second analysis+fuzzing into a sub-second load
     assert cache_stats["warm_prepare_s"] < cache_stats["cold_prepare_s"] / 2.0
     assert cache_stats["hits"] >= cache_stats["writes"] > 0
-    # structural fast-path claim: every inline start replaces exactly one
-    # scheduler pop — same total steps, fewer queue round-trips
-    assert sim_modes["fast"]["inline_starts"] > 0
-    assert sim_modes["compat"]["inline_starts"] == 0
-    assert (
-        sim_modes["fast"]["scheduler_pops"] + sim_modes["fast"]["inline_starts"]
-        == sim_modes["compat"]["scheduler_pops"]
-    )
     # the break-even fallback guarantees jobs>1 is never a regression:
     # on few-core boxes the projection keeps the sweep serial, so the
     # parallel entry point costs at most noise over the serial oracle

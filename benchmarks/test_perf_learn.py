@@ -10,7 +10,7 @@ budgeted ``proxy.learn_drain`` stage, off the response-critical path)
 while producing the same served workload.  Section 2 micro-benchmarks
 copy-on-write instantiation: N replicated instances building through
 the shared :class:`SignatureBuildPlan` vs the seed's per-build atom
-walk, reported as replicas/µs.  Both sections land in
+walk (``tests/oracles/naive_build.py``), reported as replicas/µs.  Both sections land in
 ``BENCH_learn.json``; the headline row appends to ``bench_tables.txt``.
 """
 
@@ -38,6 +38,7 @@ from repro.proxy.instances import (
     RuntimeSignature,
     ValueStore,
 )
+from tests.oracles.naive_build import build_naive
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_learn.json"
 TABLES = Path(__file__).resolve().parent.parent / "bench_tables.txt"
@@ -200,7 +201,10 @@ def _spawn_and_build(signature, store, use_plan: bool) -> int:
             instance.fill(
                 FieldPath.parse("body.cid"), "c{}-{}".format(burst, index)
             )
-            request = instance.build(store, use_plan=use_plan)
+            if use_plan:
+                request = instance.build(store)
+            else:
+                request = build_naive(instance, store)
             if request is not None:
                 built += 1
     return built

@@ -9,7 +9,6 @@ Commands::
     experiment NAME           run one table/figure experiment
     figs [NAME...] --jobs N   run figure sweeps over a process pool
     cache [--clear]           inspect / clear the analysis artifact cache
-    bench                     signature-dispatch microbenchmark
     scale --users N...        million-user serving-core load harness
                               (--trace out.jsonl samples request traces)
     stats TRACE.jsonl         per-stage / per-cause rollup of a trace
@@ -154,51 +153,6 @@ def _command_demo(args) -> int:
     return 0
 
 
-def _command_bench(args) -> int:
-    from repro.experiments.matching_bench import run_matching_bench
-
-    if args.requests <= 0:
-        print("bench: --requests must be positive", file=sys.stderr)
-        return 2
-    result = run_matching_bench(total_requests=args.requests, seed=args.seed)
-    workload = result["workload"]
-    naive, indexed = result["naive"], result["indexed"]
-    print(
-        "workload: {} requests over {} signatures ({} apps), {} matched".format(
-            workload["requests"],
-            workload["signatures"],
-            len(workload["apps"]),
-            workload["matched"],
-        )
-    )
-    print(
-        "naive scan:   {:8.1f} regex attempts/request  {:8.3f} s".format(
-            naive["regex_attempts_per_request"], naive["wall_s"]
-        )
-    )
-    print(
-        "indexed path: {:8.1f} regex attempts/request  {:8.3f} s  "
-        "({:.1f} candidates/request, {} memo hits)".format(
-            indexed["regex_attempts_per_request"],
-            indexed["wall_s"],
-            indexed["candidates_per_request"],
-            indexed["memo_hits"],
-        )
-    )
-    print(
-        "regex-attempt ratio: {:.1f}x   wall speedup: {:.1f}x   mismatches: {}".format(
-            result["derived"]["regex_attempt_ratio"],
-            result["derived"]["wall_speedup"],
-            result["differential"]["mismatches"],
-        )
-    )
-    with open(args.output, "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote trajectory to {}".format(args.output))
-    return 0 if result["differential"]["mismatches"] == 0 else 1
-
-
 def _print_heartbeat(shard, payload, tracker=None) -> None:
     """One mid-run heartbeat line (stderr; stdout keeps the tables)."""
     readings = payload.get("readings") or {}
@@ -322,8 +276,6 @@ def _command_scale(args) -> int:
             apps=args.apps,
             rate_per_user=args.rate,
             seed=args.seed,
-            indexed_cache=not args.naive_cache,
-            lazy_drain=not args.rebuild_drain,
             **policy_kwargs,
         )
         print(format_strategy_table(comparison))
@@ -351,8 +303,6 @@ def _command_scale(args) -> int:
                         apps=args.apps,
                         rate_per_user=args.rate,
                         seed=args.seed,
-                        indexed_cache=not args.naive_cache,
-                        lazy_drain=not args.rebuild_drain,
                         trace_path=cell_trace,
                         trace_sample=args.trace_sample,
                         trace_seed=args.trace_seed,
@@ -392,8 +342,6 @@ def _command_scale(args) -> int:
             apps=args.apps,
             rate_per_user=args.rate,
             seed=args.seed,
-            indexed_cache=not args.naive_cache,
-            lazy_drain=not args.rebuild_drain,
             trace_path=args.trace,
             trace_sample=args.trace_sample,
             trace_seed=args.trace_seed,
@@ -883,17 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("--cache-dir", default=None, help="cache directory")
 
-    bench = commands.add_parser(
-        "bench", help="signature-dispatch microbenchmark (indexed vs naive)"
-    )
-    bench.add_argument("--requests", type=int, default=10_000)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--output",
-        default="BENCH_matching.json",
-        help="trajectory file to write (default: BENCH_matching.json)",
-    )
-
     scale = commands.add_parser(
         "scale", help="serving-core load harness (open-loop Poisson users)"
     )
@@ -952,14 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimate-expiration", action="store_true",
         help="learn per-signature TTLs online by probing (§4.3) instead "
              "of using the configured defaults",
-    )
-    scale.add_argument(
-        "--naive-cache", action="store_true",
-        help="use the unindexed full-scan cache (differential oracle)",
-    )
-    scale.add_argument(
-        "--rebuild-drain", action="store_true",
-        help="use the O(W) rebuild prefetch drain (differential oracle)",
     )
     scale.add_argument(
         "--output", default=None,
@@ -1087,7 +1016,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _command_experiment,
         "figs": _command_figs,
         "cache": _command_cache,
-        "bench": _command_bench,
         "scale": _command_scale,
         "stats": _command_stats,
         "lint": _command_lint,

@@ -478,8 +478,6 @@ def run_fleet(
     seed: int = 0,
     max_entries_per_user: Optional[int] = None,
     max_bytes: Optional[int] = None,
-    indexed_cache: bool = True,
-    lazy_drain: bool = True,
     access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
@@ -556,8 +554,6 @@ def run_fleet(
     deploy_kwargs = {
         "max_entries_per_user": max_entries_per_user,
         "max_bytes": max_bytes,
-        "indexed_cache": indexed_cache,
-        "lazy_drain": lazy_drain,
         "max_entries_total": max_entries_total,
         "adaptive_budget": adaptive_budget,
         "admission_threshold": admission_threshold,
@@ -1003,8 +999,6 @@ def _aggregate(
         "cache_lru_evictions": total("cache_lru_evictions"),
         "cache_wheel_purged": total("cache_wheel_purged"),
         "peak_rss_bytes": total("peak_rss_bytes"),
-        "indexed_cache": deploy_kwargs["indexed_cache"],
-        "lazy_drain": deploy_kwargs["lazy_drain"],
         "max_entries_per_user": deploy_kwargs["max_entries_per_user"],
         "max_bytes": deploy_kwargs["max_bytes"],
         "max_entries_total": deploy_kwargs["max_entries_total"],

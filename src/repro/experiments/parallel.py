@@ -7,8 +7,7 @@ module decomposes each sweep into its cells (*plan*), executes them
 over a :class:`concurrent.futures.ProcessPoolExecutor` (*execute*),
 and reassembles the rows in canonical order (*merge*), so the parallel
 output is byte-identical to the serial runner's — which therefore
-stays around as the differential oracle, exactly like the naive
-signature scan does for the indexed dispatch path.
+stays around as the differential oracle.
 
 Determinism
 -----------

@@ -213,8 +213,6 @@ class _ScaleDeployment:
         catalog_seed: int = 7,
         max_entries_per_user: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        indexed_cache: bool = True,
-        lazy_drain: bool = True,
         max_entries_total: Optional[int] = None,
         adaptive_budget: bool = False,
         admission_threshold: Optional[float] = None,
@@ -238,6 +236,9 @@ class _ScaleDeployment:
         self.multi = MultiAppProxy(self.sim, self.origins)
         self.strategy = strategy
         self.learn_mode = learn_mode
+        #: the admission override as built (None: the proxy default); a
+        #: reused deployment's row reports it, and its caches' bounds
+        self.admission_threshold = admission_threshold
         self.templates: Dict[str, List[Request]] = {}
         self.steps: Dict[str, List[_ReplayStep]] = {}
         #: per app, the template positions whose site is a dependency
@@ -255,7 +256,6 @@ class _ScaleDeployment:
                 )
             analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
             cache = PrefetchCache(
-                indexed=indexed_cache,
                 max_entries_per_user=max_entries_per_user,
                 max_bytes=max_bytes,
                 max_entries_total=max_entries_total,
@@ -264,7 +264,6 @@ class _ScaleDeployment:
             proxy = AccelerationProxy(
                 self.sim, app_origins, analysis, cache=cache, learn_mode=learn_mode
             )
-            proxy.prefetcher.lazy_drain = lazy_drain
             if admission_threshold is not None:
                 proxy.config.admission_threshold = admission_threshold
             # deferred-learn knobs: a forced-small queue capacity is the
@@ -434,8 +433,6 @@ def run_scale(
     seed: int = 0,
     max_entries_per_user: Optional[int] = None,
     max_bytes: Optional[int] = None,
-    indexed_cache: bool = True,
-    lazy_drain: bool = True,
     access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
@@ -484,7 +481,9 @@ def run_scale(
     :class:`ArrivalSchedule` (typically one fleet shard's partition)
     instead of drawing arrivals live; ``_deployment`` reuses an
     already-built :class:`_ScaleDeployment` (it must have been built
-    with the same app/cache/strategy arguments); and
+    with the same apps, strategy and learn mode; the row reports its
+    cache and admission settings, and those arguments here go
+    unused); and
     ``collect_latencies`` attaches the raw per-request virtual
     latencies to the row under ``"latencies_s"`` so a fleet supervisor
     can compute exact aggregate percentiles across shards.
@@ -527,8 +526,6 @@ def run_scale(
             apps,
             max_entries_per_user=max_entries_per_user,
             max_bytes=max_bytes,
-            indexed_cache=indexed_cache,
-            lazy_drain=lazy_drain,
             max_entries_total=max_entries_total,
             adaptive_budget=adaptive_budget,
             admission_threshold=admission_threshold,
@@ -838,13 +835,11 @@ def run_scale(
         "cache_lru_evictions": sum(c.lru_evictions for c in caches),
         "cache_wheel_purged": sum(c.wheel_purged for c in caches),
         "peak_rss_bytes": rss_peak_bytes(),
-        "indexed_cache": indexed_cache,
-        "lazy_drain": lazy_drain,
-        "max_entries_per_user": max_entries_per_user,
-        "max_bytes": max_bytes,
-        "max_entries_total": max_entries_total,
-        "adaptive_budget": adaptive_budget,
-        "admission_threshold": admission_threshold,
+        "max_entries_per_user": caches[0].max_entries_per_user,
+        "max_bytes": caches[0].max_bytes,
+        "max_entries_total": caches[0].max_entries_total,
+        "adaptive_budget": caches[0].adaptive,
+        "admission_threshold": deployment.admission_threshold,
         "strategy": strategy,
         "learn_mode": learn_mode,
         "learn_queue_overflows": sum(

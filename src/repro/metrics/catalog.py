@@ -14,7 +14,7 @@ every name used at a call site and fails on anything undeclared
 Conventions
 -----------
 * **Unlabeled counters** (:data:`COUNTERS`) are the dotted
-  ``PERF.incr`` names the hot path bumps (``matcher.regex_attempts``).
+  ``PERF.incr`` names the hot path bumps (``matcher.memo_hits``).
 * **Counter prefixes** (:data:`COUNTER_PREFIXES`) declare the few
   dynamically-suffixed families (``cache.miss.<cause>``) together with
   the *bounded* value set the suffix must come from — an unbounded
@@ -164,18 +164,13 @@ COUNTERS: Dict[str, str] = {
     "learner.wake_retries": "pending-instance wake-index retries",
     "matcher.requests": "signature-dispatch attempts",
     "matcher.memo_hits": "dispatch answers served from the exact-key memo",
-    "matcher.candidates": "candidate signatures examined (indexed path)",
-    "matcher.candidate_checks": "candidate pre-check evaluations",
-    "matcher.anchor_rejects": "candidates rejected by anchor pre-checks",
-    "matcher.regex_attempts": "full regex matches attempted (indexed path)",
-    "matcher.naive_regex_attempts": "regex attempts in the naive oracle scan",
     "prefetch.submitted": "ready instances submitted to the prefetcher",
     "prefetch.issued": "prefetch fetches actually issued",
     "prefetch.queue_peak": "high-water mark of the waiting prefetch queue",
     "prefetch.stale_heap_entries": "lazy-drain heap entries skipped as stale",
     "prefetch.wasted": "prefetched entries that never served a hit",
     "sim.events": "simulator events processed",
-    "sim.inline_starts": "zero-delay child processes started inline",
+    "sim.inline_starts": "awaited child processes started inside the parent's step",
     "backpressure.budget_grow": "deferred-drain budget growths by the backpressure loop",
     "backpressure.budget_shrink": "deferred-drain budget decays back toward base",
     "backpressure.admission_tighten": "admission-threshold raises under sustained burn",

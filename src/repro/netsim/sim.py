@@ -11,41 +11,29 @@ A *process* is a generator.  Each ``yield`` hands the simulator one of:
 on it.  The scheduler is deterministic: ties in time break by
 scheduling order.
 
-Fast path
----------
-The hot loop avoids the heap for the dominant event class.  Almost
-every scheduling operation is zero-delay — process starts, event
-triggers, resumes after a child completes — and those land on a FIFO
-ring (:attr:`Simulator._ready`) instead of the time heap, turning two
-``O(log n)`` heap operations into ``O(1)`` appends/pops.  Entries on
-both structures carry ``(time, sequence)`` so the merged pop order is
-*exactly* the order the pure-heap scheduler would produce.
+Every scheduled callback — zero-delay starts, event triggers and
+resumes included — goes on one heap keyed ``(time, sequence)``.  A
+zero-delay FIFO ring beside the heap was measured within the
+end-to-end benchmark's noise, so the heap is the only queue.
 
-On top of that, ``yield sim.spawn(child)`` takes an inline-completion
-fast path: when the parent suspends on a child whose queued start is
-the next runnable entry (the common case for ``origin_fetch`` →
-``endpoint.handle`` chains), the child's first step runs inline —
-exactly the entry the scheduler would pop next, minus the queue
-round-trip — and when the child finishes without blocking, its
-completion value is already latched by the time the parent registers
-as a waiter.
-
-``Simulator(fast_path=False)`` disables both optimizations and runs
-the original heap-only loop — kept as the differential oracle
-(``tests/test_sim_fast_path.py`` replays full workloads in both modes
-and asserts identical outcomes).
+``yield sim.spawn(child)`` starts the child inside the parent's step
+when the child's queued start is the heap's head: that is the entry
+the loop would pop next, so the order is unchanged, and the child's
+frames nest inside the parent's (``perfbench/tests/test_ledger.py``
+times such inline children and reads ``sim.inline_starts``).
+``tests/test_netsim_sim.py`` pins the order with golden traces of
+spawn chains, ties in time, failures, timeouts and interrupts.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.metrics.perf import PERF
 
-#: bound on nested inline spawn chains (flow → launch → transport →
-#: origin handler ...); deeper chains fall back to the ready ring
+#: bound on nested inline starts (flow → launch → transport → origin
+#: handler ...); a deeper child starts from the loop instead
 _MAX_INLINE_DEPTH = 64
 
 
@@ -140,7 +128,7 @@ class Process(Event):
             self.sim.schedule(yielded.seconds, self._resume, None, False)
         elif isinstance(yielded, Event):
             if yielded.__class__ is Process and not yielded.triggered:
-                self.sim._inline_start(yielded)
+                self.sim._start_inline(yielded)
             yielded._add_waiter(self)
         else:
             self.alive = False
@@ -169,26 +157,12 @@ class Timeout(Event):
 
 
 class Simulator:
-    """Deterministic discrete-event loop with a virtual clock.
+    """Deterministic discrete-event loop with a virtual clock."""
 
-    ``fast_path=False`` reverts to the heap-only scheduler (the
-    differential oracle); the default fast path is observationally
-    identical — same callback order, same virtual timestamps.
-    """
-
-    #: process-wide default for ``Simulator()`` — tests flip this to
-    #: run whole experiment pipelines under the compat scheduler
-    default_fast_path = True
-
-    def __init__(self, fast_path: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
-        #: zero-delay FIFO ring; entries are (time, seq, callback, args)
-        self._ready: "deque[Tuple[float, int, Callable, tuple]]" = deque()
-        self.fast_path = (
-            Simulator.default_fast_path if fast_path is None else fast_path
-        )
         self._inline_depth = 0
 
     @property
@@ -199,12 +173,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past")
         self._sequence += 1
-        if delay == 0.0 and self.fast_path:
-            self._ready.append((self._now, self._sequence, callback, args))
-        else:
-            heapq.heappush(
-                self._queue, (self._now + delay, self._sequence, callback, args)
-            )
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, callback, args))
 
     def spawn(self, generator: Generator) -> Process:
         """Start a process now; returns its completion event."""
@@ -212,31 +181,20 @@ class Simulator:
         self.schedule(0.0, process._start)
         return process
 
-    def _inline_start(self, process: Process) -> None:
-        """Inline-completion fast path for ``yield sim.spawn(child)``.
-
-        Called as the parent suspends on a not-yet-started child.  When
-        the child's queued start entry is the next runnable entry —
-        head of the ready ring with no earlier heap entry — the
-        scheduler would pop it the moment the parent's step returns, so
-        running it here is observationally identical and skips the
-        queue round-trip.  Nested ``spawn`` chains inline recursively
-        up to ``_MAX_INLINE_DEPTH``.
-        """
-        if not self.fast_path or self._inline_depth >= _MAX_INLINE_DEPTH:
-            return
-        ready = self._ready
-        if not ready:
-            return
-        head = ready[0]
-        callback = head[2]
-        if getattr(callback, "__self__", None) is not process:
-            return
+    def _start_inline(self, process: Process) -> None:
+        """Pop and run ``process``'s queued start if it is the next entry."""
         queue = self._queue
-        if queue and (queue[0][0], queue[0][1]) <= (head[0], head[1]):
+        if not queue or self._inline_depth >= _MAX_INLINE_DEPTH:
             return
-        ready.popleft()
+        callback = queue[0][2]
+        if (
+            getattr(callback, "__self__", None) is not process
+            or callback.__func__ is not Process._start
+        ):
+            return
+        heapq.heappop(queue)
         if PERF.enabled:
+            PERF.incr("sim.events")
             PERF.incr("sim.inline_starts")
         self._inline_depth += 1
         try:
@@ -252,27 +210,14 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue (optionally stopping at time ``until``)."""
-        ready = self._ready
         queue = self._queue
         perf = PERF
-        while ready or queue:
-            # The next entry is the earliest (time, seq) across both
-            # structures; ready entries were scheduled at their recorded
-            # time, so the merged order matches the pure-heap scheduler.
-            if ready and (
-                not queue or (queue[0][0], queue[0][1]) > (ready[0][0], ready[0][1])
-            ):
-                when = ready[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    return self._now
-                _, _, callback, args = ready.popleft()
-            else:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    return self._now
-                _, _, callback, args = heapq.heappop(queue)
+        while queue:
+            when = queue[0][0]
+            if until is not None and when > until:
+                self._now = until
+                return self._now
+            _, _, callback, args = heapq.heappop(queue)
             self._now = when
             if perf.enabled:
                 perf.incr("sim.events")

@@ -108,31 +108,12 @@ class RuntimeSignature:
         self.site = signature.site
         self.method = signature.request.method
         self.uri_matcher = TemplateMatcher(signature.request.uri)
-        uri_atoms = signature.request.uri.atoms
-        self._specificity = sum(
+        #: literal characters in the URI template — ranks ambiguous
+        #: matches (the more literal signature wins)
+        self.specificity = sum(
             len(str(atom.value))
-            for atom in uri_atoms
+            for atom in signature.request.uri.atoms
             if isinstance(atom, ConstAtom)
-        )
-        # literal anchors: cheap string checks that must hold before the
-        # full regex can possibly match (prefix/suffix/longest-const)
-        self._uri_is_const = all(isinstance(a, ConstAtom) for a in uri_atoms)
-        prefix_parts: List[str] = []
-        for atom in uri_atoms:
-            if not isinstance(atom, ConstAtom):
-                break
-            prefix_parts.append(str(atom.value))
-        suffix_parts: List[str] = []
-        for atom in reversed(uri_atoms):
-            if not isinstance(atom, ConstAtom):
-                break
-            suffix_parts.append(str(atom.value))
-        self._literal_prefix = "".join(prefix_parts)
-        self._literal_suffix = "".join(reversed(suffix_parts))
-        self._literal_anchor = max(
-            (str(a.value) for a in uri_atoms if isinstance(a, ConstAtom)),
-            key=len,
-            default="",
         )
         #: precomputed (path, path-string, template) rows in field order
         self.field_rows: List[Tuple[FieldPath, str, ValueTemplate]] = [
@@ -162,39 +143,6 @@ class RuntimeSignature:
     def is_predecessor(self) -> bool:
         return bool(self.out_edges)
 
-    def literal_specificity(self) -> int:
-        """Total literal characters — used to rank ambiguous matches."""
-        return self._specificity
-
-    def matches_request(self, request: Request) -> bool:
-        if request.method != self.method:
-            return False
-        return self.matches_uri(request.uri.origin() + request.uri.path)
-
-    def matches_uri(self, base_uri: str) -> bool:
-        """URI-template match with literal-anchor pre-checks.
-
-        The anchors (leading/trailing/longest constant runs) are
-        necessary conditions of the compiled regex, so rejecting on
-        them never changes the outcome — it only skips the far more
-        expensive ``fullmatch`` for most non-matching candidates.
-        """
-        if PERF.enabled:
-            PERF.incr("matcher.candidate_checks")
-        if self._uri_is_const:
-            return base_uri == self._literal_prefix
-        if (
-            not base_uri.startswith(self._literal_prefix)
-            or not base_uri.endswith(self._literal_suffix)
-            or (self._literal_anchor and self._literal_anchor not in base_uri)
-        ):
-            if PERF.enabled:
-                PERF.incr("matcher.anchor_rejects")
-            return False
-        if PERF.enabled:
-            PERF.incr("matcher.regex_attempts")
-        return self.uri_matcher.pattern.fullmatch(base_uri) is not None
-
     def __repr__(self) -> str:
         return "RuntimeSignature({})".format(self.site)
 
@@ -208,7 +156,7 @@ FIELD_CONST = "const"
 FIELD_DEP = "dep"
 FIELD_DYNAMIC = "dynamic"
 
-#: planned atom steps, mirroring :meth:`RequestInstance.resolve_field`
+#: planned atom steps, walked by :meth:`RequestInstance._resolve_steps`
 STEP_CONST = 0
 STEP_DEP = 1
 STEP_TAG = 2
@@ -343,121 +291,21 @@ class SignatureBuildPlan:
         )
 
 
-class _TrieNode:
-    """One segment of the literal-prefix dispatch trie."""
-
-    __slots__ = ("children", "entries")
-
-    def __init__(self) -> None:
-        self.children: Dict[str, "_TrieNode"] = {}
-        #: (original index, signature) pairs whose complete literal
-        #: path segments end at this node
-        self.entries: List[Tuple[int, RuntimeSignature]] = []
-
-
-def _literal_dispatch_key(
-    signature: RuntimeSignature,
-) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """(origin, complete literal path segments) or None when unindexable.
-
-    Derived only from the *leading run of ConstAtoms* in the URI
-    template, so it is a necessary condition of the compiled regex: a
-    request whose origin or leading path segments diverge from the key
-    can never fullmatch.  A path segment counts as *complete* only when
-    the literal text continues past it with ``/`` (or the template is
-    fully constant) — a trailing partial segment could be extended by
-    the following wildcard, so it is dropped.  Signatures whose host is
-    not fully literal return None and go to the per-method linear
-    fallback bucket.
-    """
-    atoms = signature.signature.request.uri.atoms
-    prefix_parts: List[str] = []
-    for atom in atoms:
-        if not isinstance(atom, ConstAtom):
-            break
-        prefix_parts.append(str(atom.value))
-    full_literal = len(prefix_parts) == len(atoms)
-    prefix = "".join(prefix_parts)
-    marker = prefix.find("://")
-    if marker < 0:
-        return None
-    slash = prefix.find("/", marker + 3)
-    if slash < 0:
-        # the literal text ends inside the authority: host is only
-        # indexable when nothing follows it
-        if not full_literal:
-            return None
-        return prefix, ()
-    origin = prefix[:slash]
-    path = prefix[slash:]
-    segments = [segment for segment in path.split("/") if segment]
-    if segments and not full_literal and not path.endswith("/"):
-        segments.pop()  # partial: the wildcard may extend this segment
-    return origin, tuple(segments)
-
-
-def _required_segments(signature: RuntimeSignature) -> List[str]:
-    """Literal path segments every regex match must contain, complete.
-
-    A run of characters inside a ``ConstAtom`` bounded by ``/`` on both
-    sides (or by the start of the URI string on the left for the first
-    atom, or by the end of the template on the right for the last atom)
-    appears in *every* matching URI as a complete ``/``-delimited
-    token — no wildcard can extend it.  Runs touching a wildcard
-    boundary are excluded: the wildcard could extend them into a longer
-    segment.
-    """
-    atoms = signature.signature.request.uri.atoms
-    segments: List[str] = []
-    for position, atom in enumerate(atoms):
-        if not isinstance(atom, ConstAtom):
-            continue
-        text = str(atom.value)
-        parts = text.split("/")
-        if len(parts) == 1:
-            continue  # no slash: nothing slash-bounded inside this atom
-        for offset, part in enumerate(parts):
-            if not part:
-                continue
-            left_bounded = offset > 0 or position == 0
-            right_bounded = offset < len(parts) - 1 or position == len(atoms) - 1
-            if left_bounded and right_bounded:
-                segments.append(part)
-    return segments
-
-
 #: memo sentinel distinguishing "not cached" from a cached negative
 _MEMO_MISS = object()
 
 
 class SignatureMatcher:
-    """Learning-target identification (Fig. 6, step 2), indexed.
+    """Learning-target identification (Fig. 6, step 2).
 
-    Four tiers replace the seed's linear regex scan:
-
-    1. a bounded LRU memo of exact ``(method, base-uri) → signature``
-       results, so repeated identical requests cost one dict hit;
-    2. a literal-prefix trie keyed on (method, origin, leading literal
-       path segments) for signatures whose host is fully literal;
-    3. an inverted index on *required literal segments* for
-       wildcard-host signatures (the common shape: the API host is an
-       ``env:config`` wildcard learned at run time, followed by a
-       literal path): each is filed under one ``/``-bounded constant
-       segment that every regex match must contain, so only requests
-       carrying that token ever see the signature.  Signatures with no
-       such segment land in a per-method bucket that is always
-       scanned;
-    4. literal-anchor pre-checks inside
-       :meth:`RuntimeSignature.matches_uri` that reject most surviving
-       candidates before any regex runs.
-
-    The index is *conservative*: every tier only ever prunes
-    candidates that provably cannot fullmatch, and the final ranking
-    (literal specificity, then earliest signature order) runs over the
-    surviving candidates exactly as the naive scan ranks its matches —
-    so :meth:`match` and :meth:`naive_match` are behaviorally
-    identical.  The memo assumes the signature list is fixed after
-    construction (it always is: learners build their matcher once).
+    A request belongs to the most specific same-method signature whose
+    URI template fullmatches its origin + path: most literal
+    characters first, then earliest in signature order.  Each method's
+    signatures are kept in that rank order, so the scan stops at the
+    first match.  A bounded LRU memo of exact ``(method, base-uri) →
+    signature`` results makes a repeated request cost one dict hit;
+    it assumes the signature list is fixed after construction (it
+    always is: learners build their matcher once).
     """
 
     MEMO_CAPACITY = 4096
@@ -472,68 +320,15 @@ class SignatureMatcher:
             OrderedDict()
         )
         self._memo_capacity = memo_capacity
-        #: method → entries with neither a literal host nor a required
-        #: literal segment (checked against every same-method request)
-        self._fallback: Dict[str, List[Tuple[int, RuntimeSignature]]] = {}
-        #: (method, origin) → literal path-segment trie
-        self._tries: Dict[Tuple[str, str], _TrieNode] = {}
-        #: (method, required segment) → wildcard-host entries
-        self._segment_index: Dict[Tuple[str, str], List[Tuple[int, RuntimeSignature]]] = {}
-        for index, signature in enumerate(signatures):
-            entry = (index, signature)
-            key = _literal_dispatch_key(signature)
-            if key is not None:
-                origin, segments = key
-                node = self._tries.setdefault(
-                    (signature.method, origin), _TrieNode()
-                )
-                for segment in segments:
-                    node = node.children.setdefault(segment, _TrieNode())
-                node.entries.append(entry)
-                continue
-            required = _required_segments(signature)
-            if required:
-                # file under the longest required segment: rarest in
-                # practice, and one bucket per signature keeps the
-                # candidate union duplicate-free
-                chosen = max(required, key=len)
-                self._segment_index.setdefault(
-                    (signature.method, chosen), []
-                ).append(entry)
-            else:
-                self._fallback.setdefault(signature.method, []).append(entry)
-
-    # ------------------------------------------------------------------
-    def candidates(
-        self, method: str, base_uri: str
-    ) -> List[Tuple[int, RuntimeSignature]]:
-        """Indexed candidate set — a superset of the true matches."""
-        found = list(self._fallback.get(method, ()))
-        if self._segment_index:
-            # every "/"-delimited token of the full URI string, so that
-            # tokens hiding in the authority (a host equal to a path
-            # literal) are looked up too — required-segment semantics
-            # are defined on the raw string, not the parsed path
-            for token in dict.fromkeys(base_uri.split("/")):
-                if token:
-                    found.extend(self._segment_index.get((method, token), ()))
-        if self._tries:
-            marker = base_uri.find("://")
-            if marker >= 0:
-                slash = base_uri.find("/", marker + 3)
-                origin = base_uri if slash < 0 else base_uri[:slash]
-                path = "" if slash < 0 else base_uri[slash:]
-                node = self._tries.get((method, origin))
-                if node is not None:
-                    found.extend(node.entries)
-                    for segment in path.split("/"):
-                        if not segment:
-                            continue
-                        node = node.children.get(segment)
-                        if node is None:
-                            break
-                        found.extend(node.entries)
-        return found
+        #: method → (compiled URI pattern, signature), best rank first
+        self._by_method: Dict[str, List[Tuple[re.Pattern, RuntimeSignature]]] = {}
+        ranked = sorted(
+            enumerate(signatures), key=lambda item: (-item[1].specificity, item[0])
+        )
+        for _, signature in ranked:
+            self._by_method.setdefault(signature.method, []).append(
+                (signature.uri_matcher.pattern, signature)
+            )
 
     def match(self, request: Request) -> Optional[RuntimeSignature]:
         """Most-specific signature whose URI pattern matches."""
@@ -549,44 +344,13 @@ class SignatureMatcher:
                 PERF.incr("matcher.memo_hits")
             return memo_hit
         best: Optional[RuntimeSignature] = None
-        best_rank = (-1, 0)
-        found = self.candidates(request.method, base_uri)
-        if perf:
-            PERF.incr("matcher.candidates", len(found))
-        for index, candidate in found:
-            if not candidate.matches_uri(base_uri):
-                continue
-            rank = (candidate._specificity, -index)
-            if rank > best_rank:
+        for pattern, candidate in self._by_method.get(request.method, ()):
+            if pattern.fullmatch(base_uri) is not None:
                 best = candidate
-                best_rank = rank
+                break
         self._memo[memo_key] = best
         if len(self._memo) > self._memo_capacity:
             self._memo.popitem(last=False)
-        return best
-
-    def naive_match(self, request: Request) -> Optional[RuntimeSignature]:
-        """Reference linear scan — the seed's exact algorithm.
-
-        Kept as the differential-testing oracle and the counter
-        baseline (one full regex attempt per same-method signature, no
-        index, no memo, no anchor pre-checks).
-        """
-        base_uri = request.uri.origin() + request.uri.path
-        perf = PERF.enabled
-        best: Optional[RuntimeSignature] = None
-        best_rank = (-1, 0)
-        for index, candidate in enumerate(self.signatures):
-            if request.method != candidate.method:
-                continue
-            if perf:
-                PERF.incr("matcher.naive_regex_attempts")
-            if candidate.uri_matcher.pattern.fullmatch(base_uri) is None:
-                continue
-            rank = (candidate._specificity, -index)
-            if rank > best_rank:
-                best = candidate
-                best_rank = rank
         return best
 
 
@@ -744,78 +508,21 @@ class RequestInstance:
             tuple(sorted(self.dep_values.items())),
         )
 
-    # ------------------------------------------------------------------
-    # resolution
-    # ------------------------------------------------------------------
-    def resolve_field(
-        self,
-        path: FieldPath,
-        template: ValueTemplate,
-        store: ValueStore,
-        path_string: Optional[str] = None,
-    ) -> Optional[str]:
-        """Concrete value for one field, or None if still unknown.
-
-        Resolution order per atom: constants stand as-is; dependency
-        atoms use the predecessor-derived binding; wildcard atoms use
-        (most specific first) the last value observed for this exact
-        field, then the tag-indexed store.  Alternations resolve via
-        the dependency binding or the observed field value.
-        """
-        if path_string is None:
-            path_string = path.to_string()
-        dep_value = self.dep_values.get(path_string)
-        parts: List[str] = []
-        for atom in template.atoms:
-            if isinstance(atom, ConstAtom):
-                parts.append(str(atom.value))
-            elif isinstance(atom, DepAtom):
-                if dep_value is None:
-                    return None
-                parts.append(dep_value)
-            elif isinstance(atom, UnknownAtom):
-                value = None
-                if len(template.atoms) == 1:
-                    value = store.field_value(self.user, self.signature.site, path_string)
-                if value is None:
-                    value = store.tag_value(self.user, atom.tag)
-                if value is None:
-                    return None
-                parts.append(value)
-            elif isinstance(atom, AltAtom):
-                if dep_value is not None:
-                    parts.append(dep_value)
-                    continue
-                value = store.field_value(self.user, self.signature.site, path_string)
-                if value is None:
-                    return None
-                parts.append(value)
-            else:  # pragma: no cover
-                return None
-        return "".join(parts)
-
-    def resolve_uri(self, store: ValueStore) -> Optional[str]:
-        return self.resolve_field(
-            FieldPath("uri"), self.signature.signature.request.uri, store
-        )
-
     def choose_variant(
         self,
-        store: ValueStore,
-        preferred: Optional[frozenset] = None,
-        resolved: Optional[Dict[str, Optional[str]]] = None,
+        preferred: Optional[frozenset],
+        resolved: Dict[str, Optional[str]],
     ) -> Optional[frozenset]:
         """Pick the field-set variant to build (Fig. 8 adaptation).
 
         The most recently observed variant wins; before any
-        observation, the variant with the most *resolvable* fields
-        (largest on ties) stands in.
+        observation, the variant with the most *resolvable* fields in
+        ``resolved`` (path string → value or None; largest on ties)
+        stands in.
         """
         variants = self.signature.signature.variants
         if preferred is not None and preferred in self.signature.variants_set:
             return preferred
-        if resolved is None:
-            resolved = self._resolve_all(store)
         best = None
         best_rank = (-1, -1)
         for variant in variants:
@@ -828,31 +535,21 @@ class RequestInstance:
                 best_rank = rank
         return best
 
-    def _resolve_all(self, store: ValueStore) -> Dict[str, Optional[str]]:
-        return {
-            path_string: self.resolve_field(path, template, store, path_string)
-            for path, path_string, template in self.signature.field_rows
-        }
-
     def build(
         self,
         store: ValueStore,
         preferred_variant: Optional[frozenset] = None,
-        use_plan: bool = True,
     ) -> Optional[Request]:
         """Assemble the concrete request, or None while values missing.
 
-        ``use_plan=True`` (the default) resolves through the shared
-        :class:`SignatureBuildPlan` with per-instance memos — constant
-        fields are never re-walked, dep-bound fields resolve once per
-        instance, and store-backed fields re-resolve only after
-        ``store.version`` moves.  ``use_plan=False`` retains the seed's
-        resolve-everything-per-attempt path as the differential oracle
-        (``tests/test_learning_deferred.py`` asserts both produce
-        byte-identical requests).
+        Resolves through the shared :class:`SignatureBuildPlan` with
+        per-instance memos — constant fields are never re-walked,
+        dep-bound fields resolve once per instance, and store-backed
+        fields re-resolve only after ``store.version`` moves.  The
+        seed's resolve-everything-per-attempt build lives on as the
+        oracle in ``tests/oracles/naive_build.py``; the differential
+        tests assert both produce byte-identical requests.
         """
-        if not use_plan:
-            return self._build_naive(store, preferred_variant)
         plan = self.signature.build_plan
         self._sync_memo(store)
         uri_string = self._resolve_planned(plan.uri, store)
@@ -866,7 +563,7 @@ class RequestInstance:
             row.path_string: self._resolve_planned(row, store)
             for row in plan.rows
         }
-        variant = self.choose_variant(store, preferred_variant, resolved)
+        variant = self.choose_variant(preferred_variant, resolved)
         if variant is None:
             return None
         request = Request(method=plan.method, uri=uri, headers=Headers())
@@ -937,7 +634,14 @@ class RequestInstance:
         return value
 
     def _resolve_steps(self, row: _PlanField, store: ValueStore) -> Optional[str]:
-        """:meth:`resolve_field` over the plan's precomputed atom steps."""
+        """One field's value from the plan's precomputed atom steps.
+
+        Resolution order per atom: constants stand as-is; dependency
+        atoms use the predecessor-derived binding; wildcard atoms use
+        (most specific first) the last value observed for this exact
+        field, then the tag-indexed store.  Alternations resolve via
+        the dependency binding or the observed field value.
+        """
         path_string = row.path_string
         dep_value = self.dep_values.get(path_string)
         parts: List[str] = []
@@ -968,48 +672,6 @@ class RequestInstance:
                     return None
                 parts.append(value)
         return "".join(parts)
-
-    def _build_naive(
-        self, store: ValueStore, preferred_variant: Optional[frozenset] = None
-    ) -> Optional[Request]:
-        """The seed's build: re-resolve every field each attempt."""
-        uri_string = self.resolve_uri(store)
-        if uri_string is None:
-            return None
-        try:
-            uri = Uri.parse(uri_string)
-        except ValueError:
-            return None
-        resolved = self._resolve_all(store)
-        variant = self.choose_variant(store, preferred_variant, resolved)
-        if variant is None:
-            return None
-        request = Request(
-            method=self.signature.signature.request.method,
-            uri=uri,
-            headers=Headers(),
-        )
-        body_kind = self.signature.signature.request.body_kind
-        if body_kind == "form":
-            request.body = _new_form()
-        elif body_kind == "json":
-            request.body = _new_json()
-        for path, path_string, _template in self.signature.field_rows:
-            if path_string not in variant:
-                continue
-            value = resolved.get(path_string)
-            if value is None:
-                return None
-            if path.root == "header":
-                request.headers.add(str(path.parts[0]), value)
-            elif path.root == "query":
-                request.uri.query.append((str(path.parts[0]), value))
-            elif path.root == "body":
-                if body_kind == "form":
-                    request.body.add(str(path.parts[0]), value)
-                else:
-                    path.assign(request, value)
-        return request
 
     def try_build(
         self, store: ValueStore, preferred_variant: Optional[frozenset] = None

@@ -22,10 +22,11 @@ head entry is pushed eagerly; stale stamps are discarded on pop.  Each
 drain step is O(log S) for S sites with queued work, and the pop order
 is exactly the rebuild-drain's order: max current priority, FIFO on
 ties (per-site FIFOs preserve sequence order, and every heap entry
-carries its site's current head sequence).  ``lazy_drain=False``
-retains the seed's rebuild-everything drain as the differential oracle
-(``tests/test_prefetcher_drain_equiv.py`` replays recorded workloads
-through both and asserts identical issue order).
+carries its site's current head sequence).  The seed's
+rebuild-everything drain lives on as the oracle in
+``tests/oracles/rebuild_drain.py``; ``tests/test_prefetcher_drain_equiv.py``
+replays recorded workloads through both and asserts identical issue
+order.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class Prefetcher:
         learner: DynamicLearner,
         seed: int = 0,
         max_concurrent: int = 64,
-        lazy_drain: bool = True,
     ) -> None:
         self.sim = sim
         self.origins = origins
@@ -123,10 +123,7 @@ class Prefetcher:
         self.popularity = PopularityTracker()
         self._active = 0
         self._sequence = 0
-        self.lazy_drain = lazy_drain
-        #: rebuild-drain (oracle) queue: (-priority, seq, ready)
-        self._waiting: List[Tuple[float, int, ReadyPrefetch]] = []
-        #: lazy-drain queues: per-site FIFO of (seq, ready), a heap of
+        #: waiting queues: per-site FIFO of (seq, ready), a heap of
         #: (-priority, head_seq, site, epoch) head entries, the current
         #: per-site epoch, and the total queued count
         self._site_fifos: Dict[str, Deque[Tuple[int, ReadyPrefetch]]] = {}
@@ -178,7 +175,7 @@ class Prefetcher:
     @property
     def waiting(self) -> int:
         """Requests queued behind the concurrency limit."""
-        return self._waiting_count if self.lazy_drain else len(self._waiting)
+        return self._waiting_count
 
     # ------------------------------------------------------------------
     def submit(self, ready: ReadyPrefetch) -> str:
@@ -233,12 +230,7 @@ class Prefetcher:
             self._start(ready)
             return "started"
         self._sequence += 1
-        if self.lazy_drain:
-            self._enqueue_waiting(site, self._sequence, ready)
-        else:
-            heapq.heappush(
-                self._waiting, (-self._priority(site), self._sequence, ready)
-            )
+        self._enqueue_waiting(site, self._sequence, ready)
         if PERF.enabled:
             PERF.peak("prefetch.queue_peak", self.waiting)
         return "queued"
@@ -282,7 +274,7 @@ class Prefetcher:
             + HIT_RATE_WEIGHT * self.cache.hit_rate(site)
         )
 
-    # -- lazy-drain queue maintenance ----------------------------------
+    # -- waiting-queue maintenance -------------------------------------
     def _enqueue_waiting(self, site: str, seq: int, ready: ReadyPrefetch) -> None:
         fifo = self._site_fifos.get(site)
         if fifo is None:
@@ -425,14 +417,6 @@ class Prefetcher:
         self._response_samples[site] = samples + 1
 
     def _drain(self) -> None:
-        if self._active >= self.max_concurrent:
-            return
-        if self.lazy_drain:
-            self._drain_lazy()
-        else:
-            self._drain_rebuild()
-
-    def _drain_lazy(self) -> None:
         """Pop fresh head entries until the slots fill: O(log S) each."""
         heap = self._site_heap
         while self._active < self.max_concurrent and self._waiting_count:
@@ -454,32 +438,6 @@ class Prefetcher:
                 self._push_head(site)
             else:
                 del self._site_fifos[site]
-            self._start(ready)
-
-    def _drain_rebuild(self) -> None:
-        """The seed's drain: re-rank the whole queue, then pop.
-
-        Queued entries keep the priority computed at enqueue time, but
-        ``avg_response_time`` and the hit rate have moved since (a
-        fetch just completed — that is what triggered this drain).
-        Re-rank from the *current* §5 signals so long-queued requests
-        drain in today's order, not the order of whenever they
-        arrived.  Sequence numbers are kept so equal priorities still
-        break ties FIFO.  The re-rank is unconditional: with the
-        ablation switch off ``_priority`` is 0.0 everywhere, so the
-        rebuilt keys are exactly FIFO even for entries enqueued while
-        priorities were still on.  O(W) per drain — retained as the
-        oracle the lazy drain is differentially tested against.
-        """
-        if not self._waiting:
-            return
-        self._waiting = [
-            (-self._priority(ready.instance.signature.site), seq, ready)
-            for _, seq, ready in self._waiting
-        ]
-        heapq.heapify(self._waiting)
-        while self._active < self.max_concurrent and self._waiting:
-            _, _, ready = heapq.heappop(self._waiting)
             self._start(ready)
 
     # ------------------------------------------------------------------

@@ -61,9 +61,8 @@ class AccelerationProxy:
         )
         if self.learner.max_depth is None:
             self.learner.max_depth = self.config.max_chain_depth
-        #: callers may inject a bounded or oracle-mode cache (e.g. the
-        #: scale harness caps per-user entries; differential tests pass
-        #: ``PrefetchCache(indexed=False)``)
+        #: callers may inject a bounded cache (e.g. the scale harness
+        #: caps per-user entries)
         self.cache = cache if cache is not None else PrefetchCache()
         self.prefetcher = Prefetcher(
             sim, origins, self.cache, self.config, self.learner, seed=seed

@@ -4,7 +4,7 @@ The engine's contract is byte-identical output: for every figure the
 plan/execute/merge decomposition — serial or fanned out over a real
 process pool — must reproduce the serial runner's rows exactly.  The
 serial runners therefore act as the differential oracle here, the same
-way the naive signature scan does for the indexed dispatch path.
+way the seed's linear signature scan does for the dispatch memo.
 """
 
 import json

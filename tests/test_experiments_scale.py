@@ -5,7 +5,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.scale import record_session_template, run_scale
+from repro.experiments.scale import (
+    _ScaleDeployment,
+    record_session_template,
+    run_scale,
+)
 
 
 def test_record_session_template_yields_replayable_requests():
@@ -50,6 +54,28 @@ def test_run_scale_per_user_bound_caps_cache():
     row = run_scale(users=6, duration=5.0, seed=0, max_entries_per_user=4)
     assert row["peak_cache_entries"] <= 6 * 4
     assert row["cache_lru_evictions"] > 0
+
+
+def test_run_scale_row_reports_the_prebuilt_deployment_settings():
+    apps = ("wish", "geek")
+    deployment = _ScaleDeployment(
+        apps,
+        max_entries_per_user=3,
+        max_bytes=1 << 20,
+        max_entries_total=64,
+        adaptive_budget=True,
+        admission_threshold=0.2,
+    )
+    row = run_scale(users=4, duration=2.0, apps=apps, seed=0, _deployment=deployment)
+    assert row["max_entries_per_user"] == 3
+    assert row["max_bytes"] == 1 << 20
+    assert row["max_entries_total"] == 64
+    assert row["adaptive_budget"] is True
+    assert row["admission_threshold"] == 0.2
+    # the caches really hold those bounds
+    for _, proxy in deployment.multi._apps:
+        assert proxy.cache.max_entries_per_user == 3
+        assert proxy.config.admission_threshold == 0.2
 
 
 def test_run_scale_rejects_empty_population():

@@ -53,6 +53,7 @@ from repro.httpmsg.uri import Uri
 from repro.httpmsg.wire import serialize_request
 from repro.proxy.instances import is_per_user_tag
 from repro.proxy.learning import DynamicLearner, ReadyPrefetch
+from tests.oracles.naive_build import build_naive
 from tests.test_proxy_learning import (
     detail_transaction,
     feed_transaction,
@@ -137,7 +138,7 @@ class RescanLearner(DynamicLearner):
             preferred = self.preferred_variant.get(
                 (instance.user, instance.signature.site)
             )
-            request = instance.build(self.store, preferred, use_plan=False)
+            request = build_naive(instance, self.store, preferred)
             if request is not None:
                 ready.append(ReadyPrefetch(instance, request))
                 del self._pending_keys[instance.pending_key]

@@ -1,8 +1,15 @@
-"""Tests for the discrete-event simulation core."""
+"""Tests for the discrete-event simulation core.
+
+The golden traces below were recorded with the scheduler that also
+kept a zero-delay FIFO ring beside the heap; that scheduler and the
+heap-only loop agreed on every entry, so the heap with its inline
+child starts must keep reproducing them.
+"""
 
 import pytest
 
-from repro.netsim.sim import Delay, Simulator
+from repro.metrics.perf import PERF
+from repro.netsim.sim import Delay, Event, Process, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -172,3 +179,166 @@ def test_schedule_in_past_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(-0.1, lambda: None)
+
+
+def spawn_heavy_workload(sim, trace):
+    """Nested spawn chains + ties in time + failures, fully recorded."""
+
+    def leaf(tag, delay):
+        trace.append(("leaf-start", tag, sim.now))
+        if delay:
+            yield Delay(delay)
+        trace.append(("leaf-end", tag, sim.now))
+        return tag
+
+    def failing():
+        yield Delay(0.05)
+        raise ValueError("boom")
+
+    def mid(tag):
+        first = yield sim.spawn(leaf(tag + ".a", 0.0))
+        second = yield sim.spawn(leaf(tag + ".b", 0.1))
+        try:
+            yield sim.spawn(failing())
+        except ValueError as error:
+            trace.append(("caught", tag, str(error), sim.now))
+        return first, second
+
+    def root():
+        # multi-spawn-then-wait: children start in spawn order even
+        # though the parent only waits afterwards
+        children = [sim.spawn(mid("m{}".format(i))) for i in range(3)]
+        gate = sim.event()
+        sim.schedule(0.2, gate.succeed, "gated")
+        trace.append(("gate", (yield gate), sim.now))
+        timeout = sim.timeout(0.01)
+        yield timeout
+        results = []
+        for child in children:
+            results.append((yield child))
+        trace.append(("done", sim.now))
+        return results
+
+    return root
+
+
+def test_spawn_chain_trace_matches_golden():
+    sim = Simulator()
+    trace = []
+    value = sim.run_process(spawn_heavy_workload(sim, trace)())
+    assert trace == [
+        ("leaf-start", "m0.a", 0.0),
+        ("leaf-end", "m0.a", 0.0),
+        ("leaf-start", "m1.a", 0.0),
+        ("leaf-end", "m1.a", 0.0),
+        ("leaf-start", "m2.a", 0.0),
+        ("leaf-end", "m2.a", 0.0),
+        ("leaf-start", "m0.b", 0.0),
+        ("leaf-start", "m1.b", 0.0),
+        ("leaf-start", "m2.b", 0.0),
+        ("leaf-end", "m0.b", 0.1),
+        ("leaf-end", "m1.b", 0.1),
+        ("leaf-end", "m2.b", 0.1),
+        ("caught", "m0", "boom", 0.15000000000000002),
+        ("caught", "m1", "boom", 0.15000000000000002),
+        ("caught", "m2", "boom", 0.15000000000000002),
+        ("gate", "gated", 0.2),
+        ("done", 0.21000000000000002),
+    ]
+    assert value == [("m0.a", "m0.b"), ("m1.a", "m1.b"), ("m2.a", "m2.b")]
+    assert sim.now == 0.21000000000000002
+
+
+def test_sequential_spawn_chain_event_count():
+    sim = Simulator()
+
+    def child():
+        yield Delay(0.0)
+        return 1
+
+    def parent():
+        total = 0
+        for _ in range(5):
+            total += yield sim.spawn(child())
+        return total
+
+    with PERF.capture():
+        assert sim.run_process(parent()) == 5
+        events = PERF.get("sim.events")
+        inline_starts = PERF.get("sim.inline_starts")
+    # per child: its start, its zero-delay resume, the parent's resume;
+    # plus the parent's own start
+    assert events == 16
+    # each awaited child's start was the heap's head, so it ran inline
+    assert inline_starts == 5
+
+
+def test_child_behind_an_earlier_entry_is_not_started_inline():
+    sim = Simulator()
+    log = []
+
+    def child(name):
+        log.append(name)
+        yield Delay(0.0)
+        return name
+
+    def parent():
+        first = sim.spawn(child("first"))
+        second = sim.spawn(child("second"))
+        # ``first`` is queued ahead of ``second``'s start
+        log.append((yield second))
+        log.append((yield first))
+
+    with PERF.capture():
+        sim.run_process(parent())
+        inline_starts = PERF.get("sim.inline_starts")
+    assert log == ["first", "second", "second", "first"]
+    assert inline_starts == 0
+
+
+def test_run_until_golden_ticks():
+    sim = Simulator()
+    ticks = []
+
+    def clocked():
+        for _ in range(10):
+            yield Delay(0.1)
+            ticks.append(sim.now)
+
+    sim.spawn(clocked())
+    assert sim.run(until=0.35) == 0.35
+    assert ticks == [0.1, 0.2, 0.30000000000000004]
+    assert sim.now == 0.35
+
+
+def test_interrupt_after_start_never_resumes_or_completes():
+    sim = Simulator()
+    log = []
+
+    def worker():
+        log.append("started")
+        yield Delay(1.0)
+        log.append("never")
+
+    process = sim.spawn(worker())
+    sim.run(until=0.5)
+    process.interrupt()
+    sim.run()
+    assert (log, process.alive, process.triggered) == (["started"], False, False)
+
+
+def test_slots_reject_stray_attributes():
+    sim = Simulator()
+    event = Event(sim)
+    with pytest.raises(AttributeError):
+        event.stray = 1
+    with pytest.raises(AttributeError):
+        Delay(1.0).stray = 1
+    with pytest.raises(AttributeError):
+        Timeout(sim, 1.0).stray = 1
+
+    def noop():
+        yield Delay(0.0)
+
+    with pytest.raises(AttributeError):
+        Process(sim, noop()).stray = 1

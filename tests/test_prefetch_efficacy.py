@@ -18,6 +18,7 @@ from repro.proxy.config import ProxyConfig
 from repro.proxy.history import HistoryPrefetcher
 from repro.proxy.prefetcher import Prefetcher
 from repro.server.origin import OriginServer
+from tests.oracles.flat_cache import FlatPrefetchCache
 
 SITE = "Feed.load#1"
 
@@ -124,7 +125,7 @@ def test_expired_unserved_entry_counts_as_wasted():
 
 def test_naive_cache_counts_wasted_identically():
     indexed = PrefetchCache()
-    naive = PrefetchCache(indexed=False)
+    naive = FlatPrefetchCache()
     for cache in (indexed, naive):
         cache.put(
             "u0", make_request("/a"), make_response({"k": 1}), SITE,

@@ -7,7 +7,8 @@ heap invalidated by epoch stamps (amortized O(log W)).  These tests
 drive both implementations with identical recorded workloads — queue
 buildups, mid-flight priority moves, hit-rate updates, the priority
 ablation toggle — and assert the origin observed the *identical*
-issue order.
+issue order.  The seed's drain is :class:`RebuildDrainPrefetcher` in
+``tests/oracles/rebuild_drain.py``.
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.proxy.config import ProxyConfig
 from repro.proxy.learning import DynamicLearner
 from repro.proxy.prefetcher import Prefetcher
 
+from tests.oracles.rebuild_drain import RebuildDrainPrefetcher
 from tests.test_proxy_prefetcher import ORIGIN, SlowEndpoint, ready_for
 
 
@@ -33,14 +35,14 @@ def make_prefetcher(lazy_drain, max_concurrent=1):
     origins.register(ORIGIN, endpoint, Link(rtt=0.02))
     cache = PrefetchCache()
     learner = DynamicLearner(AnalysisResult("t", [], []))
-    prefetcher = Prefetcher(
+    prefetcher_class = Prefetcher if lazy_drain else RebuildDrainPrefetcher
+    prefetcher = prefetcher_class(
         sim,
         origins,
         cache,
         ProxyConfig(),
         learner,
         max_concurrent=max_concurrent,
-        lazy_drain=lazy_drain,
     )
     return sim, endpoint, cache, prefetcher
 

@@ -25,6 +25,7 @@ from repro.proxy.instances import (
     build_runtime_signatures,
     is_per_user_tag,
 )
+from tests.oracles.naive_build import build_naive
 
 
 def host_atom():
@@ -289,7 +290,7 @@ def test_plan_build_matches_naive_oracle_complete():
         instance = RequestInstance(signature, "u1")
         instance.fill(FieldPath.parse("body.cid"), cid)
         planned = instance.build(store)
-        naive = instance.build(store, use_plan=False)
+        naive = build_naive(instance, store)
         assert planned is not None and naive is not None
         assert serialize_request(planned) == serialize_request(naive)
 
@@ -300,7 +301,7 @@ def test_plan_build_matches_naive_oracle_incomplete():
     instance.fill(FieldPath.parse("body.cid"), "x")
     store = ValueStore()  # host + cookie unknown: both paths must fail
     assert instance.build(store) is None
-    assert instance.build(store, use_plan=False) is None
+    assert build_naive(instance, store) is None
 
 
 def test_plan_memo_tracks_store_version():
@@ -340,5 +341,5 @@ def test_plan_variant_choice_matches_naive():
     for preferred in (None, frozenset({"body.a"})):
         instance = RequestInstance(runtime, "u1")
         planned = instance.build(store, preferred_variant=preferred)
-        naive = instance.build(store, preferred_variant=preferred, use_plan=False)
+        naive = build_naive(instance, store, preferred)
         assert serialize_request(planned) == serialize_request(naive)
