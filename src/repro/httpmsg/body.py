@@ -158,11 +158,21 @@ class JsonBody(Body):
 
     kind = "json"
 
+    #: (``_version``, size) from the last :meth:`wire_size`; the size
+    #: is memoised, not the text, so a cached body keeps no string alive
+    _sized: Tuple[int, int] = (-1, 0)
+
     def __init__(self, value: Any) -> None:
         self.value = value
 
     def wire_size(self) -> int:
-        return len(self.to_wire().encode("utf-8"))
+        # stamped like Request.exact_key: a write into ``value`` (or a
+        # new ``value``) must touch() the body to be seen here
+        version, size = self._sized
+        if version != self._version:
+            size = len(self.to_wire().encode("utf-8"))
+            self._sized = (self._version, size)
+        return size
 
     def content_type(self) -> Optional[str]:
         return "application/json"

@@ -190,8 +190,9 @@ class FieldPath:
             return landed
         if self.root == "body":
             landed = self._assign_body(message, value)
-            if landed:
-                message.body.touch()  # covers nested JSON writes too
+            # covers nested JSON writes too, and a miss: a JSON write can
+            # create intermediate objects before it finds no slot
+            message.body.touch()
             return landed
         return False
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 _ADJECTIVES = [
     "silk", "coral", "amber", "ivory", "cobalt", "crimson", "olive",
@@ -53,7 +53,13 @@ class Catalog:
 
     def __init__(self, seed: int = 7) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
+        #: records of ``product``, ``related_product_ids`` and
+        #: ``image_size`` by (method, args): each is a pure function of
+        #: (seed, args) over a bounded id space, so the memo needs no
+        #: eviction.  Records handlers embed by reference (merchant,
+        #: menu, ...) are not memoised: one response body's mutation
+        #: must not leak into another.
+        self._memo: Dict[Tuple[Any, ...], Any] = {}
 
     def _rng_for(self, *parts: Any) -> random.Random:
         return random.Random("{}|{}".format(self.seed, "|".join(str(p) for p in parts)))
@@ -67,6 +73,13 @@ class Catalog:
         return [stable_id(app, "product", rng.randrange(10_000)) for _ in range(count)]
 
     def product(self, app: str, product_id: str) -> Dict[str, Any]:
+        key = ("product", app, product_id)
+        record = self._memo.get(key)
+        if record is None:
+            record = self._memo[key] = self._product(app, product_id)
+        return dict(record)
+
+    def _product(self, app: str, product_id: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "product", product_id)
         merchant_name = stable_name(app, "merchant", rng.randrange(200))
         return {
@@ -81,8 +94,14 @@ class Catalog:
         }
 
     def related_product_ids(self, app: str, product_id: str, count: int = 6) -> List[str]:
-        rng = self._rng_for(app, "related", product_id)
-        return [stable_id(app, "product", rng.randrange(10_000)) for _ in range(count)]
+        key = ("related", app, product_id, count)
+        ids = self._memo.get(key)
+        if ids is None:
+            rng = self._rng_for(app, "related", product_id)
+            ids = self._memo[key] = tuple(
+                stable_id(app, "product", rng.randrange(10_000)) for _ in range(count)
+            )
+        return list(ids)
 
     def merchant(self, app: str, merchant_name: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "merchant", merchant_name)
@@ -222,7 +241,11 @@ class Catalog:
     # binary content sizes (bytes)
     # ------------------------------------------------------------------
     def image_size(self, app: str, label: str, mean: int, spread: float = 0.25) -> int:
-        rng = self._rng_for(app, "imgsize", label)
-        low = int(mean * (1 - spread))
-        high = int(mean * (1 + spread))
-        return rng.randrange(low, max(high, low + 1))
+        key = ("imgsize", app, label, mean, spread)
+        size = self._memo.get(key)
+        if size is None:
+            rng = self._rng_for(app, "imgsize", label)
+            low = int(mean * (1 - spread))
+            high = int(mean * (1 + spread))
+            size = self._memo[key] = rng.randrange(low, max(high, low + 1))
+        return size

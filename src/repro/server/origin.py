@@ -9,7 +9,7 @@ tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.httpmsg.body import JsonBody
 from repro.httpmsg.cookies import parse_cookie_header
@@ -39,10 +39,18 @@ class Route:
         self.service_time = service_time
         self.name = name or path
 
-    def match(self, request: Request) -> Optional[Dict[str, str]]:
+    def match(
+        self, request: Request, segments: Optional[List[str]] = None
+    ) -> Optional[Dict[str, str]]:
+        """Captures if ``request`` hits this route, else None.
+
+        ``segments`` is the request's ``uri.path_segments()`` when the
+        caller has already split the path (one split per request).
+        """
         if request.method != self.method:
             return None
-        segments = request.uri.path_segments()
+        if segments is None:
+            segments = request.uri.path_segments()
         if len(segments) != len(self.parts):
             return None
         captures: Dict[str, str] = {}
@@ -68,12 +76,8 @@ class OriginServer(Endpoint):
         self.forced_errors: Dict[str, int] = {}
         #: fault injection: route names that hang (never respond usefully)
         self.hanging_routes: set = set()
-        self._session_counter = 0
         #: seconds after which rotating content (feeds) changes
         self.rotation_period: float = 3600.0
-        #: captured (request, user) pairs, newest last (for tests)
-        self.log: List[Tuple[Request, str]] = []
-        self.max_log = 10_000
 
     # -- route registration ------------------------------------------------
     def route(
@@ -107,10 +111,9 @@ class OriginServer(Endpoint):
     # -- Endpoint ----------------------------------------------------------------
     def handle(self, request: Request, user: str) -> Generator:
         self.request_count += 1
-        if len(self.log) < self.max_log:
-            self.log.append((request, user))
+        segments = request.uri.path_segments()
         for route in self.routes:
-            captures = route.match(request)
+            captures = route.match(request, segments)
             if captures is None:
                 continue
             self.requests_by_route[route.name] = (
@@ -144,7 +147,6 @@ class OriginServer(Endpoint):
             # the session the client already holds
             from repro.server.content import stable_id
 
-            self._session_counter += 1
             response.headers.add(
                 "Set-Cookie",
                 "bsid={}-{}".format(user, stable_id(self.origin, "session", user)),

@@ -89,14 +89,13 @@ def test_doordash_drilldown_chain_to_suggestions():
     assert options.request.uri.query_get("gid") == group
 
 
-def test_doordash_add_to_cart_side_effect():
+def test_doordash_add_to_cart_side_effect(origin_requests):
     spec = get_app("doordash")
-    runtime, servers, _ = run_flow(
+    run_flow(
         spec, [("select_store", 0), ("select_menu_item", 1), ("add_to_cart", None)]
     )
-    api = servers["https://api.doordash.com"]
     cart_requests = [
-        req for req, _ in api.log
+        req for req, _ in origin_requests["https://api.doordash.com"]
         if req.uri.path == "/v2/menu-item" and req.body.kind == "form"
         and req.body.get("cart") == "1"
     ]

@@ -144,17 +144,17 @@ def test_expired_prefetch_not_served(analysis):
     assert select.transactions[0].response.status == 200
 
 
-def test_add_header_marks_prefetch_requests(analysis):
+def test_add_header_marks_prefetch_requests(analysis, origin_requests):
     config = default_config(analysis)
     for site in config.policies:
         config.policies[site].add_header = [("X-Moz", "prefetch")]
     sim, proxy, runtime, servers = build(analysis, config=config)
     browse(sim, runtime)
-    api = servers["https://api.wish.com"]
+    api_log = origin_requests["https://api.wish.com"]
     marked = [
-        req for req, _ in api.log if req.headers.get("X-Moz") == "prefetch"
+        req for req, _ in api_log if req.headers.get("X-Moz") == "prefetch"
     ]
-    unmarked = [req for req, _ in api.log if "X-Moz" not in req.headers]
+    unmarked = [req for req, _ in api_log if "X-Moz" not in req.headers]
     assert marked, "prefetch requests must carry the indicator header"
     assert unmarked, "client requests must not"
     # and the marked requests still hit the cache for the client

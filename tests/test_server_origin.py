@@ -7,7 +7,7 @@ from repro.httpmsg.message import Request
 from repro.httpmsg.uri import Uri
 from repro.netsim.sim import Simulator
 from repro.server.content import Catalog, filler, stable_id, stable_name
-from repro.server.origin import OriginServer
+from repro.server.origin import OriginServer, Route
 
 
 def make_server():
@@ -43,6 +43,30 @@ def test_path_captures():
         sim, server, Request("GET", Uri.parse("https://api.test.com/store/ab12/menu"))
     )
     assert response.body.value["sid"] == "ab12"
+
+
+def test_route_match_with_and_without_presplit_segments(monkeypatch):
+    route = Route("GET", "/store/<sid>/menu", lambda *args: None)
+    for url, expected in (
+        ("https://api.test.com/store/ab12/menu", {"sid": "ab12"}),
+        ("https://api.test.com/store/ab12", None),
+        ("https://api.test.com/shop/ab12/menu", None),
+    ):
+        request = Request("GET", Uri.parse(url))
+        assert route.match(request) == expected
+        assert route.match(request, request.uri.path_segments()) == expected
+    assert route.match(Request("POST", Uri.parse("https://api.test.com/store/a/menu"))) is None
+
+    # the server splits the path once per request, not once per route
+    sim, server = make_server()
+    splits = []
+    split = Uri.path_segments
+    monkeypatch.setattr(Uri, "path_segments", lambda uri: splits.append(1) or split(uri))
+    response = call(
+        sim, server, Request("GET", Uri.parse("https://api.test.com/store/ab12/menu"))
+    )
+    assert response.body.value["sid"] == "ab12"
+    assert len(server.routes) == 2 and len(splits) == 1
 
 
 def test_unknown_path_404():
