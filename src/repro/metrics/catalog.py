@@ -161,10 +161,11 @@ COUNTERS: Dict[str, str] = {
     "learn.queue_depth_peak": "high-water mark of the deferred learn queue",
     "learn.queue_overflow": "observations dropped by a full deferred learn queue",
     "learner.enqueued": "pending successor instances enqueued",
+    "learner.spawn_skipped": "successor groups refused at spawn (site disabled or chain too deep)",
     "learner.wake_retries": "pending-instance wake-index retries",
     "matcher.requests": "signature-dispatch attempts",
     "matcher.memo_hits": "dispatch answers served from the exact-key memo",
-    "prefetch.submitted": "ready instances submitted to the prefetcher",
+    "prefetch.submitted": "ready instances submitted (a site refused at spawn never is)",
     "prefetch.issued": "prefetch fetches actually issued",
     "prefetch.queue_peak": "high-water mark of the waiting prefetch queue",
     "prefetch.stale_heap_entries": "lazy-drain heap entries skipped as stale",

@@ -27,6 +27,18 @@ an instance from its buckets, so the index holds only live instances.
 Which tags are per-user, and what an observed field teaches, is decided
 once per signature in its :class:`~repro.proxy.instances.SignatureBuildPlan`.
 
+Spawn gate
+----------
+Whether a site may be prefetched at all (its ``prefetch`` flag) and how
+deep a chain may go are fixed by the configuration, not by what an
+instance turns out to hold.  A proxy hands the learner its
+:attr:`DynamicLearner.spawn_gate`, which is asked once per successor
+group of a predecessor observation, before any value is extracted or
+any instance created.  A refused successor costs nothing further: no
+instance, pending slot, build, wake registration or submit.  Value
+learning, cookie tracking and preferred variants still run for every
+site.
+
 Cookie state is tracked per user (the §2 "user context"): responses'
 ``Set-Cookie`` headers update a per-user jar, and the ``env:cookie``
 wildcard resolves to the jar's current header for the target origin,
@@ -57,7 +69,7 @@ is drained.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.model import AnalysisResult
 from repro.httpmsg.cookies import CookieJar
@@ -156,9 +168,15 @@ class DynamicLearner:
         self.deferred_enqueued = 0
         self.deferred_drained = 0
         self.store = store if store is not None else ValueStore()
-        #: chain-depth bound; instances beyond it are never spawned
-        #: (the prefetcher would reject them anyway)
+        #: chain-depth bound of a standalone learner; instances beyond
+        #: it are never spawned.  A proxy's learner leaves it None and
+        #: gets the live configured bound through :attr:`spawn_gate`
         self.max_depth = max_depth
+        #: ``gate(site, depth) -> bool``, consulted once per successor
+        #: group before any instance of it is created; a proxy installs
+        #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_gate` (None:
+        #: spawn every successor)
+        self.spawn_gate: Optional[Callable[[str, int], bool]] = None
         #: ablation: a PALOMA-style proxy that uses only what static
         #: analysis provides — no run-time value learning.  Requests
         #: whose formats are fully determined at run time can then
@@ -404,8 +422,10 @@ class DynamicLearner:
         user: str,
         depth: int,
     ) -> List[RequestInstance]:
-        if self.max_depth is not None and depth + 1 > self.max_depth:
+        succ_depth = depth + 1
+        if self.max_depth is not None and succ_depth > self.max_depth:
             return []
+        gate = self.spawn_gate
         edges_by_successor: Dict[str, List] = {}
         for edge in signature.out_edges:
             edges_by_successor.setdefault(edge.succ_site, []).append(edge)
@@ -419,6 +439,11 @@ class DynamicLearner:
         for succ_site, edges in edges_by_successor.items():
             successor = self._by_site.get(succ_site)
             if successor is None:
+                continue
+            if gate is not None and not gate(succ_site, succ_depth):
+                # never sent: no instance, pending slot, build or submit
+                if PERF.enabled:
+                    PERF.incr("learner.spawn_skipped")
                 continue
             extracted: List[Tuple[FieldPath, List]] = []
             for edge in edges:
@@ -446,7 +471,7 @@ class DynamicLearner:
                     shared[key] = values[0]
             for index in range(replica_count):
                 instance = RequestInstance(
-                    successor, user, depth=depth + 1, trigger_site=signature.site
+                    successor, user, depth=succ_depth, trigger_site=signature.site
                 )
                 for succ_path, values in extracted:
                     value = values[index] if index < len(values) else values[0]

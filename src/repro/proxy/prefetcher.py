@@ -2,10 +2,14 @@
 
 Eligibility gates (§4.4): per-signature ``prefetch`` flag, probability
 (per-signature × global), predecessor-field conditions, the chain-depth
-bound, and the data-usage budget (C4).  When more requests are ready
-than the concurrency limit allows, the waiting queue is drained in
-priority order — a linear combination of the signature's running-average
-origin response time and its cache hit rate, exactly the §5 policy
+bound, and the data-usage budget (C4).  The flag and the depth bound
+depend only on site and depth, so :meth:`Prefetcher.spawn_gate` applies
+them when the learner spawns a successor, before any instance is built;
+:meth:`Prefetcher.submit` repeats them for sites disabled after spawn.
+When more requests are ready than the concurrency limit allows, the
+waiting queue is drained in priority order — a linear combination of
+the signature's running-average origin response time and its cache hit
+rate, exactly the §5 policy
 ("prioritize requests that take longer to complete and signatures that
 generate higher hit rates").
 
@@ -178,8 +182,32 @@ class Prefetcher:
         return self._waiting_count
 
     # ------------------------------------------------------------------
+    def spawn_gate(self, site: str, depth: int) -> bool:
+        """May the learner spawn instances of ``site`` at chain ``depth``?
+
+        The two gates that depend only on site and depth, decided before
+        anything is built: the chain-depth bound, then the signature's
+        ``prefetch`` flag.  Both read the live config.  A policy refusal
+        counts once in :attr:`skipped_policy` per refused successor
+        group; a depth refusal counts nowhere, as the depth bound never
+        let such an instance be spawned.  :meth:`submit` keeps both
+        checks as the backstop for sites disabled after spawn.
+        """
+        if depth > self.config.max_chain_depth:
+            return False
+        if not self.config.policy(site).prefetch:
+            self.skipped_policy += 1
+            return False
+        return True
+
     def submit(self, ready: ReadyPrefetch) -> str:
         """Apply the policy gates, then schedule (or queue) the fetch.
+
+        The policy and depth checks are backstops here: a proxy's
+        learner already applied them at spawn through
+        :meth:`spawn_gate`, so they only reject instances whose site was
+        disabled after they were spawned (§4.3 verification, the
+        expiration estimator) or that a learner without the gate built.
 
         Returns the outcome — ``"started"``, ``"queued"`` (behind the
         concurrency limit), or the ``"skipped_*"`` gate that rejected

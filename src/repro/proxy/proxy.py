@@ -59,14 +59,15 @@ class AccelerationProxy:
             if learner is not None
             else DynamicLearner(analysis, learn_mode=learn_mode)
         )
-        if self.learner.max_depth is None:
-            self.learner.max_depth = self.config.max_chain_depth
         #: callers may inject a bounded cache (e.g. the scale harness
         #: caps per-user entries)
         self.cache = cache if cache is not None else PrefetchCache()
         self.prefetcher = Prefetcher(
             sim, origins, self.cache, self.config, self.learner, seed=seed
         )
+        #: the policy flag and chain-depth bound are decided at spawn:
+        #: a successor the configuration will never send is not built
+        self.learner.spawn_gate = self.prefetcher.spawn_gate
         #: optional §4.3 online ExpirationEstimator; stores then use its
         #: learned per-signature TTLs instead of the configured default
         self.prefetcher.expiration = expiration

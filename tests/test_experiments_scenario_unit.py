@@ -29,7 +29,14 @@ def test_global_probability_flows_to_config(wish):
 def test_max_chain_depth_flows_to_learner(wish):
     scenario = Scenario(wish, proxied=True, max_chain_depth=1)
     assert scenario.proxy.config.max_chain_depth == 1
-    assert scenario.proxy.learner.max_depth == 1
+    # the learner's spawn gate reads the configured bound
+    gate = scenario.proxy.learner.spawn_gate
+    site = next(
+        s.site for s in wish.analysis.prefetchable()
+        if scenario.proxy.config.policy(s.site).prefetch
+    )
+    assert gate(site, 1)
+    assert not gate(site, 2)
 
 
 def test_scenario_config_copy_isolated(wish):
