@@ -19,17 +19,10 @@ p95 strictly below the no-prefetch baseline, and a thrash ratio
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-import pytest
 from conftest import banner, run_once
 
-from repro.experiments.fleet import (
-    FleetWorkerError,
-    format_fleet_table,
-    run_fleet,
-)
 from repro.experiments.scale import (
     format_strategy_table,
     run_scale_sweep,
@@ -37,19 +30,12 @@ from repro.experiments.scale import (
 )
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
-TABLES = Path(__file__).resolve().parent.parent / "bench_tables.txt"
 BUDGETS = Path(__file__).resolve().parent / "perf_budgets.json"
 USER_COUNTS = [100, 1_000, 10_000, 100_000]
 #: expected arrivals per cell = users * rate * duration = 500 for all N
 DURATIONS = {100: 10.0, 1_000: 1.0, 10_000: 0.1, 100_000: 0.01}
 RATE = 0.5
 MAX_ENTRIES_PER_USER = 32
-
-#: fleet scale-out sweep: worker counts capped at the host's cores
-FLEET_WORKER_COUNTS = [1, 2, 4]
-FLEET_USERS = 2_000
-FLEET_DURATION = 2.0  # ~2000 expected arrivals per fleet cell
-FLEET_SPEEDUP_GATE = 1.8
 
 #: strategy-comparison workload: long enough for sessions to cycle and
 #: the admission gate to warm up, small enough to stay a smoke test
@@ -198,92 +184,3 @@ def _merge_artifact(update: dict) -> None:
             data = {}
     data.update(update)
     ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_perf_fleet(benchmark):
-    """Sharded fleet scale-out: requests/wall-s vs worker count.
-
-    Sweeps ``--workers`` ∈ {1, 2, 4} (capped at the host's cores) over
-    one seeded workload.  On hosts with ≥4 cores the 4-worker cell must
-    clear ``FLEET_SPEEDUP_GATE`` (1.8x) over 1 worker — near-linear
-    scale-out minus supervisor fold-back overhead.  On smaller hosts
-    the measurement still runs and lands in the artifact, but the gate
-    **skips** (a pass would claim evidence the host cannot produce).
-    A worker failure is recorded as a failed BENCH row before the
-    test errors, so the artifact shows the run happened and died.
-    """
-    cores = os.cpu_count() or 1
-    worker_counts = [w for w in FLEET_WORKER_COUNTS if w <= cores] or [1]
-
-    def sweep():
-        rows = []
-        for workers in worker_counts:
-            rows.append(
-                run_fleet(
-                    FLEET_USERS,
-                    FLEET_DURATION,
-                    workers=workers,
-                    rate_per_user=RATE,
-                    seed=0,
-                    max_entries_per_user=MAX_ENTRIES_PER_USER,
-                )
-            )
-        return rows
-
-    try:
-        rows = run_once(benchmark, sweep)
-    except FleetWorkerError as error:
-        _merge_artifact(
-            {
-                "fleet": {
-                    "failed": True,
-                    "error": str(error).splitlines()[0],
-                    "shards": list(error.shards),
-                    "worker_counts": worker_counts,
-                }
-            }
-        )
-        raise
-
-    banner("Sharded proxy fleet: scale-out vs worker count")
-    table = format_fleet_table(rows)
-    print(table)
-    with TABLES.open("a") as handle:
-        handle.write(table + "\n")
-
-    by_workers = {row["workers"]: row for row in rows}
-    base = by_workers[1]
-    # every cell served the identical partitioned arrival schedule
-    for row in rows:
-        assert row["requests_sent"] == base["requests_sent"]
-        assert row["requests"] == base["requests"]
-        assert sum(row["fleet"]["shard_requests"]) == row["requests"]
-
-    speedup = (
-        by_workers[max(worker_counts)]["requests_per_wall_s"]
-        / base["requests_per_wall_s"]
-    )
-    _merge_artifact(
-        {
-            "fleet": {
-                "failed": False,
-                "cores": cores,
-                "worker_counts": worker_counts,
-                "speedup_at_max_workers": speedup,
-                "rows": rows,
-            }
-        }
-    )
-    print("wrote fleet section to {}".format(ARTIFACT.name))
-
-    if cores < 4 or 4 not in worker_counts:
-        pytest.skip(
-            "scale-out gate needs >=4 cores (host has {}); measured "
-            "{}-worker speedup {:.2f}x unasserted".format(
-                cores, max(worker_counts), speedup
-            )
-        )
-    assert speedup >= FLEET_SPEEDUP_GATE, (
-        "fleet speedup {:.2f}x at {} workers is below the {:.1f}x "
-        "gate".format(speedup, max(worker_counts), FLEET_SPEEDUP_GATE)
-    )

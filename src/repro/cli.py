@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -153,26 +152,6 @@ def _command_demo(args) -> int:
     return 0
 
 
-def _print_heartbeat(shard, payload, tracker=None) -> None:
-    """One mid-run heartbeat line (stderr; stdout keeps the tables)."""
-    readings = payload.get("readings") or {}
-    lag = ""
-    if tracker is not None and tracker.lagging:
-        lag = "  LAGGING={}".format(sorted(tracker.lagging))
-    print(
-        "hb shard={} t={:.2f}s requests={} queue={} p99={:.0f}ms hit={:.2f}%{}".format(
-            "-" if shard is None else shard,
-            float(payload.get("sim_now") or 0.0),
-            payload.get("requests"),
-            payload.get("queue_depth"),
-            float(readings.get("request_p99_ms") or 0.0),
-            100.0 * float(readings.get("hit_rate") or 0.0),
-            lag,
-        ),
-        file=sys.stderr,
-    )
-
-
 def _command_scale(args) -> int:
     from repro.experiments.scale import (
         format_strategy_table,
@@ -203,35 +182,13 @@ def _command_scale(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 1:
-        print("scale: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.compare_strategies and args.workers > 1:
-        print(
-            "scale: --compare-strategies cannot be combined with --workers "
-            "(the comparison is a single-process differential)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.workers > 1 and any(count < args.workers for count in args.users):
-        print(
-            "scale: every --users value must be >= --workers",
-            file=sys.stderr,
-        )
-        return 2
-    if args.heartbeat_interval is not None and args.heartbeat_interval <= 0:
-        print("scale: --heartbeat-interval must be positive", file=sys.stderr)
-        return 2
     if args.slo_report and args.slo is None:
         print("scale: --slo-report requires --slo", file=sys.stderr)
         return 2
-    if args.compare_strategies and (
-        args.slo is not None or args.telemetry or args.heartbeat_interval
-    ):
+    if args.compare_strategies and (args.slo is not None or args.telemetry):
         print(
-            "scale: the live telemetry plane (--slo/--telemetry/"
-            "--heartbeat-interval) cannot be combined with "
-            "--compare-strategies",
+            "scale: the live telemetry plane (--slo/--telemetry) cannot be "
+            "combined with --compare-strategies",
             file=sys.stderr,
         )
         return 2
@@ -244,23 +201,7 @@ def _command_scale(args) -> int:
         except (OSError, ValueError) as error:
             print("scale: --slo: {}".format(error), file=sys.stderr)
             return 2
-    heartbeat_interval = args.heartbeat_interval
-    if heartbeat_interval is None and slo_config is not None and args.workers > 1:
-        # --slo on a fleet implies liveness reporting: that is how the
-        # supervisor sees per-shard windowed p99/hit-rate mid-run
-        heartbeat_interval = 1.0
-    telemetry_on = (
-        args.telemetry or slo_config is not None or heartbeat_interval is not None
-    )
-    telemetry_kwargs = dict(
-        warm_start=args.warm_start,
-        learn_queue_capacity=args.learn_queue_capacity,
-        learn_drain_budget=args.learn_drain_budget,
-        telemetry=args.telemetry,
-        slo_config=slo_config,
-        heartbeat_interval=heartbeat_interval,
-        backpressure=not args.no_backpressure,
-    )
+    telemetry_on = args.telemetry or slo_config is not None
     policy_kwargs = dict(
         max_entries_per_user=args.max_entries_per_user,
         max_entries_total=args.max_entries_total,
@@ -285,76 +226,23 @@ def _command_scale(args) -> int:
                 handle.write("\n")
             print("wrote comparison to {}".format(args.output))
         return 0
-    if args.workers > 1:
-        from repro.experiments.fleet import FleetWorkerError, run_fleet
-
-        rows = []
-        try:
-            for count in args.users:
-                cell_trace = args.trace
-                if args.trace is not None and len(args.users) > 1:
-                    stem, ext = os.path.splitext(args.trace)
-                    cell_trace = "{}-{}{}".format(stem, count, ext or ".jsonl")
-                rows.append(
-                    run_fleet(
-                        count,
-                        args.duration,
-                        workers=args.workers,
-                        apps=args.apps,
-                        rate_per_user=args.rate,
-                        seed=args.seed,
-                        trace_path=cell_trace,
-                        trace_sample=args.trace_sample,
-                        trace_seed=args.trace_seed,
-                        strategy=args.strategy,
-                        worker_timeout=args.worker_timeout,
-                        prom_path=args.prom_out or args.prom,
-                        heartbeat_log=(
-                            _print_heartbeat
-                            if heartbeat_interval is not None
-                            else None
-                        ),
-                        **telemetry_kwargs,
-                        **policy_kwargs,
-                    )
-                )
-        except FleetWorkerError as error:
-            print("scale: {}".format(error), file=sys.stderr)
-            return 1
-        smallest, largest = rows[0], rows[-1]
-        result = {
-            "rows": rows,
-            "derived": {
-                "smallest_users": smallest["users"],
-                "largest_users": largest["users"],
-                "per_request_cost_ratio": (
-                    largest["per_request_wall_us"]
-                    / smallest["per_request_wall_us"]
-                    if smallest["per_request_wall_us"]
-                    else float("inf")
-                ),
-            },
-        }
-    else:
-        result = run_scale_sweep(
-            args.users,
-            default_duration=args.duration,
-            apps=args.apps,
-            rate_per_user=args.rate,
-            seed=args.seed,
-            trace_path=args.trace,
-            trace_sample=args.trace_sample,
-            trace_seed=args.trace_seed,
-            strategy=args.strategy,
-            heartbeat_sink=(
-                (lambda payload: _print_heartbeat(payload.get("shard"), payload))
-                if heartbeat_interval is not None
-                else None
-            ),
-            shard=0 if heartbeat_interval is not None else None,
-            **telemetry_kwargs,
-            **policy_kwargs,
-        )
+    result = run_scale_sweep(
+        args.users,
+        default_duration=args.duration,
+        apps=args.apps,
+        rate_per_user=args.rate,
+        seed=args.seed,
+        trace_path=args.trace,
+        trace_sample=args.trace_sample,
+        trace_seed=args.trace_seed,
+        strategy=args.strategy,
+        warm_start=args.warm_start,
+        learn_queue_capacity=args.learn_queue_capacity,
+        learn_drain_budget=args.learn_drain_budget,
+        telemetry=args.telemetry,
+        slo_config=slo_config,
+        **policy_kwargs,
+    )
     header = (
         "{:>8} {:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>9} {:>9}".format(
             "users", "requests", "wall_s", "us/request", "events/s",
@@ -386,18 +274,6 @@ def _command_scale(args) -> int:
             derived["smallest_users"],
         )
     )
-    if args.workers > 1:
-        for row in result["rows"]:
-            fleet = row["fleet"]
-            print(
-                "fleet: {} workers, shard users {}, shard requests {}, "
-                "{:.0f} requests/wall-s".format(
-                    row["workers"],
-                    fleet["shard_users"],
-                    fleet["shard_requests"],
-                    row["requests_per_wall_s"],
-                )
-            )
     if telemetry_on:
         for row in result["rows"]:
             live = row.get("live") or {}
@@ -405,7 +281,7 @@ def _command_scale(args) -> int:
             print(
                 "live[{} users]: window={:.0f}s rate={:.0f}/s p50={:.1f}ms "
                 "p99={:.1f}ms hit={:.2f}% overflow={:.0f} wasted={:.0f} "
-                "ticks={} heartbeats={} alerts={}".format(
+                "ticks={} alerts={}".format(
                     row["users"],
                     readings.get("window_s", 0.0),
                     readings.get("request_rate", 0.0),
@@ -415,35 +291,9 @@ def _command_scale(args) -> int:
                     readings.get("overflow", 0.0),
                     readings.get("wasted", 0.0),
                     live.get("ticks", 0),
-                    live.get("heartbeats_sent", 0),
                     live.get("alerts", 0),
                 )
             )
-            hb = row.get("heartbeats")
-            if hb:
-                print(
-                    "heartbeats[{} users]: received={} max_skew={:.2f}s "
-                    "lagging={}".format(
-                        row["users"],
-                        hb["received"],
-                        hb["max_skew_s"],
-                        hb["lagging_shards"] or "none",
-                    )
-                )
-            bp = row.get("backpressure")
-            if bp:
-                print(
-                    "backpressure[{} users]: budget_grow={} budget_shrink={} "
-                    "admission_tighten={} admission_relax={} "
-                    "drain_budgets={}".format(
-                        row["users"],
-                        bp["budget_grow"],
-                        bp["budget_shrink"],
-                        bp["admission_tighten"],
-                        bp["admission_relax"],
-                        bp["drain_budgets"],
-                    )
-                )
     slo_passed = True
     if slo_config is not None:
         for row in result["rows"]:
@@ -471,10 +321,8 @@ def _command_scale(args) -> int:
                 "cells": [
                     {
                         "users": row["users"],
-                        "workers": row.get("workers", args.workers),
                         "slo": row.get("slo"),
                         "live_readings": (row.get("live") or {}).get("readings"),
-                        "backpressure": row.get("backpressure"),
                     }
                     for row in result["rows"]
                 ],
@@ -496,21 +344,11 @@ def _command_scale(args) -> int:
                         trace_stats["exported"], trace_stats["path"]
                     )
                 )
-    if args.prom or args.prom_out:
-        if args.workers == 1:
-            from repro.metrics.perf import PERF
+    if args.prom:
+        from repro.metrics.perf import PERF
 
-            if args.prom:
-                with open(args.prom, "w") as handle:
-                    handle.write(PERF.registry.render_prometheus())
-            if args.prom_out:
-                # atomic: scrapers tailing the file never see a torn dump
-                PERF.registry.dump_prometheus(args.prom_out)
-        # workers > 1: run_fleet already wrote the folded registry
-        # (atomically) to --prom-out or --prom
-        for path in (args.prom, args.prom_out):
-            if path and (args.workers == 1 or path == (args.prom_out or args.prom)):
-                print("wrote Prometheus metrics to {}".format(path))
+        PERF.registry.dump_prometheus(args.prom)
+        print("wrote Prometheus metrics to {}".format(args.prom))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
@@ -617,9 +455,7 @@ def _command_stats(args) -> int:
                 )
             )
     if args.prom:
-        registry = registry_from_records(records)
-        with open(args.prom, "w") as handle:
-            handle.write(registry.render_prometheus())
+        registry_from_records(records).dump_prometheus(args.prom)
         print("wrote Prometheus metrics to {}".format(args.prom))
     if args.json:
         with open(args.json, "w") as handle:
@@ -909,12 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--prom", default=None, metavar="FILE",
-        help="write a Prometheus text-format metrics dump after the sweep",
-    )
-    scale.add_argument(
-        "--prom-out", default=None, metavar="FILE",
-        help="like --prom but atomic (tmp file + rename): scrapers never "
-             "observe a torn dump",
+        help="write a Prometheus text-format metrics dump after the sweep "
+             "(atomic: tmp file + rename, so scrapers never observe a torn "
+             "dump)",
     )
     scale.add_argument(
         "--warm-start", action="store_true",
@@ -944,26 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--slo-report", default=None, metavar="FILE",
         help="write the end-of-run SLO verdict as JSON (requires --slo)",
-    )
-    scale.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="ship windowed snapshots to the supervisor every SECONDS of "
-             "virtual time (default: 1.0 when --slo is set with "
-             "--workers > 1, else off)",
-    )
-    scale.add_argument(
-        "--no-backpressure", action="store_true",
-        help="disable the closed loop that grows learn drain budgets on "
-             "overflow and tightens admission on sustained hit-rate burn",
-    )
-    scale.add_argument(
-        "--workers", type=int, default=1,
-        help="shard users across N proxy worker processes via consistent "
-             "hashing (1 = serve in-process; default: 1)",
-    )
-    scale.add_argument(
-        "--worker-timeout", type=float, default=300.0, metavar="SECONDS",
-        help="fleet startup / serve deadline per phase (default: 300)",
     )
 
     lint = commands.add_parser(

@@ -150,10 +150,9 @@ def merge_results(figure: str, results: Sequence[Any]) -> Any:
 def init_worker_env(cache_env: Optional[str]) -> None:
     """Point a worker process at the supervisor's artifact cache.
 
-    Used as this engine's pool initializer and called directly by the
-    sharded proxy fleet's workers (:mod:`repro.experiments.fleet`), so
-    any start method — fork or spawn — sees the same
-    ``REPRO_ANALYSIS_CACHE`` configuration the parent resolved.
+    Used as this engine's pool initializer, so under any start method
+    — fork or spawn — a worker sees the same ``REPRO_ANALYSIS_CACHE``
+    configuration the parent resolved.
     """
     if cache_env:
         # repro-lint: disable=mp-global-mutation -- pool initializer: mutating the *worker's own* environ before any cell runs is this function's entire job

@@ -46,7 +46,7 @@ baseline the paper's claim is measured against).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.analysis.model import AnalysisResult
 from repro.analysis.pipeline import AnalysisOptions, analyze_apk
@@ -61,7 +61,7 @@ from repro.metrics.catalog import (
 )
 from repro.metrics.live import DEFAULT_WINDOW_S, LiveTelemetry, LiveWindows
 from repro.metrics.perf import PERF, rss_peak_bytes
-from repro.metrics.slo import BackpressureController, SloEngine
+from repro.metrics.slo import SloEngine
 from repro.metrics.stats import percentile
 from repro.metrics.trace import TRACER
 from repro.netsim.link import Link
@@ -267,7 +267,7 @@ class _ScaleDeployment:
             if admission_threshold is not None:
                 proxy.config.admission_threshold = admission_threshold
             # deferred-learn knobs: a forced-small queue capacity is the
-            # overflow-burst scenario the SLO/backpressure tests drive
+            # overflow-burst scenario the SLO tests drive
             if learn_queue_capacity is not None:
                 proxy.learner.learn_queue_capacity = learn_queue_capacity
             if learn_drain_budget is not None:
@@ -304,101 +304,12 @@ def _origin_uri(origin: str):
     return Uri.parse(origin + "/")
 
 
-class ArrivalSchedule:
-    """A pre-drawn open-loop arrival process, replayable in any process.
-
-    ``events`` holds ``(dt, user_index, first_position)`` tuples: the
-    virtual delay since the *previous event in this schedule*, the
-    arriving user, and — on the user's first arrival only — the session
-    position its replay starts from (``None`` afterwards).
-    ``terminal_dt`` is the final inter-arrival draw, the one whose
-    arrival instant crossed ``duration`` and terminated the process;
-    replaying it keeps the arrivals generator alive to the same instant
-    the live path's would be, so the simulated event count matches.
-
-    The sharded fleet supervisor draws ONE global schedule with the run
-    seed, then partitions it per shard: every worker replays exactly
-    the arrival instants the single-process harness would have
-    produced, so sharding changes where a user is served, never when.
-    """
-
-    __slots__ = ("events", "terminal_dt", "users", "duration", "rate_per_user", "seed")
-
-    def __init__(
-        self,
-        events: List[Tuple[float, int, Optional[int]]],
-        terminal_dt: float,
-        users: int,
-        duration: float,
-        rate_per_user: float,
-        seed: int,
-    ) -> None:
-        self.events = events
-        self.terminal_dt = terminal_dt
-        self.users = users
-        self.duration = duration
-        self.rate_per_user = rate_per_user
-        self.seed = seed
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def build_arrival_schedule(
-    users: int,
-    duration: float,
-    rate_per_user: float,
-    seed: int,
-    step_counts: Dict[str, int],
-    user_app: Sequence[str],
-    warm_start: bool = False,
-    pred_positions: Optional[Dict[str, List[int]]] = None,
-) -> ArrivalSchedule:
-    """Pre-draw the Poisson arrival schedule :func:`run_scale` would draw live.
-
-    The PRNG call sequence here — ``expovariate`` per arrival,
-    ``randrange(users)`` per admitted arrival, ``randrange(steps)`` on
-    a user's first arrival — mirrors the live ``arrivals()`` generator
-    draw for draw, and arrival instants accumulate with the same
-    left-fold float additions the simulator clock performs.  A seeded
-    replay of the full schedule is therefore byte-equivalent to the
-    live path, which is what lets ``--workers 1`` serve as a
-    differential oracle for the fleet.
-    """
-    import random
-
-    rng = random.Random(seed)
-    total_rate = users * rate_per_user
-    now = 0.0
-    seen: Dict[int, bool] = {}
-    events: List[Tuple[float, int, Optional[int]]] = []
-    while True:
-        dt = rng.expovariate(total_rate)
-        now = now + dt
-        if now >= duration:
-            return ArrivalSchedule(events, dt, users, duration, rate_per_user, seed)
-        user_index = rng.randrange(users)
-        position: Optional[int] = None
-        if user_index not in seen:
-            seen[user_index] = True
-            app = user_app[user_index]
-            position = rng.randrange(step_counts[app])
-            if warm_start:
-                anchors = (pred_positions or {}).get(app) or []
-                if anchors:
-                    eligible = [p for p in anchors if p <= position]
-                    position = eligible[-1] if eligible else anchors[0]
-        events.append((dt, user_index, position))
-
-
 def stage_latency_from_registry(registry) -> Dict[str, Dict[str, float]]:
     """Per-stage latency table out of a registry's histograms.
 
     ``stage_seconds{stage=...}`` (fed by ``PERF.stage``) reports under
     the bare stage name; sampled trace spans
     (``span_wall_seconds{stage=...}``) under a ``span:`` prefix.
-    Shared by the serial harness row and the fleet supervisor, which
-    calls it on the registry folded back from every worker.
     """
     stage_latency: Dict[str, Dict[str, float]] = {}
     for metric, prefix in ((STAGE_SECONDS, ""), (SPAN_WALL_SECONDS, "span:")):
@@ -444,7 +355,6 @@ def run_scale(
     admission_threshold: Optional[float] = None,
     estimate_expiration: bool = False,
     warm_start: bool = False,
-    arrival_schedule: Optional[ArrivalSchedule] = None,
     collect_latencies: bool = False,
     learn_mode: str = "deferred",
     learn_queue_capacity: Optional[int] = None,
@@ -452,10 +362,6 @@ def run_scale(
     telemetry: bool = False,
     telemetry_interval: float = 0.5,
     slo_config: Optional[Dict[str, object]] = None,
-    heartbeat_interval: Optional[float] = None,
-    heartbeat_sink: Optional[Callable[[Dict[str, object]], None]] = None,
-    shard: Optional[int] = None,
-    backpressure: bool = True,
     _deployment: Optional[_ScaleDeployment] = None,
 ) -> Dict[str, object]:
     """Serve an open-loop Poisson workload; returns the metrics row.
@@ -477,28 +383,20 @@ def run_scale(
     buffered records as JSONL after the run.  Left off (the default),
     the serving core pays only the one-branch disabled check.
 
-    ``arrival_schedule`` replays a pre-drawn
-    :class:`ArrivalSchedule` (typically one fleet shard's partition)
-    instead of drawing arrivals live; ``_deployment`` reuses an
-    already-built :class:`_ScaleDeployment` (it must have been built
-    with the same apps, strategy and learn mode; the row reports its
-    cache and admission settings, and those arguments here go
-    unused); and
-    ``collect_latencies`` attaches the raw per-request virtual
-    latencies to the row under ``"latencies_s"`` so a fleet supervisor
-    can compute exact aggregate percentiles across shards.
+    ``_deployment`` reuses an already-built :class:`_ScaleDeployment`
+    (it must have been built with the same apps, strategy and learn
+    mode; the row reports its cache and admission settings, and those
+    arguments here go unused); and ``collect_latencies`` attaches the
+    raw per-request virtual latencies to the row under
+    ``"latencies_s"`` so a caller serving several seeds can compute
+    exact aggregate percentiles across them.
 
     The **live telemetry plane** (:mod:`repro.metrics.live`) is armed
-    by ``telemetry=True``, by an SLO config (``slo_config``, the
-    parsed ``benchmarks/slo.json``), or by ``heartbeat_interval``:
-    a simulator process ticks every ``telemetry_interval`` virtual
-    seconds, maintaining rolling windows, evaluating SLO burn rates
-    (alerts land in the trace ring as ``kind=alert``), driving the
-    overflow/hit-rate backpressure loop (``backpressure=False`` turns
-    only the actuation off), and — when ``heartbeat_sink`` is set —
-    shipping compact windowed snapshots every ``heartbeat_interval``
-    virtual seconds (the fleet worker's mid-run liveness channel).
-    The row gains ``live`` / ``slo`` / ``backpressure`` sections
+    by ``telemetry=True`` or by an SLO config (``slo_config``, the
+    parsed ``benchmarks/slo.json``): a simulator process ticks every
+    ``telemetry_interval`` virtual seconds, maintaining rolling windows
+    and evaluating SLO burn rates (alerts land in the trace ring as
+    ``kind=alert``).  The row gains ``live`` / ``slo`` sections
     (``None`` when the plane is off, which is the default: the only
     hot-path cost of the disabled plane is one ``is None`` branch).
     """
@@ -568,33 +466,17 @@ def run_scale(
     latencies: List[float] = []
     state = {"sent": 0, "completed": 0, "peak_entries": 0}
 
-    # live telemetry plane: rolling windows + SLO burn + backpressure
+    # live telemetry plane: rolling windows + SLO burn
     live: Optional[LiveTelemetry] = None
     engine: Optional[SloEngine] = None
-    controller: Optional[BackpressureController] = None
-    if telemetry or slo_config is not None or heartbeat_interval is not None:
+    if telemetry or slo_config is not None:
         engine = SloEngine(slo_config) if slo_config is not None else None
         window_s = engine.window_s if engine is not None else DEFAULT_WINDOW_S
-        windows = LiveWindows(window_s=window_s)
-        if backpressure:
-            controller = BackpressureController(
-                [proxy.learner for _, proxy in multi._apps],
-                [proxy.config for _, proxy in multi._apps],
-                windows,
-                overflow_horizon_s=(
-                    engine.fast_window_s if engine is not None else None
-                ),
-            )
         live = LiveTelemetry(
             [proxy for _, proxy in multi._apps],
-            windows=windows,
+            windows=LiveWindows(window_s=window_s),
             slo=engine,
-            backpressure=controller,
             interval_s=telemetry_interval,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_sink=heartbeat_sink,
-            shard=shard,
-            requests_fn=lambda: state["completed"],
         )
 
     def transport_for(user_index: int) -> MultiAppTransport:
@@ -654,17 +536,6 @@ def run_scale(
             session.responses[step.site] = response
         return None
 
-    def arrive(user_index: int, first_position: Optional[int]) -> None:
-        steps = deployment.steps[user_app[user_index]]
-        session = sessions.get(user_index)
-        if session is None:
-            session = sessions[user_index] = _UserSession()
-            session.position = first_position
-        step = steps[session.position % len(steps)]
-        session.position += 1
-        state["sent"] += 1
-        sim.spawn(send_one(user_index, step))
-
     def arrivals() -> Generator:
         total_rate = users * rate_per_user
         while True:
@@ -672,26 +543,21 @@ def run_scale(
             if sim.now >= duration:
                 return None
             user_index = rng.randrange(users)
-            position: Optional[int] = None
-            if user_index not in sessions:
-                app = user_app[user_index]
-                position = rng.randrange(len(deployment.steps[app]))
+            steps = deployment.steps[user_app[user_index]]
+            session = sessions.get(user_index)
+            if session is None:
+                session = sessions[user_index] = _UserSession()
+                position = rng.randrange(len(steps))
                 if warm_start:
-                    anchors = deployment.pred_positions[app]
+                    anchors = deployment.pred_positions[user_app[user_index]]
                     if anchors:
                         eligible = [p for p in anchors if p <= position]
                         position = eligible[-1] if eligible else anchors[0]
-            arrive(user_index, position)
-
-    def scheduled_arrivals() -> Generator:
-        # replay one shard's partition of a pre-drawn global schedule;
-        # the terminal delay keeps this generator alive to the instant
-        # the live path's final (duration-crossing) draw would wake it
-        for dt, user_index, first_position in arrival_schedule.events:
-            yield Delay(dt)
-            arrive(user_index, first_position)
-        yield Delay(arrival_schedule.terminal_dt)
-        return None
+                session.position = position
+            step = steps[session.position % len(steps)]
+            session.position += 1
+            state["sent"] += 1
+            sim.spawn(send_one(user_index, step))
 
     def sweeper() -> Generator:
         while sim.now < duration:
@@ -717,9 +583,7 @@ def run_scale(
             live.tick(sim.now)
         return None
 
-    sim.spawn(
-        arrivals() if arrival_schedule is None else scheduled_arrivals()
-    )
+    sim.spawn(arrivals())
     sim.spawn(sweeper())
     sim.spawn(sampler())
     if live is not None:
@@ -885,7 +749,6 @@ def run_scale(
             if engine is not None
             else None
         ),
-        "backpressure": controller.stats() if controller is not None else None,
     }
     if collect_latencies:
         row["latencies_s"] = latencies

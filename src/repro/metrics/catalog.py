@@ -2,8 +2,8 @@
 
 The registry (:mod:`repro.metrics.registry`), the PERF facade
 (:mod:`repro.metrics.perf`), and the tracer (:mod:`repro.metrics.trace`)
-all address series by *string name* — and the sharded fleet's
-supervisor fold-back (:mod:`repro.experiments.fleet`) matches those
+all address series by *string name* — and the parallel figure
+engine's fold-back (:mod:`repro.experiments.parallel`) matches those
 strings across process boundaries.  A typo'd name therefore does not
 crash; it silently forks a parallel series that no merge, no dashboard,
 and no CI gate ever looks at.  This module is the single place those
@@ -172,14 +172,9 @@ COUNTERS: Dict[str, str] = {
     "prefetch.wasted": "prefetched entries that never served a hit",
     "sim.events": "simulator events processed",
     "sim.inline_starts": "awaited child processes started inside the parent's step",
-    "backpressure.budget_grow": "deferred-drain budget growths by the backpressure loop",
-    "backpressure.budget_shrink": "deferred-drain budget decays back toward base",
-    "backpressure.admission_tighten": "admission-threshold raises under sustained burn",
-    "backpressure.admission_relax": "admission-threshold relaxations after burn clears",
     "slo.alerts": "burn-rate alerts raised by the SLO engine",
     "slo.evaluations": "SLO evaluation passes over the live windows",
     "telemetry.ticks": "live-telemetry sampling ticks",
-    "heartbeat.sent": "windowed telemetry heartbeats shipped to the supervisor",
 }
 
 #: the prefix of every per-cause cache-miss counter

@@ -1,8 +1,8 @@
-"""Live telemetry plane: deterministic rolling windows + heartbeats.
+"""Live telemetry plane: deterministic rolling windows.
 
 The registry (:mod:`repro.metrics.registry`) accumulates *run-total*
 series: perfect for a post-run report, useless for answering "what is
-the p99 **right now**" while a 100k-user fleet cell is still serving.
+the p99 **right now**" while a large scale cell is still serving.
 This module adds the missing time dimension as **ring-of-buckets
 sliding windows** driven entirely by the simulator clock:
 
@@ -10,29 +10,23 @@ sliding windows** driven entirely by the simulator clock:
   of ``bucket_width``-second buckets addressed by the *absolute* bucket
   index ``int(now // bucket_width)``.  Advancing the window is just
   pruning indices older than the horizon; no wall clock, no timers, so
-  a seeded run produces byte-identical windows every time, and two
-  shards replaying the same virtual-time horizon produce *aligned*
-  buckets that merge bucket-wise (commutative and associative — the
-  same contract :meth:`MetricRegistry.merge` keeps for run totals).
+  a seeded run produces byte-identical windows every time.
 * :class:`LiveWindows` — the named collection of windows declared in
   :data:`repro.metrics.catalog.WINDOWS` (undeclared names are refused
-  at runtime, mirroring the ``met-*`` lint family), with snapshot /
-  merge for the fleet heartbeat protocol.
+  at runtime, mirroring the ``met-*`` lint family).
 * :class:`LiveTelemetry` — the per-process plane: samples cumulative
   proxy/learner counters into per-tick window deltas, feeds per-request
-  latency observations, runs the SLO engine and backpressure controller
-  each tick, and ships compact heartbeat payloads to a sink (the fleet
-  worker's results queue) every ``heartbeat_interval`` virtual seconds.
+  latency observations, and runs the SLO engine each tick.
 
 Overhead when disabled is literally zero: the scale harness only
-constructs a plane when ``--slo`` / ``--telemetry`` /
-``--heartbeat-interval`` ask for one, and the per-request hook is a
-single ``is None`` branch (CI gates the enabled cost at <5%).
+constructs a plane when ``--slo`` / ``--telemetry`` ask for one, and
+the per-request hook is a single ``is None`` branch (CI gates the
+enabled cost at <5%).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.metrics import catalog
 from repro.metrics.perf import PERF
@@ -42,9 +36,8 @@ from repro.metrics.trace import TRACER
 #: default sliding-window horizon (virtual seconds) and resolution
 DEFAULT_WINDOW_S = 10.0
 DEFAULT_NUM_BUCKETS = 20
-#: default telemetry tick / heartbeat cadence (virtual seconds)
+#: default telemetry tick cadence (virtual seconds)
 DEFAULT_TICK_S = 0.5
-DEFAULT_HEARTBEAT_S = 1.0
 
 
 class RollingCounter:
@@ -52,8 +45,8 @@ class RollingCounter:
 
     Buckets are keyed by the absolute index ``int(now // width)`` so
     the mapping from virtual time to bucket never depends on when the
-    window was created — the property that makes cross-shard merges
-    alignment-safe.  Reads prune lazily; writes prune on bucket roll.
+    window was created.  Reads prune lazily; writes prune on bucket
+    roll.
     """
 
     __slots__ = ("bucket_width", "num_buckets", "buckets", "_head")
@@ -101,18 +94,6 @@ class RollingCounter:
         """Windowed per-second rate ending at ``now``."""
         indices = self._live_indices(now, horizon_s)
         return self.total(now, horizon_s) / (len(indices) * self.bucket_width)
-
-    # -- fleet fold-back ------------------------------------------------
-    def snapshot(self) -> List[List[float]]:
-        return [[index, self.buckets[index]] for index in sorted(self.buckets)]
-
-    def merge(self, snapshot: Sequence[Sequence[float]]) -> None:
-        for index, value in snapshot:
-            index = int(index)
-            self.buckets[index] = self.buckets.get(index, 0) + value
-            if index > self._head:
-                self._head = index
-        self._prune()
 
 
 class RollingHistogram:
@@ -207,28 +188,6 @@ class RollingHistogram:
     ) -> float:
         return self.fold(now, horizon_s).percentile(q)
 
-    # -- fleet fold-back ------------------------------------------------
-    def snapshot(self) -> List[List[object]]:
-        return [
-            [index, list(h.bucket_counts), h.count, h.sum]
-            for index, h in sorted(self.buckets.items())
-        ]
-
-    def merge(self, snapshot: Sequence[Sequence[object]]) -> None:
-        for index, counts, count, total in snapshot:
-            index = int(index)
-            self._bucket(index * self.bucket_width).merge(
-                {
-                    "bounds": self.bounds,
-                    "bucket_counts": list(counts),
-                    "count": count,
-                    "sum": total,
-                }
-            )
-            if index > self._head:
-                self._head = index
-        self._prune()
-
 
 class LiveWindows:
     """The catalog-declared set of rolling windows for one process."""
@@ -307,70 +266,6 @@ class LiveWindows:
     ) -> float:
         return self.histograms[name].percentile(now, q, horizon_s)
 
-    # -- fleet fold-back ------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Compact picklable window state (the heartbeat payload body)."""
-        return {
-            "window_s": self.window_s,
-            "num_buckets": self.num_buckets,
-            "counters": {n: c.snapshot() for n, c in self.counters.items()},
-            "histograms": {
-                n: {"bounds": list(h.bounds), "buckets": h.snapshot()}
-                for n, h in self.histograms.items()
-            },
-        }
-
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold another process's :meth:`snapshot` in (bucket-aligned).
-
-        Raises :class:`ValueError` on geometry or bound mismatches —
-        silently merging misaligned windows would corrupt every
-        windowed rate the supervisor reports.
-        """
-        if (
-            snapshot.get("window_s") != self.window_s
-            or snapshot.get("num_buckets") != self.num_buckets
-        ):
-            raise ValueError(
-                "cannot merge live windows with different geometry: "
-                "local window_s={} num_buckets={}, snapshot window_s={} "
-                "num_buckets={}".format(
-                    self.window_s,
-                    self.num_buckets,
-                    snapshot.get("window_s"),
-                    snapshot.get("num_buckets"),
-                )
-            )
-        for name, data in (snapshot.get("counters") or {}).items():
-            if name in self.counters:
-                self.counters[name].merge(data)
-        for name, data in (snapshot.get("histograms") or {}).items():
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                continue
-            if tuple(data["bounds"]) != histogram.bounds:
-                raise ValueError(
-                    "cannot merge rolling histogram {!r}: local bounds "
-                    "{} != snapshot bounds {}".format(
-                        name, histogram.bounds, tuple(data["bounds"])
-                    )
-                )
-            histogram.merge(data["buckets"])
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, object]) -> "LiveWindows":
-        bounds: Sequence[float] = DEFAULT_BUCKETS
-        for data in (snapshot.get("histograms") or {}).values():
-            bounds = tuple(data["bounds"])
-            break
-        windows = cls(
-            window_s=float(snapshot["window_s"]),
-            num_buckets=int(snapshot["num_buckets"]),
-            bounds=bounds,
-        )
-        windows.merge(snapshot)
-        return windows
-
 
 def standard_readings(windows: LiveWindows, now: float) -> Dict[str, object]:
     """The canonical windowed readout: rates, ratios, percentiles."""
@@ -395,7 +290,7 @@ def standard_readings(windows: LiveWindows, now: float) -> Dict[str, object]:
 
 
 class LiveTelemetry:
-    """One process's live plane: sampling, SLO, backpressure, heartbeat.
+    """One process's live plane: sampling and SLO evaluation.
 
     ``proxies`` is the list of :class:`AccelerationProxy` instances this
     process serves (one per app).  Each :meth:`tick` diffs their
@@ -403,7 +298,7 @@ class LiveTelemetry:
     prefetches) into the current window bucket, folds the per-tick
     delta of the registry's ``stage_seconds{stage=proxy.learn}``
     histogram into the learn window (zero extra hot-path work), then
-    lets the SLO engine and backpressure controller read the windows.
+    lets the SLO engine read the windows.
     """
 
     def __init__(
@@ -411,24 +306,13 @@ class LiveTelemetry:
         proxies: Sequence[object],
         windows: Optional[LiveWindows] = None,
         slo: Optional[object] = None,
-        backpressure: Optional[object] = None,
         interval_s: float = DEFAULT_TICK_S,
-        heartbeat_interval: Optional[float] = None,
-        heartbeat_sink: Optional[Callable[[Dict[str, object]], None]] = None,
-        shard: Optional[int] = None,
-        requests_fn: Optional[Callable[[], int]] = None,
     ) -> None:
         self.proxies = list(proxies)
         self.windows = windows if windows is not None else LiveWindows()
         self.slo = slo
-        self.backpressure = backpressure
         self.interval_s = float(interval_s)
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_sink = heartbeat_sink
-        self.shard = shard
-        self.requests_fn = requests_fn
         self.alerts: List[Dict[str, object]] = []
-        self.heartbeats_sent = 0
         self.ticks = 0
         #: the last virtual instant the plane observed serving work.
         #: End-of-run reads anchor here instead of the simulator's
@@ -441,9 +325,6 @@ class LiveTelemetry:
         self.slow_threshold_s: Optional[float] = None
         if slo is not None:
             self.slow_threshold_s = getattr(slo, "slow_threshold_s", None)
-        self._next_heartbeat = (
-            heartbeat_interval if heartbeat_interval is not None else None
-        )
         self._prev: Dict[str, float] = {}
         self._prev_learn: Optional[Dict[str, object]] = None
 
@@ -518,26 +399,18 @@ class LiveTelemetry:
                 )
 
     def tick(self, now: float) -> None:
-        """One telemetry pass: sample, evaluate SLOs, actuate, heartbeat."""
+        """One telemetry pass: sample, then evaluate SLOs."""
         self.ticks += 1
         if now > self.last_now:
             self.last_now = now
         PERF.incr("telemetry.ticks")
         self._sample_deltas(now)
-        burning: Dict[str, bool] = {}
         if self.slo is not None:
-            new_alerts, burning = self.slo.evaluate(self.windows, now)
+            new_alerts, _ = self.slo.evaluate(self.windows, now)
             for alert in new_alerts:
                 self.alerts.append(alert)
                 PERF.incr("slo.alerts")
-                TRACER.append_record(_alert_record(alert, self.shard))
-        if self.backpressure is not None:
-            self.backpressure.tick(now, burning)
-        if self._next_heartbeat is not None and now >= self._next_heartbeat:
-            self.send_heartbeat(now)
-            interval = self.heartbeat_interval or DEFAULT_HEARTBEAT_S
-            while self._next_heartbeat <= now:
-                self._next_heartbeat += interval
+                TRACER.append_record(_alert_record(alert))
 
     def finalize(self) -> None:
         """Last sample at run end so trailing deltas land in a window.
@@ -548,46 +421,17 @@ class LiveTelemetry:
         """
         self._sample_deltas(self.last_now)
 
-    # -- heartbeat protocol ---------------------------------------------
-    def heartbeat_payload(self, now: float) -> Dict[str, object]:
-        queue_depth = 0
-        for proxy in self.proxies:
-            learner = getattr(proxy, "learner", None)
-            if learner is not None:
-                queue_depth += getattr(learner, "learn_queue_depth", 0)
-        return {
-            "shard": self.shard,
-            "sim_now": now,
-            "requests": self.requests_fn() if self.requests_fn else None,
-            "queue_depth": queue_depth,
-            "alerts": len(self.alerts),
-            "readings": standard_readings(self.windows, now),
-            "windows": self.windows.snapshot(),
-        }
-
-    def send_heartbeat(self, now: float) -> None:
-        if self.heartbeat_sink is None:
-            return
-        self.heartbeat_sink(self.heartbeat_payload(now))
-        self.heartbeats_sent += 1
-        PERF.incr("heartbeat.sent")
-
     # -- end-of-run summary ---------------------------------------------
     def summary(self, now: float) -> Dict[str, object]:
         return {
             "ticks": self.ticks,
-            "heartbeats_sent": self.heartbeats_sent,
             "alerts": len(self.alerts),
             "readings": standard_readings(self.windows, now),
-            "snapshot": self.windows.snapshot(),
         }
 
 
-def _alert_record(alert: Dict[str, object], shard: Optional[int]) -> Dict[str, object]:
+def _alert_record(alert: Dict[str, object]) -> Dict[str, object]:
     """An SLO alert as a spanless trace record (``kind=alert``)."""
-    tags = {str(k): v for k, v in alert.items()}
-    if shard is not None:
-        tags["shard"] = shard
     return {
         "trace_id": "alert:{}:{:06d}".format(
             alert.get("objective", "?"), int(alert.get("seq", 0))
@@ -595,5 +439,5 @@ def _alert_record(alert: Dict[str, object], shard: Optional[int]) -> Dict[str, o
         "user": "-",
         "kind": "alert",
         "spans": [],
-        "tags": tags,
+        "tags": {str(k): v for k, v in alert.items()},
     }

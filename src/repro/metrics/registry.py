@@ -248,9 +248,9 @@ class MetricRegistry:
     def snapshot(self) -> Dict[str, object]:
         """Full picklable registry state, for cross-process fold-back.
 
-        The shape is what :meth:`merge` consumes — the sharded proxy
-        fleet's workers each ship one of these back to the supervisor,
-        which folds them into a single aggregate registry.
+        The shape is what :meth:`merge` consumes — the parallel figure
+        engine (``repro figs --jobs``) ships one of these back from each
+        pool worker and folds them into a single aggregate registry.
         """
         return {
             "counters": dict(self.counters),
@@ -351,8 +351,11 @@ class MetricRegistry:
         """Atomically write :meth:`render_prometheus` output to ``path``.
 
         The text lands in a temp file next to ``path`` and is moved
-        into place with ``os.replace``, so a scraper (or a concurrent
-        fleet supervisor) never reads a half-written exposition.
+        into place with ``os.replace``, so a scraper tailing the file
+        never reads a half-written exposition.  The file gets the mode
+        a plain ``open(path, "w")`` would give it (0666 less the
+        umask), not the temp file's owner-only 0600, so a scraper
+        running as another user can still read it.
         """
         text = self.render_prometheus(prefix=prefix)
         directory = os.path.dirname(os.path.abspath(path))
@@ -362,6 +365,9 @@ class MetricRegistry:
         try:
             with os.fdopen(handle, "w") as tmp:
                 tmp.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_path, 0o666 & ~umask)
             os.replace(tmp_path, path)
         except BaseException:
             try:

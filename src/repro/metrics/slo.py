@@ -1,4 +1,4 @@
-"""Declarative SLOs, multiwindow burn-rate alerting, and backpressure.
+"""Declarative SLOs and multiwindow burn-rate alerting.
 
 Objectives live in ``benchmarks/slo.json`` and come in three kinds,
 each reduced to one **error-budget ratio** over the live windows of
@@ -29,21 +29,12 @@ exported as spanless ``kind=alert`` trace records.  The end-of-run
 verdict is per objective: *violated* iff the slow-window burn at the
 final evaluation is ≥ 1.0 — i.e. the run ended while the error budget
 was actually being overspent.
-
-:class:`BackpressureController` closes the loop (the ROADMAP's
-"overflow-aware backpressure" item): overflow in the recent window
-doubles every learner's deferred drain budget (bounded), calm windows
-decay it back toward base; a sustained hit-rate burn raises the
-hit-aware admission threshold (prefetch less until it earns its
-keep), relaxing stepwise once the burn clears.  Every actuation bumps
-a ``backpressure.*`` counter so tests and BENCH rows can prove the
-loop actually moved, not just existed.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics import catalog
 from repro.metrics.live import LiveWindows
@@ -234,153 +225,4 @@ class SloEngine:
             "passed": all(not row["violated"] for row in objectives),
             "alerts": len(self.alerts),
             "objectives": objectives,
-        }
-
-
-class BackpressureController:
-    """Window-driven actuation on drain budgets and admission.
-
-    ``learners`` / ``configs`` are the per-app :class:`DynamicLearner`
-    and :class:`ProxyConfig` instances of one process (the fleet gives
-    each shard its own controller; no cross-process coordination is
-    needed because each shard owns its users outright).
-    """
-
-    __slots__ = (
-        "learners",
-        "configs",
-        "windows",
-        "overflow_horizon_s",
-        "max_budget",
-        "calm_ticks",
-        "admission_step",
-        "admission_ceiling",
-        "sustain_ticks",
-        "base_budgets",
-        "base_thresholds",
-        "budget_grow",
-        "budget_shrink",
-        "admission_tighten",
-        "admission_relax",
-        "_calm",
-        "_hit_streak",
-    )
-
-    def __init__(
-        self,
-        learners: Sequence[object],
-        configs: Sequence[object],
-        windows: LiveWindows,
-        overflow_horizon_s: Optional[float] = None,
-        max_budget: int = 1024,
-        calm_ticks: int = 4,
-        admission_step: float = 0.1,
-        admission_ceiling: float = 0.9,
-        sustain_ticks: int = 3,
-    ) -> None:
-        self.learners = list(learners)
-        self.configs = list(configs)
-        self.windows = windows
-        self.overflow_horizon_s = overflow_horizon_s
-        self.max_budget = max_budget
-        self.calm_ticks = calm_ticks
-        self.admission_step = admission_step
-        self.admission_ceiling = admission_ceiling
-        self.sustain_ticks = sustain_ticks
-        self.base_budgets = [
-            getattr(learner, "learn_drain_budget", None)
-            for learner in self.learners
-        ]
-        self.base_thresholds = [
-            getattr(config, "admission_threshold", None)
-            for config in self.configs
-        ]
-        self.budget_grow = 0
-        self.budget_shrink = 0
-        self.admission_tighten = 0
-        self.admission_relax = 0
-        self._calm = 0
-        self._hit_streak = 0
-
-    # -- drain-budget loop ----------------------------------------------
-    def _grow_budgets(self) -> None:
-        for learner in self.learners:
-            budget = getattr(learner, "learn_drain_budget", None)
-            if budget is None:
-                continue  # unlimited drain: nothing to grow
-            grown = min(self.max_budget, max(budget * 2, budget + 1))
-            if grown != budget:
-                learner.learn_drain_budget = grown
-                self.budget_grow += 1
-                PERF.incr("backpressure.budget_grow")
-
-    def _shrink_budgets(self) -> None:
-        for learner, base in zip(self.learners, self.base_budgets):
-            budget = getattr(learner, "learn_drain_budget", None)
-            if budget is None or base is None or budget <= base:
-                continue
-            learner.learn_drain_budget = max(base, budget // 2)
-            self.budget_shrink += 1
-            PERF.incr("backpressure.budget_shrink")
-
-    # -- admission loop --------------------------------------------------
-    def _tighten_admission(self) -> None:
-        for config in self.configs:
-            threshold = getattr(config, "admission_threshold", None)
-            raised = min(
-                self.admission_ceiling, (threshold or 0.0) + self.admission_step
-            )
-            if threshold is None or raised > threshold:
-                config.admission_threshold = raised
-                self.admission_tighten += 1
-                PERF.incr("backpressure.admission_tighten")
-
-    def _relax_admission(self) -> None:
-        for config, base in zip(self.configs, self.base_thresholds):
-            threshold = getattr(config, "admission_threshold", None)
-            floor = base if base is not None else 0.0
-            if threshold is None or threshold <= floor:
-                continue
-            config.admission_threshold = max(
-                floor, threshold - self.admission_step
-            )
-            self.admission_relax += 1
-            PERF.incr("backpressure.admission_relax")
-
-    # -- per-tick entry point -------------------------------------------
-    def tick(self, now: float, burning: Dict[str, bool]) -> None:
-        overflow = self.windows.total(
-            catalog.W_OVERFLOW, now, self.overflow_horizon_s
-        )
-        if overflow > 0:
-            self._calm = 0
-            self._grow_budgets()
-        else:
-            self._calm += 1
-            if self._calm >= self.calm_ticks:
-                self._shrink_budgets()
-        if burning.get("hit_rate"):
-            self._hit_streak += 1
-            if self._hit_streak >= self.sustain_ticks:
-                self._tighten_admission()
-        else:
-            self._hit_streak = 0
-            self._relax_admission()
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "budget_grow": self.budget_grow,
-            "budget_shrink": self.budget_shrink,
-            "admission_tighten": self.admission_tighten,
-            "admission_relax": self.admission_relax,
-            "drain_budgets": [
-                getattr(learner, "learn_drain_budget", None)
-                for learner in self.learners
-            ],
-            "base_budgets": list(self.base_budgets),
-            "admission_thresholds": [
-                getattr(config, "admission_threshold", None)
-                for config in self.configs
-            ],
-            "base_thresholds": list(self.base_thresholds),
         }

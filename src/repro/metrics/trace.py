@@ -279,38 +279,6 @@ class Tracer:
             self.dropped += 1
         self._ring.append(record)
 
-    def absorb(
-        self,
-        records,
-        prefix: Optional[str] = None,
-        skip_kinds=(),
-    ) -> int:
-        """Fold another tracer's record batch into this ring.
-
-        The sharded proxy fleet's workers each trace into their own
-        process-local ring; the supervisor absorbs every worker's batch
-        in one call per worker — the IPC-amortizing counterpart of a
-        per-record stream.  ``prefix`` (typically ``"w<shard>"``)
-        namespaces worker-local trace ids so ``w0:t00000001`` and
-        ``w1:t00000001`` stay distinct in the merged export;
-        ``skip_kinds`` filters records the supervisor rebuilds itself
-        (the per-run ``summary``, which must be aggregated, not
-        repeated per shard).  Every record is schema-validated; returns
-        how many were absorbed.
-        """
-        absorbed = 0
-        for record in records:
-            if record.get("kind") in skip_kinds:
-                continue
-            if prefix is not None:
-                record = dict(
-                    record,
-                    trace_id="{}:{}".format(prefix, record.get("trace_id")),
-                )
-            self.append_record(record)
-            absorbed += 1
-        return absorbed
-
     # -- reading / export ----------------------------------------------
     def records(self) -> List[Dict[str, object]]:
         return list(self._ring)

@@ -124,8 +124,9 @@ class RuntimeSignature:
         #: on the hot path are O(1) instead of rebuilding a throwaway
         #: ``set(...)`` per call
         self.variants_set: frozenset = frozenset(signature.variants)
-        #: edges where this signature is the predecessor
-        self.out_edges: List[DependencyEdge] = []
+        #: edges where this signature is the predecessor, grouped by
+        #: successor site in first-seen order
+        self.out_edges: Dict[str, List[DependencyEdge]] = {}
         #: edges where this signature is the successor
         self.in_edges: List[DependencyEdge] = []
         #: the copy-on-write build plan, decided once per signature.
@@ -358,7 +359,7 @@ def build_runtime_signatures(result: AnalysisResult) -> List[RuntimeSignature]:
     runtime = {s.site: RuntimeSignature(s) for s in result.signatures}
     for edge in result.dependencies:
         if edge.pred_site in runtime:
-            runtime[edge.pred_site].out_edges.append(edge)
+            runtime[edge.pred_site].out_edges.setdefault(edge.succ_site, []).append(edge)
         if edge.succ_site in runtime:
             runtime[edge.succ_site].in_edges.append(edge)
     return [runtime[s.site] for s in result.signatures]

@@ -426,9 +426,6 @@ class DynamicLearner:
         if self.max_depth is not None and succ_depth > self.max_depth:
             return []
         gate = self.spawn_gate
-        edges_by_successor: Dict[str, List] = {}
-        for edge in signature.out_edges:
-            edges_by_successor.setdefault(edge.succ_site, []).append(edge)
         instances: List[RequestInstance] = []
         # predecessor response parsing is shared across edges/successors:
         # each distinct pred_path is extracted once per transaction (two
@@ -436,7 +433,7 @@ class DynamicLearner:
         # context is flattened lazily, once, instead of per successor
         extract_memo: Dict[str, List] = {}
         context: Optional[Dict[str, List]] = None
-        for succ_site, edges in edges_by_successor.items():
+        for succ_site, edges in signature.out_edges.items():
             successor = self._by_site.get(succ_site)
             if successor is None:
                 continue

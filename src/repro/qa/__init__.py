@@ -5,7 +5,7 @@ lint enforcing the invariants the rest of the system silently depends
 on: deterministic replay (no wall clocks/entropy, provable PRNG seed
 provenance), metric/trace name hygiene against
 :mod:`repro.metrics.catalog`, and multiprocessing safety for the
-fleet/pool worker entrypoints.  See DESIGN.md §14 for the rule catalog
+pool worker entrypoints.  See DESIGN.md §14 for the rule catalog
 and the suppression convention.
 """
 

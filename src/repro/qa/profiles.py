@@ -2,8 +2,9 @@
 
 The determinism contract is load-bearing only where replay must be
 byte-equivalent — the simulator, the proxy serving pipeline, and the
-experiment harnesses whose rows CI diffs (PR 7's fleet is correct
-*because* ``--workers 1`` replays byte-identically).  ``benchmarks/``
+experiment harnesses whose rows CI diffs (the parallel figure engine
+is correct *because* pool output replays the serial run byte for
+byte).  ``benchmarks/``
 measures wall time on purpose, and ``tests/`` may do anything.  A
 profile is resolved by longest-prefix match on the posix relpath, so a
 file's obligations follow from where it lives, not from opt-in

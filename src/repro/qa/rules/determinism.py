@@ -1,9 +1,9 @@
 """Determinism rules: no wall clocks, no entropy, provable seeds.
 
 Replay in the sim/proxy/experiments tree must be byte-equivalent —
-PR 7's sharded fleet asserts ``--workers 1`` equals serial byte for
-byte, and the parallel engine asserts pool output equals the serial
-oracle.  Both proofs evaporate the moment a wall clock or an OS
+the benchmark asserts that a seed's servings repeat exactly, and the
+parallel engine asserts pool output equals the serial oracle.  Both
+proofs evaporate the moment a wall clock or an OS
 entropy source leaks into a replay path, so these rules ban them at
 the source level:
 

@@ -1,8 +1,8 @@
 """Multiprocessing safety: what worker entrypoints may touch.
 
-The fleet (:mod:`repro.experiments.fleet`) and the parallel engine
-(:mod:`repro.experiments.parallel`) both hand functions to other
-processes.  Two failure modes have bitten real code like this:
+The parallel engine (:mod:`repro.experiments.parallel`) hands
+functions to other processes.  Two failure modes have bitten real
+code like this:
 
 ``mp-global-mutation``
     a function reachable from a worker entrypoint mutates module-global

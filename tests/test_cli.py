@@ -116,7 +116,6 @@ def test_scale_slo_violation_exits_nonzero(tmp_path, capsys):
     assert code == 1
     assert "slo verdict: FAIL" in out
     assert "VIOLATED" in out
-    assert "backpressure[60 users]" in out
     report = json.loads(report_path.read_text())
     assert report["passed"] is False
     assert report["cells"][0]["slo"]["objectives"][0]["bad"] > 0
@@ -140,18 +139,14 @@ def test_scale_slo_flag_validation(tmp_path, capsys):
     assert main([
         "scale", "--users", "10", "--slo", str(tmp_path / "missing.json"),
     ]) == 2
-    # non-positive heartbeat interval
-    assert main([
-        "scale", "--users", "10", "--heartbeat-interval", "0",
-    ]) == 2
     capsys.readouterr()
 
 
-def test_scale_prom_out_atomic_dump(tmp_path, capsys):
+def test_scale_prom_atomic_dump(tmp_path, capsys):
     prom_path = tmp_path / "metrics.prom"
     code, out = run_cli(
         capsys, "scale", "--users", "20", "--duration", "2",
-        "--max-entries-per-user", "16", "--prom-out", str(prom_path),
+        "--max-entries-per-user", "16", "--prom", str(prom_path),
     )
     assert code == 0
     assert "wrote Prometheus metrics to {}".format(prom_path) in out

@@ -205,3 +205,44 @@ def test_cli_scale_validates_new_arguments(capsys):
     assert main(["scale", "--users", "4", "--admission-threshold", "1.5"]) == 2
     assert main(["scale", "--users", "4", "--adaptive-budget"]) == 2
     capsys.readouterr()
+
+
+#: row keys a telemetry-armed run must reproduce exactly (everything
+#: deterministic; wall-clock keys excluded)
+DETERMINISTIC_KEYS = (
+    "requests",
+    "requests_sent",
+    "sim_events",
+    "hit_rate",
+    "served_prefetched",
+    "forwarded",
+    "prefetch_issued",
+    "peak_cache_entries",
+    "final_cache_entries",
+    "cache_stored",
+    "cache_expired_evictions",
+    "cache_lru_evictions",
+    "cache_wheel_purged",
+    "prefetch_wasted",
+    "skipped_admission",
+    "latency_p50_ms",
+    "latency_p95_ms",
+    "latency_p99_ms",
+    "prefetch_by_signature",
+    "miss_causes",
+    "expiration",
+    "history",
+)
+
+
+def test_telemetry_plane_does_not_perturb_the_workload():
+    kwargs = dict(users=24, duration=4.0, seed=11, max_entries_per_user=16)
+    plain = run_scale(**kwargs)
+    live = run_scale(telemetry=True, **kwargs)
+    # sim_events differs (the telemetry tick process adds events); every
+    # workload outcome must be byte-identical
+    for key in DETERMINISTIC_KEYS:
+        if key == "sim_events":
+            continue
+        assert live[key] == plain[key], key
+    assert live["live"] is not None and plain.get("live") is None

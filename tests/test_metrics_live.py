@@ -6,9 +6,7 @@ count/sum/percentile must equal a brute-force recomputation from the
 raw events whose absolute bucket index is still inside the horizon.
 Hypothesis drives arbitrary event streams (dyadic times and values, so
 float sums are exact) and checks that equivalence at every window
-advance, plus the merge laws the fleet heartbeat fold-back needs:
-shard-split streams merge back to the full-stream windows, in any
-order.
+advance.
 """
 
 import pytest
@@ -92,55 +90,6 @@ def test_histogram_equals_brute_force_at_every_advance(stream):
                     reference.percentile(q)
 
 
-def _windows_from(stream):
-    windows = LiveWindows(_WINDOW_S, _NUM_BUCKETS, _BOUNDS)
-    for now, value in _times(stream):
-        windows.inc(catalog.W_HITS, now, value)
-        windows.observe(catalog.W_REQUEST, now, value)
-    return windows
-
-
-@settings(max_examples=40, deadline=None)
-@given(_STREAM, _STREAM)
-def test_snapshot_merge_is_commutative(stream_a, stream_b):
-    a = _windows_from(stream_a).snapshot()
-    b = _windows_from(stream_b).snapshot()
-    ab = LiveWindows.from_snapshot(a)
-    ab.merge(b)
-    ba = LiveWindows.from_snapshot(b)
-    ba.merge(a)
-    assert ab.snapshot() == ba.snapshot()
-
-
-@settings(max_examples=40, deadline=None)
-@given(_STREAM)
-def test_shard_split_streams_merge_to_the_full_stream(stream):
-    # partition the stream across two "shards" (the heartbeat payload
-    # path) and fold back: every windowed read must match the
-    # single-process windows over the full stream
-    full = _windows_from(stream)
-    shards = [
-        LiveWindows(_WINDOW_S, _NUM_BUCKETS, _BOUNDS),
-        LiveWindows(_WINDOW_S, _NUM_BUCKETS, _BOUNDS),
-    ]
-    last_now = 0.0
-    for index, (now, value) in enumerate(_times(stream)):
-        shard = shards[index % 2]
-        shard.inc(catalog.W_HITS, now, value)
-        shard.observe(catalog.W_REQUEST, now, value)
-        last_now = now
-    merged = LiveWindows.from_snapshot(shards[0].snapshot())
-    merged.merge(shards[1].snapshot())
-    for horizon in _HORIZONS:
-        assert merged.total(catalog.W_HITS, last_now, horizon) == \
-            full.total(catalog.W_HITS, last_now, horizon)
-        assert merged.total(catalog.W_REQUEST, last_now, horizon) == \
-            full.total(catalog.W_REQUEST, last_now, horizon)
-        for q in (50, 99):
-            assert merged.percentile(catalog.W_REQUEST, last_now, q, horizon) \
-                == full.percentile(catalog.W_REQUEST, last_now, q, horizon)
-
-
 # ----------------------------------------------------------------------
 # unit behavior
 # ----------------------------------------------------------------------
@@ -174,24 +123,6 @@ def test_every_catalog_window_is_constructed():
             assert name in windows.histograms
         else:
             assert name in windows.counters
-
-
-def test_merge_rejects_geometry_mismatch():
-    a = LiveWindows(window_s=10.0, num_buckets=20)
-    b = LiveWindows(window_s=5.0, num_buckets=20)
-    with pytest.raises(ValueError, match="geometry"):
-        a.merge(b.snapshot())
-
-
-def test_merge_rejects_bound_mismatch_naming_the_series():
-    a = LiveWindows(bounds=(0.5, 1.0))
-    b = LiveWindows(bounds=(0.25, 1.0))
-    b.observe(catalog.W_REQUEST, 1.0, 0.3)
-    with pytest.raises(ValueError) as excinfo:
-        a.merge(b.snapshot())
-    message = str(excinfo.value)
-    assert catalog.W_REQUEST in message
-    assert "(0.5, 1.0)" in message and "(0.25, 1.0)" in message
 
 
 def test_standard_readings_shape_and_hit_rate():

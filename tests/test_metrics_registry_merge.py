@@ -1,14 +1,17 @@
-"""Property tests for registry snapshot/merge — the fleet fold-back core.
+"""Property tests for registry snapshot/merge — the pool fold-back core.
 
-The sharded proxy fleet folds every worker's
-:meth:`~repro.metrics.registry.MetricRegistry.snapshot` into one
-aggregate with :meth:`~repro.metrics.registry.MetricRegistry.merge`.
+The parallel figure engine (``repro figs --jobs``) folds every pool
+worker's :meth:`~repro.metrics.registry.MetricRegistry.snapshot` into
+one aggregate with :meth:`~repro.metrics.registry.MetricRegistry.merge`.
 Fold-back order is whatever order workers happen to finish in, so
 merge must be commutative and associative; mismatched histogram bucket
 layouts must fail loudly (silently misaligned buckets would corrupt
 every percentile downstream); and overflow series must survive the
 fold without re-entering the cardinality guard as fresh labels.
 """
+
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -117,7 +120,7 @@ def test_mismatched_histogram_bounds_raise():
     b.observe("stage_seconds", 0.5, bounds=(0.1, 1.0, 10.0))
     with pytest.raises(ValueError) as excinfo:
         a.merge(b.snapshot())
-    # diagnosing a fleet fold-back failure needs the series name and
+    # diagnosing a pool fold-back failure needs the series name and
     # BOTH bucket layouts in the message, not just "bounds differ"
     message = str(excinfo.value)
     assert "stage_seconds" in message
@@ -226,6 +229,17 @@ def test_dump_prometheus_is_atomic_and_round_trips(tmp_path):
     assert "repro_requests_total 3" in text
     # no temp droppings left behind (mkstemp + rename)
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.prom"]
+
+
+def test_dump_prometheus_file_mode_follows_the_umask(tmp_path):
+    registry = MetricRegistry()
+    registry.inc("requests", 1)
+    path = tmp_path / "metrics.prom"
+    registry.dump_prometheus(str(path))
+    umask = os.umask(0)
+    os.umask(umask)
+    # what a plain open(path, "w") gives, not the temp file's 0600
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_dump_prometheus_overwrites_previous_dump(tmp_path):

@@ -1,14 +1,11 @@
-"""SLO engine + backpressure controller: burn math, alerts, actuation.
+"""SLO engine: burn math, alerts, verdicts.
 
 Unit tests pin the objective algebra (bad/total reduction per kind,
 the ``min_events`` gate, the multiwindow fire condition and its
-fire-on-transition-only semantics) against hand-computed burn rates,
-and drive the :class:`BackpressureController` with stub learners to
-prove each actuation arm moves exactly when its window condition
-holds.  The integration test at the bottom is the closed loop from
-ISSUE 10's acceptance list: a synthetic overflow burst (drain-starved
-learn queue) must raise a burn-rate alert AND measurably grow the
-drain budget.
+fire-on-transition-only semantics) against hand-computed burn rates.
+The integration test at the bottom drives a synthetic overflow burst
+(drain-starved learn queue) through the scale harness: it must raise
+a burn-rate alert and fail the run's SLO verdict.
 """
 
 import json
@@ -17,12 +14,7 @@ import pytest
 
 from repro.metrics import catalog
 from repro.metrics.live import LiveWindows
-from repro.metrics.slo import (
-    BackpressureController,
-    SloEngine,
-    SloObjective,
-    load_slo_config,
-)
+from repro.metrics.slo import SloEngine, SloObjective, load_slo_config
 
 
 def _config(**overrides):
@@ -199,74 +191,9 @@ def test_violation_verdict_reads_the_slow_window():
 
 
 # ----------------------------------------------------------------------
-# backpressure actuation
+# an overflow burst, end to end
 # ----------------------------------------------------------------------
-class _Learner:
-    def __init__(self, budget):
-        self.learn_drain_budget = budget
-
-
-class _Config:
-    def __init__(self, threshold):
-        self.admission_threshold = threshold
-
-
-def test_overflow_grows_then_calm_shrinks_budgets():
-    windows = LiveWindows(window_s=4.0, num_buckets=8)
-    learner = _Learner(4)
-    controller = BackpressureController(
-        [learner], [_Config(None)], windows,
-        overflow_horizon_s=1.0, calm_ticks=2,
-    )
-    windows.inc(catalog.W_OVERFLOW, 0.5, 3)
-    controller.tick(0.5, {})
-    assert learner.learn_drain_budget == 8
-    assert controller.budget_grow == 1
-    # overflow slides out of the 1s horizon; two calm ticks halve back
-    controller.tick(3.0, {})
-    controller.tick(3.5, {})
-    assert learner.learn_drain_budget == 4
-    assert controller.budget_shrink == 1
-    assert controller.stats()["base_budgets"] == [4]
-
-
-def test_unlimited_budget_is_left_alone():
-    windows = LiveWindows(window_s=4.0, num_buckets=8)
-    learner = _Learner(None)
-    controller = BackpressureController(
-        [learner], [], windows, overflow_horizon_s=1.0
-    )
-    windows.inc(catalog.W_OVERFLOW, 0.5, 3)
-    controller.tick(0.5, {})
-    assert learner.learn_drain_budget is None
-    assert controller.budget_grow == 0
-
-
-def test_sustained_hit_burn_tightens_then_relaxes_admission():
-    windows = LiveWindows(window_s=4.0, num_buckets=8)
-    config = _Config(0.2)
-    controller = BackpressureController(
-        [], [config], windows, sustain_ticks=2, admission_step=0.1,
-    )
-    controller.tick(0.5, {"hit_rate": True})
-    assert config.admission_threshold == pytest.approx(0.2)  # not yet sustained
-    controller.tick(1.0, {"hit_rate": True})
-    assert config.admission_threshold == pytest.approx(0.3)
-    assert controller.admission_tighten == 1
-    # burn clears: step back toward the configured base, never below it
-    controller.tick(1.5, {"hit_rate": False})
-    assert config.admission_threshold == pytest.approx(0.2)
-    controller.tick(2.0, {"hit_rate": False})
-    controller.tick(2.5, {"hit_rate": False})
-    assert config.admission_threshold >= 0.2
-    assert config.admission_threshold == pytest.approx(0.2)
-    assert controller.admission_relax >= 1
-
-
-# ----------------------------------------------------------------------
-# the closed loop, end to end
-# ----------------------------------------------------------------------
-def test_overflow_burst_alerts_and_grows_drain_budget():
+def test_overflow_burst_alerts_and_fails_the_slo():
     from repro.experiments.scale import run_scale
 
     row = run_scale(
@@ -278,27 +205,6 @@ def test_overflow_burst_alerts_and_grows_drain_budget():
     # the starved drain fills the queue and every further observation
     # overflows ...
     assert row["learn_queue_overflows"] > 0
-    # ... the burn-rate alert fires ...
+    # ... the burn-rate alert fires and the run fails its SLO
     assert row["live"]["alerts"] > 0
     assert row["slo"]["passed"] is False
-    # ... and the controller actually actuated: budgets grew from the
-    # starved base and the run ends with a usable drain budget
-    backpressure = row["backpressure"]
-    assert backpressure["budget_grow"] > 0
-    assert backpressure["base_budgets"] == [0, 0]
-    assert all(budget > 0 for budget in backpressure["drain_budgets"])
-
-
-def test_backpressure_off_leaves_the_budget_starved():
-    from repro.experiments.scale import run_scale
-
-    row = run_scale(
-        users=60, duration=4.0, rate_per_user=2.0, seed=0,
-        max_entries_per_user=16, slo_config=_config(),
-        telemetry_interval=0.25,
-        learn_queue_capacity=4, learn_drain_budget=0,
-        backpressure=False,
-    )
-    assert row["learn_queue_overflows"] > 0
-    assert row["live"]["alerts"] > 0
-    assert row["backpressure"] is None

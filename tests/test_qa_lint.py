@@ -44,7 +44,7 @@ def rule_ids(source: str, relpath: str = SIM_PATH, strict: bool = False):
 def test_profile_resolution_longest_prefix():
     assert profile_for("src/repro/netsim/sim.py") == SIM
     assert profile_for("src/repro/proxy/cache.py") == SIM
-    assert profile_for("src/repro/experiments/fleet.py") == SIM
+    assert profile_for("src/repro/experiments/scale.py") == SIM
     assert profile_for("src/repro/metrics/trace.py") == CORE
     assert profile_for("src/repro/cli.py") == CORE
     assert profile_for("benchmarks/test_perf.py") == BENCH
@@ -564,8 +564,9 @@ def test_src_tree_is_strict_clean():
     assert report.exit_code == 0, "src/ is no longer lint-clean:\n" + rendered
     # the tree exercises all three rule families' sinks, so a silently
     # inert linter would also show up here: the known, justified
-    # suppressions must have matched real findings
-    assert report.suppressed >= 3, rendered
+    # suppressions (parallel.py's two pool-initializer environ writes)
+    # must have matched real findings
+    assert report.suppressed >= 2, rendered
     assert report.files_scanned > 80, rendered
 
 
