@@ -8,17 +8,23 @@ signature matching operates on the string form produced by
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 _SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.~")
+#: one character outside ``_SAFE``
+_UNSAFE = re.compile(r"[^a-zA-Z0-9\-_.~]")
 
 
 def quote(text: str) -> str:
     """Percent-encode ``text`` for use in a query component."""
+    text = str(text)
+    if _UNSAFE.search(text) is None:
+        return text  # the common case: nothing to escape
     out = []
-    for ch in str(text):
+    for ch in text:
         if ch in _SAFE:
             out.append(ch)
         else:

@@ -312,7 +312,6 @@ class LiveTelemetry:
         self.windows = windows if windows is not None else LiveWindows()
         self.slo = slo
         self.interval_s = float(interval_s)
-        self.alerts: List[Dict[str, object]] = []
         self.ticks = 0
         #: the last virtual instant the plane observed serving work.
         #: End-of-run reads anchor here instead of the simulator's
@@ -327,6 +326,11 @@ class LiveTelemetry:
             self.slow_threshold_s = getattr(slo, "slow_threshold_s", None)
         self._prev: Dict[str, float] = {}
         self._prev_learn: Optional[Dict[str, object]] = None
+
+    @property
+    def alerts(self) -> List[Dict[str, object]]:
+        """Every alert the SLO engine fired, oldest first."""
+        return self.slo.alerts if self.slo is not None else []
 
     # -- per-request hook (the only hot-path touch) ---------------------
     def on_request(self, latency_s: float, now: float) -> None:
@@ -406,9 +410,7 @@ class LiveTelemetry:
         PERF.incr("telemetry.ticks")
         self._sample_deltas(now)
         if self.slo is not None:
-            new_alerts, _ = self.slo.evaluate(self.windows, now)
-            for alert in new_alerts:
-                self.alerts.append(alert)
+            for alert in self.slo.evaluate(self.windows, now):
                 PERF.incr("slo.alerts")
                 TRACER.append_record(_alert_record(alert))
 

@@ -15,6 +15,14 @@ and the Prometheus export live in the registry.  ``stage()``
 additionally feeds a ``stage_seconds{stage=...}`` histogram so the
 scale harness can report per-stage p50/p95/p99, not just totals.
 
+Instrumentation cost: ``stage()`` returns a fresh ``__slots__`` timer
+(a shared no-op when disabled) whose histogram series key was
+formatted once per stage name, so a timed block costs two clock reads,
+a ``timings`` add and a histogram observe; nesting the same stage
+records both blocks.  The simulator tallies ``sim.events`` and
+``sim.inline_starts`` itself and adds them here once per
+``Simulator.run`` call.
+
 Disabled (the default) the cost at a call site is one attribute load
 and a branch; the hottest loops guard with ``if PERF.enabled:`` so not
 even the call happens.  Enable around a measured region::
@@ -34,13 +42,57 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 from repro.metrics.catalog import STAGE_SECONDS
-from repro.metrics.registry import MetricRegistry
+from repro.metrics.registry import MetricRegistry, series_key
+
+_perf_counter = time.perf_counter
+
+
+class _StageTimer:
+    """One timed ``PERF.stage`` block; a fresh one per ``with``."""
+
+    __slots__ = ("perf", "name", "key", "started")
+
+    def __init__(self, perf: "PerfCounters", name: str, key: str) -> None:
+        self.perf = perf
+        self.name = name
+        self.key = key
+
+    def __enter__(self) -> None:
+        self.started = _perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        elapsed = _perf_counter() - self.started
+        perf = self.perf
+        name = self.name
+        timings = perf.timings
+        timings[name] = timings.get(name, 0.0) + elapsed
+        histogram = perf.registry.histograms.get(self.key)
+        if histogram is None:
+            # first block since a reset: the registry admits the series
+            perf.registry.observe(STAGE_SECONDS, elapsed, labels={"stage": name})
+        else:
+            histogram.observe(elapsed)
+
+
+class _NoStage:
+    """The stage block while counting is disabled: records nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+_NO_STAGE = _NoStage()
 
 
 class PerfCounters:
     """Named monotonic counters plus accumulated stage timings."""
 
-    __slots__ = ("enabled", "registry", "counters", "timings")
+    __slots__ = ("enabled", "registry", "counters", "timings", "_stage_keys")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -49,6 +101,8 @@ class PerfCounters:
         # reset() clears them in place so the aliases stay live
         self.counters: Dict[str, int] = self.registry.counters
         self.timings: Dict[str, float] = self.registry.timings
+        #: stage name -> its ``stage_seconds`` series key
+        self._stage_keys: Dict[str, str] = {}
 
     # -- lifecycle ------------------------------------------------------
     def enable(self) -> None:
@@ -106,19 +160,18 @@ class PerfCounters:
             else:
                 self.counters[name] = self.counters.get(name, 0) + value
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Accumulate wall-clock time under ``name`` while enabled."""
+    def stage(self, name: str):
+        """Accumulate wall-clock time under ``name`` while enabled.
+
+        Use as ``with PERF.stage("proxy.learn"):``; a block entered
+        while disabled records nothing.
+        """
         if not self.enabled:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
-            self.registry.observe(STAGE_SECONDS, elapsed, labels={"stage": name})
+            return _NO_STAGE
+        key = self._stage_keys.get(name)
+        if key is None:
+            key = self._stage_keys[name] = series_key(STAGE_SECONDS, {"stage": name})
+        return _StageTimer(self, name, key)
 
     # -- reading --------------------------------------------------------
     def get(self, name: str) -> int:

@@ -146,6 +146,7 @@ class MetricRegistry:
         "max_series_per_metric",
         "overflow_series",
         "_series_count",
+        "_keys",
     )
 
     def __init__(self, max_series_per_metric: int = 512) -> None:
@@ -159,13 +160,22 @@ class MetricRegistry:
         self.max_series_per_metric = max_series_per_metric
         self.overflow_series = 0
         self._series_count: Dict[str, int] = {}
+        #: (name, *label items) -> series key, for admitted series only
+        #: (bounded by the guard; cleared on reset)
+        self._keys: Dict[Tuple, str] = {}
 
     # -- keying ---------------------------------------------------------
     def _key(self, store: Dict[str, object], name: str, labels) -> str:
         if not labels:
             return name
+        # a live series' key is formatted once, not per recording
+        memo = (name,) + tuple(labels.items())
+        key = self._keys.get(memo)
+        if key is not None and key in store:
+            return key
         key = series_key(name, labels)
         if key in store:
+            self._keys[memo] = key
             return key
         if dict(labels).get("overflow") == "true":
             # the guard's own sink series: always admitted and never
@@ -177,6 +187,7 @@ class MetricRegistry:
             self.overflow_series += 1
             return series_key(name, {"overflow": "true"})
         self._series_count[name] = used + 1
+        self._keys[memo] = key
         return key
 
     # -- recording ------------------------------------------------------
@@ -227,6 +238,7 @@ class MetricRegistry:
         self.timings.clear()
         self.histograms.clear()
         self._series_count.clear()
+        self._keys.clear()
         self.overflow_series = 0
 
     def snapshot_histograms(self) -> Dict[str, Dict[str, object]]:

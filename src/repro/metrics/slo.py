@@ -143,7 +143,7 @@ class SloEngine:
             config.get("fast_window_s", self.window_s / 4.0)
         )
         #: per-objective open-incident flag (alert on transition only)
-        self._burning: Dict[str, bool] = {o.name: False for o in self.objectives}
+        self.burning: Dict[str, bool] = {o.name: False for o in self.objectives}
         self._last: Dict[str, Dict[str, object]] = {}
         self._alert_seq = 0
         self.alerts: List[Dict[str, object]] = []
@@ -158,11 +158,10 @@ class SloEngine:
 
     def evaluate(
         self, windows: LiveWindows, now: float
-    ) -> Tuple[List[Dict[str, object]], Dict[str, bool]]:
-        """One pass: returns (newly fired alerts, kind -> burning map)."""
+    ) -> List[Dict[str, object]]:
+        """One pass: returns the newly fired alerts."""
         PERF.incr("slo.evaluations")
         new_alerts: List[Dict[str, object]] = []
-        burning_by_kind: Dict[str, bool] = {}
         for objective in self.objectives:
             slow, bad, total = objective.burn(windows, now, None)
             fast, fast_bad, fast_total = objective.burn(
@@ -180,16 +179,13 @@ class SloEngine:
                 "burning": burning,
                 "sim_now": now,
             }
-            burning_by_kind[objective.kind] = (
-                burning_by_kind.get(objective.kind, False) or burning
-            )
-            if burning and not self._burning[objective.name]:
+            if burning and not self.burning[objective.name]:
                 self._alert_seq += 1
                 alert = dict(self._last[objective.name], seq=self._alert_seq)
                 self.alerts.append(alert)
                 new_alerts.append(alert)
-            self._burning[objective.name] = burning
-        return new_alerts, burning_by_kind
+            self.burning[objective.name] = burning
+        return new_alerts
 
     # -- verdicts -------------------------------------------------------
     def status(

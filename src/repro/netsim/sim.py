@@ -23,6 +23,11 @@ frames nest inside the parent's (``perfbench/tests/test_ledger.py``
 times such inline children and reads ``sim.inline_starts``).
 ``tests/test_netsim_sim.py`` pins the order with golden traces of
 spawn chains, ties in time, failures, timeouts and interrupts.
+
+``sim.events`` and ``sim.inline_starts`` are tallied on the simulator
+and added to :data:`~repro.metrics.perf.PERF` once, when
+:meth:`Simulator.run` returns or raises, not per event; nothing reads
+them mid-run.
 """
 
 from __future__ import annotations
@@ -164,6 +169,8 @@ class Simulator:
         self._sequence = 0
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._inline_depth = 0
+        #: inline starts not yet added to ``sim.inline_starts``
+        self._inline_starts = 0
 
     @property
     def now(self) -> float:
@@ -193,9 +200,7 @@ class Simulator:
         ):
             return
         heapq.heappop(queue)
-        if PERF.enabled:
-            PERF.incr("sim.events")
-            PERF.incr("sim.inline_starts")
+        self._inline_starts += 1
         self._inline_depth += 1
         try:
             process._start()
@@ -209,20 +214,33 @@ class Simulator:
         return Timeout(self, seconds)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queue (optionally stopping at time ``until``)."""
+        """Drain the event queue (optionally stopping at time ``until``).
+
+        Events are tallied in a local count; the tally and the inline
+        starts since the last return go into ``sim.events`` and
+        ``sim.inline_starts`` once, when this call returns or raises.
+        """
         queue = self._queue
-        perf = PERF
-        while queue:
-            when = queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            _, _, callback, args = heapq.heappop(queue)
-            self._now = when
-            if perf.enabled:
-                perf.incr("sim.events")
-            callback(*args)
-        return self._now
+        heappop = heapq.heappop
+        events = 0
+        try:
+            while queue:
+                when = queue[0][0]
+                if until is not None and when > until:
+                    self._now = until
+                    return self._now
+                _, _, callback, args = heappop(queue)
+                self._now = when
+                events += 1
+                callback(*args)
+            return self._now
+        finally:
+            inline = self._inline_starts
+            self._inline_starts = 0
+            if PERF.enabled and (events or inline):
+                PERF.incr("sim.events", events + inline)
+                if inline:
+                    PERF.incr("sim.inline_starts", inline)
 
     def run_process(self, generator: Generator) -> Any:
         """Spawn ``generator``, run to completion, return its value."""

@@ -294,6 +294,9 @@ class PrefetchCache:
         """
         if PERF.enabled:
             PERF.incr("cache.lookups")
+        if user not in self._shards:
+            # the user holds no entries: no request digest to compute
+            return None, "miss_absent"
         exact = request.exact_key()
         entry = self._lookup(user, exact)
         if entry is None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.model import DepAtom
+
 #: identity of one concrete item of a signature: the sorted tuple of
 #: its dependency-derived field values
 ItemKey = Tuple[Tuple[str, str], ...]
@@ -71,23 +73,26 @@ def item_key_for_instance(instance) -> ItemKey:
 
 
 def item_key_for_request(signature, request) -> ItemKey:
-    """Extract the dep-derived field values from an actual request."""
+    """Extract the dep-derived field values from an actual request.
+
+    Walks the signature's build plan, which already records which
+    fields carry a dependency atom (``has_dep``) and their path strings.
+    """
+    plan = signature.build_plan
     values = []
-    for path, template in signature.signature.request.fields.items():
-        if not template.dep_atoms():
+    for row in plan.rows:
+        if not row.has_dep:
             continue
-        extracted = path.extract(request)
+        extracted = row.path.extract(request)
         if extracted:
-            values.append((path.to_string(), str(extracted[0])))
+            values.append((row.path_string, str(extracted[0])))
     # dependencies embedded in the URI count too
-    if signature.signature.request.uri.dep_atoms():
+    if plan.uri.has_dep:
         captures = signature.uri_matcher.match(
             request.uri.origin() + request.uri.path
         )
         if captures:
             for atom, value in captures:
-                from repro.analysis.model import DepAtom
-
                 if isinstance(atom, DepAtom):
                     values.append(("uri", value))
     return tuple(sorted(values))

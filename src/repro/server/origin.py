@@ -17,6 +17,7 @@ from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import Endpoint
+from repro.server.content import stable_id
 
 #: route handler: (server, request, user) -> Response
 Handler = Callable[["OriginServer", Request, str], Response]
@@ -78,6 +79,9 @@ class OriginServer(Endpoint):
         self.hanging_routes: set = set()
         #: seconds after which rotating content (feeds) changes
         self.rotation_period: float = 3600.0
+        #: user -> the ``bsid`` Set-Cookie value, a pure function of
+        #: origin and user
+        self._session_cookies: Dict[str, str] = {}
 
     # -- route registration ------------------------------------------------
     def route(
@@ -145,12 +149,12 @@ class OriginServer(Endpoint):
             # session ids are stable per (origin, user): re-issuing on a
             # cookie-less request (e.g. an image fetch) must not rotate
             # the session the client already holds
-            from repro.server.content import stable_id
-
-            response.headers.add(
-                "Set-Cookie",
-                "bsid={}-{}".format(user, stable_id(self.origin, "session", user)),
-            )
+            cookie = self._session_cookies.get(user)
+            if cookie is None:
+                cookie = self._session_cookies[user] = "bsid={}-{}".format(
+                    user, stable_id(self.origin, "session", user)
+                )
+            response.headers.add("Set-Cookie", cookie)
 
     @staticmethod
     def json(payload, headers: Optional[Headers] = None, status: int = 200) -> Response:

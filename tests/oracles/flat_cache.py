@@ -5,6 +5,12 @@ files expiries on a timer wheel.  :class:`FlatPrefetchCache` keeps the
 seed's single dict with a full-table purge and per-user scans instead;
 unbounded, the two must agree on every observable result.  It takes no
 LRU bounds: the flat table has no per-user order to evict by.
+
+``PrefetchCache.lookup`` answers ``miss_absent`` without digesting the
+request when the user has no shard.  The flat table keeps no shards,
+so it claims every user (:class:`_EveryUser`) and its lookups always
+digest and probe the table: the shortcut is checked against the seed's
+full lookup, not taken by both sides.
 """
 
 from __future__ import annotations
@@ -16,12 +22,20 @@ from repro.metrics.perf import PERF
 from repro.proxy.cache import CacheEntry, PrefetchCache
 
 
+class _EveryUser(dict):
+    """A shard index that holds every user, so no lookup short-cuts."""
+
+    def __contains__(self, user: object) -> bool:
+        return True
+
+
 class FlatPrefetchCache(PrefetchCache):
     """Drop-in :class:`PrefetchCache` over one flat table."""
 
     def __init__(self) -> None:
         super().__init__()
         self._entries: Dict[Tuple[str, str], CacheEntry] = {}
+        self._shards = _EveryUser()
 
     def put(
         self,

@@ -35,6 +35,14 @@ def test_run_scale_reports_consistent_metrics():
     assert row["cache_stored"] > 0
 
 
+def test_per_request_stages_time_every_request():
+    row = run_scale(users=10, duration=4.0, seed=3, rate_per_user=0.5)
+    stages = row["stage_latency_us"]
+    for stage in ("proxy.dispatch", "proxy.cache_lookup", "proxy.learn"):
+        assert stages[stage]["count"] == row["requests"], stage
+    assert stages["proxy.learn_drain"]["count"] > 0
+
+
 def test_run_scale_is_deterministic_in_virtual_metrics():
     first = run_scale(users=8, duration=3.0, seed=11)
     second = run_scale(users=8, duration=3.0, seed=11)

@@ -93,3 +93,37 @@ def test_quote_safe_characters_untouched():
 
 def test_unquote_tolerates_stray_percent():
     assert unquote("100%") == "100%"
+
+
+# -- quote against the seed's character walk --------------------------------
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - hypothesis ships with the image
+    HAVE_HYPOTHESIS = False
+
+from tests.oracles.template_walk import seed_quote
+
+
+@pytest.mark.parametrize(
+    "text", ["", "abc-_.~XYZ09", "a b", "café", "x=1&y", "%41", 12345, -7]
+)
+def test_quote_matches_seed_walk(text):
+    assert quote(text) == seed_quote(text)
+
+
+def test_quote_returns_a_plain_str():
+    class Tagged(str):
+        pass
+
+    quoted = quote(Tagged("abc"))
+    assert type(quoted) is str and quoted == "abc"
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.one_of(st.text(), st.integers()))
+    def test_quote_matches_seed_walk_on_arbitrary_input(text):
+        assert quote(text) == seed_quote(text)

@@ -147,20 +147,20 @@ def test_alert_fires_once_per_incident_and_rearms():
 
     # burning in both fast and slow windows -> one alert
     feed(0.5, 100, 10)
-    new, burning = engine.evaluate(windows, 0.5)
-    assert len(new) == 1 and burning["overflow"] is True
+    new = engine.evaluate(windows, 0.5)
+    assert len(new) == 1 and engine.burning["overflow_rate"] is True
     assert new[0]["objective"] == "overflow_rate"
     # still burning -> no re-page
     feed(1.0, 100, 10)
-    new, _ = engine.evaluate(windows, 1.0)
+    new = engine.evaluate(windows, 1.0)
     assert new == []
     # incident clears (overflow slides out of the fast window)
     feed(6.0, 100, 0)
-    new, burning = engine.evaluate(windows, 6.0)
-    assert new == [] and burning["overflow"] is False
+    new = engine.evaluate(windows, 6.0)
+    assert new == [] and engine.burning["overflow_rate"] is False
     # second incident -> a second alert with a fresh sequence number
     feed(6.5, 100, 50)
-    new, _ = engine.evaluate(windows, 6.5)
+    new = engine.evaluate(windows, 6.5)
     assert len(new) == 1
     assert new[0]["seq"] == 2
     assert engine.report(windows, 6.5)["alerts"] == 2
@@ -174,7 +174,7 @@ def test_fast_window_alone_does_not_fire():
     windows.inc(catalog.W_ANSWERED, 0.25, 1000)
     windows.inc(catalog.W_ANSWERED, 3.75, 100)
     windows.inc(catalog.W_OVERFLOW, 3.75, 3)
-    new, _ = engine.evaluate(windows, 3.75)
+    new = engine.evaluate(windows, 3.75)
     # fast window: 3/100 over budget 0.01 -> 3.0 >= fast_burn
     # slow window: 3/1100 -> 0.27 < slow_burn -> no alert
     assert new == []

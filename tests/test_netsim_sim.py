@@ -342,3 +342,68 @@ def test_slots_reject_stray_attributes():
 
     with pytest.raises(AttributeError):
         Process(sim, noop()).stray = 1
+
+
+# -- the event tally ------------------------------------------------------
+def _spawn_chain(sim):
+    """Five awaited children, each followed by a half-second sleep."""
+
+    def child():
+        yield Delay(0.0)
+        return 1
+
+    def parent():
+        total = 0
+        for _ in range(5):
+            total += yield sim.spawn(child())
+            yield Delay(0.5)
+        return total
+
+    sim.spawn(parent())
+
+
+def _tally(drive):
+    sim = Simulator()
+    _spawn_chain(sim)
+    with PERF.capture():
+        drive(sim)
+        return PERF.get("sim.events"), PERF.get("sim.inline_starts")
+
+
+def test_event_tally_is_the_same_whole_or_in_slices():
+    whole = _tally(lambda sim: sim.run())
+
+    def sliced(sim):
+        for index in range(1, 13):
+            sim.run(until=0.25 * index)
+        sim.run()
+
+    assert _tally(sliced) == whole
+    # per child: its inline start, its resume, the parent's resume and
+    # the parent's sleep; plus the parent's own start
+    assert whole == (21, 5)
+
+
+def test_event_tally_is_kept_when_a_callback_raises():
+    def boom():
+        raise RuntimeError("boom")
+
+    def ends_raising(sim):
+        sim.schedule(10.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+
+    def ends_quietly(sim):
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+
+    assert _tally(ends_raising) == _tally(ends_quietly) == (22, 5)
+
+
+def test_event_tally_is_not_recorded_while_disabled():
+    sim = Simulator()
+    _spawn_chain(sim)
+    PERF.reset()
+    sim.run()
+    assert PERF.get("sim.events") == 0
+    assert PERF.get("sim.inline_starts") == 0

@@ -201,3 +201,55 @@ def test_unbounded_indexed_cache_skips_lru_tracking():
     cache.get("u1", request(), 1.0)
     assert cache._lru == {}
     assert cache.lru_evictions == 0
+
+
+# -- lookups for users without entries -----------------------------------------
+class _CountingRequest(Request):
+    """A request that counts how often its exact key is computed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.exact_key_calls = 0
+
+    def exact_key(self):
+        self.exact_key_calls += 1
+        return super().exact_key()
+
+
+def counting_request(cid="1"):
+    return _CountingRequest("GET", Uri.parse("https://a.com/x?cid={}".format(cid)))
+
+
+def test_lookup_for_a_user_with_no_entries_computes_no_key():
+    cache = PrefetchCache()
+    cache.put("u1", request(), response(), "s#0", now=0.0, ttl=5.0)
+    probe = counting_request()
+    assert cache.lookup("u2", probe, now=1.0) == (None, "miss_absent")
+    assert probe.exact_key_calls == 0
+
+
+def test_lookup_after_the_last_entry_was_evicted_computes_no_key():
+    cache = PrefetchCache(max_entries_total=1)
+    cache.put("u1", request("1"), response(), "s#0", now=0.0, ttl=50.0)
+    # u2's store pushes u1's only entry out of the global budget
+    cache.put("u2", request("2"), response(), "s#0", now=1.0, ttl=50.0)
+    assert cache.lru_evictions == 1
+    probe = counting_request("1")
+    assert cache.lookup("u1", probe, now=2.0) == (None, "miss_absent")
+    assert probe.exact_key_calls == 0
+    # a user holding entries still digests the request
+    held = counting_request("2")
+    entry, outcome = cache.lookup("u2", held, now=2.0)
+    assert outcome == "hit" and held.exact_key_calls == 1
+
+
+def test_flat_oracle_always_digests_and_agrees():
+    sharded, flat = PrefetchCache(), FlatPrefetchCache()
+    for cache in (sharded, flat):
+        cache.put("u1", request(), response(), "s#0", now=0.0, ttl=5.0)
+    for user in ("u1", "u2"):
+        probes = counting_request(), counting_request()
+        assert sharded.lookup(user, probes[0], now=1.0)[1] == flat.lookup(
+            user, probes[1], now=1.0
+        )[1]
+        assert probes[1].exact_key_calls == 1

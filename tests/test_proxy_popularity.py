@@ -123,3 +123,33 @@ def test_popularity_recorded_from_client_traffic(analysis):
     proxy = browse_session(analysis, top_k=None)
     detail_site = next(s.site for s in analysis.signatures if "postDetail" in s.site)
     assert proxy.prefetcher.popularity.distinct_items(detail_site) >= 1
+
+
+# -- plan-driven item keys against the seed's template walk ----------------------
+def test_plan_driven_item_key_matches_seed_walk_on_recorded_sessions():
+    from repro.analysis.pipeline import AnalysisOptions
+    from repro.apps import all_apps
+    from repro.apps.registry import get_app
+    from repro.experiments.scale import record_session_transactions
+    from repro.proxy.instances import SignatureMatcher, build_runtime_signatures
+    from repro.proxy.popularity import item_key_for_request
+    from tests.oracles.template_walk import seed_item_key_for_request
+
+    checked = keyed = 0
+    for name in all_apps():
+        spec = get_app(name)
+        analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
+        matcher = SignatureMatcher(build_runtime_signatures(analysis))
+        for transaction in record_session_transactions(name):
+            request = transaction.request
+            signature = matcher.match(request)
+            if signature is None:
+                continue
+            key = item_key_for_request(signature, request)
+            assert key == seed_item_key_for_request(signature, request), (
+                name,
+                signature.site,
+            )
+            checked += 1
+            keyed += bool(key)
+    assert checked and keyed
