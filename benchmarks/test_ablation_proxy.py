@@ -26,10 +26,11 @@ def run_trace_scenario(static_only=False, priority=True, max_concurrent=2,
         max_chain_depth=1,
     )
     if static_only:
-        scenario.proxy.learner = DynamicLearner(
-            prepared.analysis, static_only=True, max_depth=1
-        )
-        scenario.proxy.prefetcher.learner = scenario.proxy.learner
+        learner = DynamicLearner(prepared.analysis, static_only=True)
+        # the configured depth bound and policy flags, decided at spawn
+        learner.spawn_gate = scenario.proxy.prefetcher.spawn_gate
+        scenario.proxy.learner = learner
+        scenario.proxy.prefetcher.learner = learner
     scenario.proxy.prefetcher.priority_enabled = priority
     scenario.proxy.prefetcher.max_concurrent = max_concurrent
     traces = generate_user_study(prepared.apk, participants=participants, seed=23)

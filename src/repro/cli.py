@@ -208,7 +208,6 @@ def _command_scale(args) -> int:
         adaptive_budget=args.adaptive_budget,
         admission_threshold=args.admission_threshold,
         estimate_expiration=args.estimate_expiration,
-        learn_mode=args.learn_mode,
     )
     if args.compare_strategies:
         comparison = run_strategy_comparison(
@@ -237,8 +236,6 @@ def _command_scale(args) -> int:
         trace_seed=args.trace_seed,
         strategy=args.strategy,
         warm_start=args.warm_start,
-        learn_queue_capacity=args.learn_queue_capacity,
-        learn_drain_budget=args.learn_drain_budget,
         telemetry=args.telemetry,
         slo_config=slo_config,
         **policy_kwargs,
@@ -702,13 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
              "print the comparison table (uses the largest --users value)",
     )
     scale.add_argument(
-        "--learn-mode", choices=["inline", "deferred"], default="deferred",
-        help="deferred: request path only matches + enqueues, the learn "
-             "pipeline runs in a budgeted drain off the critical path; "
-             "inline: learn on observe (differential oracle; the seed "
-             "behavior) (default: deferred)",
-    )
-    scale.add_argument(
         "--max-entries-total", type=int, default=None,
         help="global cache entry budget shared across all users",
     )
@@ -753,14 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm-start", action="store_true",
         help="start every session past its first request so dependency "
              "prefetching is armed from t=0",
-    )
-    scale.add_argument(
-        "--learn-queue-capacity", type=int, default=None, metavar="N",
-        help="bound the deferred learn queue (overflow drops + counter)",
-    )
-    scale.add_argument(
-        "--learn-drain-budget", type=int, default=None, metavar="N",
-        help="max learn observations drained per request pump",
     )
     scale.add_argument(
         "--telemetry", action="store_true",

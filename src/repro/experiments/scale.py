@@ -70,7 +70,6 @@ from repro.netsim.transport import DirectTransport, OriginMap
 from repro.proxy.cache import PrefetchCache
 from repro.proxy.expiration import ExpirationEstimator
 from repro.proxy.history import HistoryPrefetcher
-from repro.proxy.learning import LEARN_MODES
 from repro.proxy.multiapp import MultiAppProxy, MultiAppTransport
 from repro.proxy.proxy import AccelerationProxy
 from repro.server.content import Catalog
@@ -80,6 +79,8 @@ DEFAULT_RATE_PER_USER = 0.5  # requests / user / virtual second
 PURGE_INTERVAL = 5.0  # virtual seconds between expiry sweeps
 SAMPLE_INTERVAL = 1.0  # virtual seconds between cache-size samples
 STRATEGIES = ("appx", "history", "none")
+ACCESS_RTT = 0.055  # client <-> proxy round trip (seconds)
+TRACE_CAPACITY = 65_536  # trace ring size when tracing is armed
 
 
 def record_session_transactions(
@@ -96,7 +97,7 @@ def record_session_transactions(
     apk = spec.build_apk()
     sim = Simulator()
     origins, _ = spec.build_origin_map(sim, Catalog(catalog_seed))
-    transport = DirectTransport(sim, Link(rtt=0.055, shared=True), origins)
+    transport = DirectTransport(sim, Link(rtt=ACCESS_RTT, shared=True), origins)
     runtime = AppRuntime(apk, transport, sim, spec.default_profile("template-user"))
 
     def flow() -> Generator:
@@ -212,30 +213,19 @@ class _ScaleDeployment:
         apps: Sequence[str],
         catalog_seed: int = 7,
         max_entries_per_user: Optional[int] = None,
-        max_bytes: Optional[int] = None,
         max_entries_total: Optional[int] = None,
         adaptive_budget: bool = False,
         admission_threshold: Optional[float] = None,
         strategy: str = "appx",
-        learn_mode: str = "deferred",
-        learn_queue_capacity: Optional[int] = None,
-        learn_drain_budget: Optional[int] = None,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
                 "strategy must be one of {}, got {!r}".format(STRATEGIES, strategy)
             )
-        if learn_mode not in LEARN_MODES:
-            raise ValueError(
-                "learn_mode must be one of {}, got {!r}".format(
-                    LEARN_MODES, learn_mode
-                )
-            )
         self.sim = Simulator()
         self.origins = OriginMap()
         self.multi = MultiAppProxy(self.sim, self.origins)
         self.strategy = strategy
-        self.learn_mode = learn_mode
         #: the admission override as built (None: the proxy default); a
         #: reused deployment's row reports it, and its caches' bounds
         self.admission_threshold = admission_threshold
@@ -257,21 +247,12 @@ class _ScaleDeployment:
             analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
             cache = PrefetchCache(
                 max_entries_per_user=max_entries_per_user,
-                max_bytes=max_bytes,
                 max_entries_total=max_entries_total,
                 adaptive=adaptive_budget,
             )
-            proxy = AccelerationProxy(
-                self.sim, app_origins, analysis, cache=cache, learn_mode=learn_mode
-            )
+            proxy = AccelerationProxy(self.sim, app_origins, analysis, cache=cache)
             if admission_threshold is not None:
                 proxy.config.admission_threshold = admission_threshold
-            # deferred-learn knobs: a forced-small queue capacity is the
-            # overflow-burst scenario the SLO tests drive
-            if learn_queue_capacity is not None:
-                proxy.learner.learn_queue_capacity = learn_queue_capacity
-            if learn_drain_budget is not None:
-                proxy.learner.learn_drain_budget = learn_drain_budget
             if strategy != "appx":
                 # non-appx strategies serve the identical workload with
                 # signature-driven prefetching off; cache lookups still
@@ -343,12 +324,9 @@ def run_scale(
     rate_per_user: float = DEFAULT_RATE_PER_USER,
     seed: int = 0,
     max_entries_per_user: Optional[int] = None,
-    max_bytes: Optional[int] = None,
-    access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
     trace_seed: int = 0,
-    trace_capacity: int = 65_536,
     strategy: str = "appx",
     max_entries_total: Optional[int] = None,
     adaptive_budget: bool = False,
@@ -356,9 +334,6 @@ def run_scale(
     estimate_expiration: bool = False,
     warm_start: bool = False,
     collect_latencies: bool = False,
-    learn_mode: str = "deferred",
-    learn_queue_capacity: Optional[int] = None,
-    learn_drain_budget: Optional[int] = None,
     telemetry: bool = False,
     telemetry_interval: float = 0.5,
     slo_config: Optional[Dict[str, object]] = None,
@@ -378,15 +353,15 @@ def run_scale(
     Request-lifecycle tracing is armed when ``trace_path`` or
     ``trace_sample`` is given: the global tracer samples
     ``trace_sample`` of requests (default 1.0) into a ring of
-    ``trace_capacity`` records, feeds per-stage span histograms into
+    :data:`TRACE_CAPACITY` records, feeds per-stage span histograms into
     the PERF registry, and — when ``trace_path`` is set — exports the
     buffered records as JSONL after the run.  Left off (the default),
     the serving core pays only the one-branch disabled check.
 
     ``_deployment`` reuses an already-built :class:`_ScaleDeployment`
-    (it must have been built with the same apps, strategy and learn
-    mode; the row reports its cache and admission settings, and those
-    arguments here go unused); and ``collect_latencies`` attaches the
+    (it must have been built with the same apps and strategy; the row
+    reports its cache and admission settings, and those arguments here
+    go unused); and ``collect_latencies`` attaches the
     raw per-request virtual latencies to the row under
     ``"latencies_s"`` so a caller serving several seeds can compute
     exact aggregate percentiles across them.
@@ -413,24 +388,14 @@ def run_scale(
                 deployment.strategy, strategy
             )
         )
-    if deployment is not None and deployment.learn_mode != learn_mode:
-        raise ValueError(
-            "reused deployment was built for learn_mode {!r}, not {!r}".format(
-                deployment.learn_mode, learn_mode
-            )
-        )
     if deployment is None:
         deployment = _ScaleDeployment(
             apps,
             max_entries_per_user=max_entries_per_user,
-            max_bytes=max_bytes,
             max_entries_total=max_entries_total,
             adaptive_budget=adaptive_budget,
             admission_threshold=admission_threshold,
             strategy=strategy,
-            learn_mode=learn_mode,
-            learn_queue_capacity=learn_queue_capacity,
-            learn_drain_budget=learn_drain_budget,
         )
     sim = deployment.sim
     multi = deployment.multi
@@ -484,7 +449,7 @@ def run_scale(
         if transport is None:
             transport = MultiAppTransport(
                 sim,
-                Link(rtt=access_rtt, shared=True, name="access-u{}".format(user_index)),
+                Link(rtt=ACCESS_RTT, shared=True, name="access-u{}".format(user_index)),
                 multi,
             )
             transports[user_index] = transport
@@ -563,10 +528,6 @@ def run_scale(
         while sim.now < duration:
             yield Delay(PURGE_INTERVAL)
             multi.purge_expired(sim.now)
-            # drain any deferred-learn backlog a burst left behind
-            # (the per-request pump keeps the queue ~empty normally)
-            for _, proxy in multi._apps:
-                proxy.pump_learning()
         return None
 
     def sampler() -> Generator:
@@ -592,7 +553,7 @@ def run_scale(
     if tracing:
         TRACER.configure(
             sample_rate=1.0 if trace_sample is None else trace_sample,
-            capacity=trace_capacity,
+            capacity=TRACE_CAPACITY,
             seed=trace_seed,
             registry=PERF.registry,
             sim_clock=lambda: sim.now,
@@ -700,12 +661,10 @@ def run_scale(
         "cache_wheel_purged": sum(c.wheel_purged for c in caches),
         "peak_rss_bytes": rss_peak_bytes(),
         "max_entries_per_user": caches[0].max_entries_per_user,
-        "max_bytes": caches[0].max_bytes,
         "max_entries_total": caches[0].max_entries_total,
         "adaptive_budget": caches[0].adaptive,
         "admission_threshold": deployment.admission_threshold,
         "strategy": strategy,
-        "learn_mode": learn_mode,
         "learn_queue_overflows": sum(
             proxy.learner.queue_overflows for _, proxy in multi._apps
         ),

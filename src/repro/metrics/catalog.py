@@ -157,9 +157,9 @@ COUNTERS: Dict[str, str] = {
     "expiration.probes": "§4.3 expiration-estimator probe fetches",
     "expiration.disabled": "signatures disabled by probe errors",
     "history.issued": "prefetches issued by the PALOMA-style baseline",
-    "learn.deferred_drained": "observations processed by the deferred learn drain",
-    "learn.queue_depth_peak": "high-water mark of the deferred learn queue",
-    "learn.queue_overflow": "observations dropped by a full deferred learn queue",
+    "learn.deferred_drained": "observations processed by the learn-queue drain",
+    "learn.queue_depth_peak": "high-water mark of the learn queue",
+    "learn.queue_overflow": "observations dropped by a full learn queue",
     "learner.enqueued": "pending successor instances enqueued",
     "learner.spawn_skipped": "successor groups refused at spawn (site disabled or chain too deep)",
     "learner.wake_retries": "pending-instance wake-index retries",
@@ -193,7 +193,7 @@ COUNTER_PREFIXES: Dict[str, Tuple[str, ...]] = {
 # ======================================================================
 #: sliding-window histogram of served request latency (seconds)
 W_REQUEST = "proxy.request"
-#: sliding-window histogram of deferred learn-drain wall seconds
+#: sliding-window histogram of ``proxy.learn`` (match + enqueue) wall seconds
 W_LEARN = "proxy.learn"
 #: requests answered (hit + forwarded), sampled per telemetry tick
 W_ANSWERED = "proxy.answered"
@@ -201,7 +201,7 @@ W_ANSWERED = "proxy.answered"
 W_REQUEST_SLOW = "proxy.request_slow"
 #: requests served from a prefetched entry
 W_HITS = "cache.hits"
-#: observations dropped by a full deferred learn queue
+#: observations dropped by a full learn queue
 W_OVERFLOW = "learn.queue_overflow"
 #: prefetched entries that left the cache unserved
 W_WASTED = "prefetch.wasted"

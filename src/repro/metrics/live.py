@@ -374,9 +374,9 @@ class LiveTelemetry:
         if deltas["wasted"]:
             self.windows.inc(catalog.W_WASTED, now, deltas["wasted"])
         # fold the per-tick delta of the registry's learn-stage
-        # histogram into the learn window: the deferred drain already
-        # observes every batch there, so the live plane costs the
-        # serving path nothing extra
+        # histogram into the learn window: PERF.stage already observes
+        # every request's match + enqueue there, so the live plane
+        # costs the serving path nothing extra
         histogram = PERF.registry.histogram(
             catalog.STAGE_SECONDS, {"stage": "proxy.learn"}
         )

@@ -13,7 +13,7 @@ each reduced to one **error-budget ratio** over the live windows of
     ``floor``: the windowed miss ratio (answered − hits) / answered
     must stay under ``1 - floor``.
 ``overflow``
-    ``budget_ratio``: deferred-learn queue drops per answered request
+    ``budget_ratio``: learn-queue drops per answered request
     must stay under ``budget_ratio``.
 
 Evaluation uses the SRE-workbook **multiwindow, multi-burn-rate**

@@ -46,24 +46,24 @@ so a prefetch built *after* a session cookie was issued matches the
 client's next request even though no client request carried the new
 cookie yet.
 
-Deferred learn pipeline
------------------------
-Stage timings showed run-time value learning + successor instantiation
-dominating the request path (``proxy.learn`` p99 ≈ 4,900µs against
-~30µs dispatch).  In ``learn_mode="deferred"`` (the default through
-:class:`~repro.proxy.proxy.AccelerationProxy`), :meth:`observe` on the
-request path does only the already-indexed signature match plus an O(1)
-enqueue into a bounded learn queue; the full pipeline — value
-learning, cookie tracking, successor spawning, the pending-instance
-drain — runs inside :meth:`drain_learn_queue`, a *budgeted* drain
-pumped by the proxy after the response is determined, by the
-prefetcher after each background fetch, and by the refresher/scale
-sweeper loops.  A full queue drops the observation (counted under
-``learn.queue_overflow``) rather than ever blocking the request path.
-``learn_mode="inline"`` retains the seed's learn-on-observe behavior
-as the differential oracle: ``tests/test_learning_deferred.py``
-asserts both modes produce the same ready-prefetch set once the queue
-is drained.
+Learn queue
+-----------
+:meth:`observe` does the signature match and parks the observation in
+a bounded learn queue; the full pipeline — value learning, cookie
+tracking, successor spawning, the pending-instance drain — runs inside
+:meth:`drain_learn_queue`.  Every caller drains before it yields: the
+proxy before :meth:`~repro.proxy.proxy.AccelerationProxy.handle_request`
+returns its response, the prefetcher after each background fetch, the
+refresher after each refresh — all at the sim instant of the
+observation.  So the queue holds at most the one observation just
+parked (measured depth 1 across every benchmark workload) and the
+drain runs on the response path.  What the split buys is a
+``proxy.learn`` stage that times only match + enqueue, with the learn
+work timed apart as ``proxy.learn_drain``.  A full queue drops the
+observation (counted under ``learn.queue_overflow``) rather than ever
+blocking; :attr:`DynamicLearner.learn_queue_capacity` is a safety bound
+that no workload reaches.  The seed's learn-on-observe pipeline is the
+differential oracle in ``tests/oracles/inline_learner.py``.
 """
 
 from __future__ import annotations
@@ -87,18 +87,12 @@ from repro.proxy.instances import (
 
 MAX_PENDING = 10_000
 
-#: legal values of :attr:`DynamicLearner.learn_mode`
-LEARN_MODES = ("inline", "deferred")
-
-#: default bound of the deferred learn queue (observations, not bytes)
+#: default bound of the learn queue (observations, not bytes)
 DEFAULT_LEARN_QUEUE_CAPACITY = 4096
-
-#: default observations processed per :meth:`drain_learn_queue` pump
-DEFAULT_LEARN_DRAIN_BUDGET = 32
 
 
 class _QueuedObservation:
-    """One request-path observation parked for the deferred drain."""
+    """One observation parked for :meth:`DynamicLearner.drain_learn_queue`."""
 
     __slots__ = ("signature", "transaction", "user", "depth")
 
@@ -132,18 +126,9 @@ class DynamicLearner:
         self,
         analysis: AnalysisResult,
         store: Optional[ValueStore] = None,
-        max_depth: Optional[int] = None,
         static_only: bool = False,
-        learn_mode: str = "inline",
         learn_queue_capacity: int = DEFAULT_LEARN_QUEUE_CAPACITY,
-        learn_drain_budget: Optional[int] = DEFAULT_LEARN_DRAIN_BUDGET,
     ) -> None:
-        if learn_mode not in LEARN_MODES:
-            raise ValueError(
-                "learn_mode must be one of {}, got {!r}".format(
-                    LEARN_MODES, learn_mode
-                )
-            )
         self.analysis = analysis
         self.signatures = build_runtime_signatures(analysis)
         # Fig. 6 step 1: only signatures participating in a dependency
@@ -156,22 +141,14 @@ class DynamicLearner:
         #: via :meth:`_index_signatures`
         self._by_site: Dict[str, RuntimeSignature] = {}
         self._index_signatures()
-        #: ``"inline"`` learns on :meth:`observe` (the seed behavior,
-        #: kept as the differential oracle); ``"deferred"`` parks the
-        #: observation in the learn queue for :meth:`drain_learn_queue`
-        self.learn_mode = learn_mode
+        #: safety bound of the learn queue; a full queue drops the
+        #: observation and counts it in :attr:`queue_overflows`
         self.learn_queue_capacity = learn_queue_capacity
-        #: observations processed per drain pump (None = drain all)
-        self.learn_drain_budget = learn_drain_budget
         self._learn_queue: Deque[_QueuedObservation] = deque()
         self.queue_overflows = 0
         self.deferred_enqueued = 0
         self.deferred_drained = 0
         self.store = store if store is not None else ValueStore()
-        #: chain-depth bound of a standalone learner; instances beyond
-        #: it are never spawned.  A proxy's learner leaves it None and
-        #: gets the live configured bound through :attr:`spawn_gate`
-        self.max_depth = max_depth
         #: ``gate(site, depth) -> bool``, consulted once per successor
         #: group before any instance of it is created; a proxy installs
         #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_gate` (None:
@@ -224,46 +201,39 @@ class DynamicLearner:
         user: str,
         depth: int = 0,
         trace: Optional[TraceContext] = None,
-    ) -> List[ReadyPrefetch]:
-        """Feed one observed transaction through Fig. 6's workflow.
+    ) -> None:
+        """Match one observed transaction and park it for the drain.
 
         ``depth`` is the prefetch-chain depth of the transaction (0 for
         client traffic); instances it spawns get ``depth + 1``.
-        ``trace`` (optional) collects a ``learn`` span around run-time
-        value learning and an ``instantiate`` span around successor
-        spawning + the pending-instance drain.
-        Returns newly completed prefetch requests.
+        ``trace`` (optional) collects a ``learn`` span around the
+        enqueue.  The caller runs :meth:`drain_learn_queue` to learn
+        from it and collect the completed prefetch requests.
         """
         self.observed_count += 1
         signature = self.matcher.match(transaction.request)
-        if self.learn_mode == "deferred":
-            # request path ends here: O(1) enqueue, never blocks.  The
-            # matched signature rides along so the drain skips a second
-            # (memoized, but still non-free) dispatch.
-            span = (
-                trace.start_span(
-                    "learn", signature=signature.site if signature else ""
-                )
-                if trace is not None
-                else None
-            )
-            if len(self._learn_queue) >= self.learn_queue_capacity:
-                self.queue_overflows += 1
-                if PERF.enabled:
-                    PERF.incr("learn.queue_overflow")
-                if span is not None:
-                    trace.end_span(span, outcome="overflow")
-                return []
-            self._learn_queue.append(
-                _QueuedObservation(signature, transaction, user, depth)
-            )
-            self.deferred_enqueued += 1
+        # the matched signature rides along so the drain skips a second
+        # (memoized, but still non-free) dispatch
+        span = (
+            trace.start_span("learn", signature=signature.site if signature else "")
+            if trace is not None
+            else None
+        )
+        if len(self._learn_queue) >= self.learn_queue_capacity:
+            self.queue_overflows += 1
             if PERF.enabled:
-                PERF.peak("learn.queue_depth_peak", len(self._learn_queue))
+                PERF.incr("learn.queue_overflow")
             if span is not None:
-                trace.end_span(span, outcome="enqueued")
-            return []
-        return self._process_observation(signature, transaction, user, depth, trace)
+                trace.end_span(span, outcome="overflow")
+            return
+        self._learn_queue.append(
+            _QueuedObservation(signature, transaction, user, depth)
+        )
+        self.deferred_enqueued += 1
+        if PERF.enabled:
+            PERF.peak("learn.queue_depth_peak", len(self._learn_queue))
+        if span is not None:
+            trace.end_span(span, outcome="enqueued")
 
     def _process_observation(
         self,
@@ -309,37 +279,30 @@ class DynamicLearner:
         return ready
 
     # ------------------------------------------------------------------
-    # deferred learn queue
+    # learn queue
     # ------------------------------------------------------------------
     @property
     def learn_queue_depth(self) -> int:
-        """Observations parked for the deferred drain."""
+        """Observations parked for :meth:`drain_learn_queue`."""
         return len(self._learn_queue)
 
     def drain_learn_queue(
-        self,
-        budget: Optional[int] = None,
-        trace: Optional[TraceContext] = None,
+        self, trace: Optional[TraceContext] = None
     ) -> List[ReadyPrefetch]:
-        """Run the learn pipeline for up to ``budget`` parked observations.
+        """Run the learn pipeline for every parked observation.
 
-        ``budget=None`` uses :attr:`learn_drain_budget` (itself None =
-        drain everything).  Observations process in arrival order, so a
-        fully-drained queue yields exactly the inline-mode ready set in
-        exactly the inline-mode order.  Returns the completed prefetch
-        requests; the caller hands them to the prefetcher exactly as it
-        would inline results.
+        Observations process in arrival order.  Returns the completed
+        prefetch requests, in completion order, for the caller to hand
+        to the prefetcher.  ``trace`` (optional) collects each
+        observation's ``learn`` and ``instantiate`` spans.
         """
-        if not self._learn_queue:
+        queue = self._learn_queue
+        if not queue:
             return []
-        if budget is None:
-            budget = self.learn_drain_budget
-        remaining = len(self._learn_queue) if budget is None else budget
         ready: List[ReadyPrefetch] = []
         drained = 0
-        while self._learn_queue and remaining > 0:
-            queued = self._learn_queue.popleft()
-            remaining -= 1
+        while queue:
+            queued = queue.popleft()
             drained += 1
             ready.extend(
                 self._process_observation(
@@ -351,7 +314,7 @@ class DynamicLearner:
                 )
             )
         self.deferred_drained += drained
-        if PERF.enabled and drained:
+        if PERF.enabled:
             PERF.incr("learn.deferred_drained", drained)
         return ready
 
@@ -423,8 +386,6 @@ class DynamicLearner:
         depth: int,
     ) -> List[RequestInstance]:
         succ_depth = depth + 1
-        if self.max_depth is not None and succ_depth > self.max_depth:
-            return []
         gate = self.spawn_gate
         instances: List[RequestInstance] = []
         # predecessor response parsing is shared across edges/successors:

@@ -397,23 +397,20 @@ class Prefetcher:
                     user=user,
                     prefetched=True,
                 )
-                next_list = self.learner.observe(
+                self.learner.observe(
                     transaction, user, depth=ready.instance.depth, trace=trace
                 )
-                # deferred mode parked the chain observation — pump the
-                # drain here so chain prefetches still issue off this
+                # learn now, so chain prefetches issue off this
                 # background fetch instead of waiting for client traffic
-                if (
-                    self.learner.learn_mode == "deferred"
-                    and self.learner.learn_queue_depth
-                ):
+                next_list = []
+                if self.learner.learn_queue_depth:
                     span = (
                         trace.start_span("learn_drain")
                         if trace is not None
                         else None
                     )
                     with PERF.stage("proxy.learn_drain"):
-                        next_list = next_list + self.learner.drain_learn_queue()
+                        next_list = self.learner.drain_learn_queue()
                     if span is not None:
                         trace.end_span(span, completed=len(next_list))
                 for next_ready in next_list:

@@ -43,22 +43,12 @@ class AccelerationProxy:
         seed: int = 0,
         cache: Optional[PrefetchCache] = None,
         expiration=None,
-        learn_mode: str = "deferred",
     ) -> None:
         self.sim = sim
         self.origins = origins
         self.analysis = analysis
         self.config = config if config is not None else default_config(analysis)
-        #: internally-built learners default to the deferred learn
-        #: pipeline (``learn_mode="deferred"``): observe() on the request
-        #: path only matches + enqueues, and this proxy pumps the
-        #: budgeted drain after each response.  Injected learners keep
-        #: whatever mode they were constructed with.
-        self.learner = (
-            learner
-            if learner is not None
-            else DynamicLearner(analysis, learn_mode=learn_mode)
-        )
+        self.learner = learner if learner is not None else DynamicLearner(analysis)
         #: callers may inject a bounded cache (e.g. the scale harness
         #: caps per-user entries)
         self.cache = cache if cache is not None else PrefetchCache()
@@ -159,21 +149,9 @@ class AccelerationProxy:
             prefetched=prefetched,
         )
         with PERF.stage("proxy.learn"):
-            ready_list = self.learner.observe(transaction, user, depth=0, trace=trace)
-        if trace is not None:
-            for ready in ready_list:
-                span = trace.start_span(
-                    "prefetch_issue", site=ready.instance.signature.site
-                )
-                outcome = self.prefetcher.submit(ready)
-                trace.end_span(span, outcome=outcome)
-        else:
-            for ready in ready_list:
-                self.prefetcher.submit(ready)
-        # deferred mode: pump the budgeted drain now that the response
-        # is determined — the learn tail runs off the request-critical
-        # path, and completed prefetches submit exactly as inline
-        # results would (same sim.now, same submit order)
+            self.learner.observe(transaction, user, depth=0, trace=trace)
+        # learn from it now, at the sim instant the response is known:
+        # completed prefetches submit before the response returns
         self.pump_learning(trace)
         if trace is not None:
             trace.tag("served", "prefetched" if prefetched else "origin")
@@ -182,23 +160,18 @@ class AccelerationProxy:
         return response
 
     # ------------------------------------------------------------------
-    def pump_learning(
-        self,
-        trace: Optional[TraceContext] = None,
-        budget: Optional[int] = None,
-    ) -> int:
-        """Pump the deferred learn drain; submit completed prefetches.
+    def pump_learning(self, trace: Optional[TraceContext] = None) -> int:
+        """Drain the learner's queue; submit completed prefetches.
 
-        No-op for inline-mode learners and empty queues.  ``budget``
-        overrides the learner's per-pump drain budget (None = learner
-        default).  Returns the number of prefetches submitted.
+        No-op on an empty queue.  Returns the number of prefetches
+        submitted.
         """
         learner = self.learner
-        if learner.learn_mode != "deferred" or not learner.learn_queue_depth:
+        if not learner.learn_queue_depth:
             return 0
         span = trace.start_span("learn_drain") if trace is not None else None
         with PERF.stage("proxy.learn_drain"):
-            ready_list = learner.drain_learn_queue(budget=budget)
+            ready_list = learner.drain_learn_queue()
         if span is not None:
             trace.end_span(span, completed=len(ready_list))
         if trace is not None:

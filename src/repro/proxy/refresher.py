@@ -72,9 +72,6 @@ class Refresher:
             # sweep them each cycle so the cache holds only live ones
             # (timer-wheel backed: cost tracks expirations, not size)
             self.purged += self.proxy.cache.purge_expired(sim.now)
-            # idle-cycle pump: drain any learn backlog a burst left
-            # behind (no-op in inline mode / on an empty queue)
-            self.proxy.pump_learning()
             issued = 0
             for (user, site), request in list(self._known.items()):
                 if issued >= self.max_requests_per_cycle:
@@ -118,12 +115,8 @@ class Refresher:
             transaction = Transaction(
                 request, response, started_at, sim.now, user=user, prefetched=True
             )
-            for ready in self.proxy.learner.observe(
-                transaction, user, depth=1, trace=trace
-            ):
-                self.proxy.prefetcher.submit(ready)
-            # deferred mode parked the observation — pump the proxy's
-            # budgeted drain so refresh-driven chains issue this cycle
+            self.proxy.learner.observe(transaction, user, depth=1, trace=trace)
+            # learn now, so refresh-driven chains issue this cycle
             self.proxy.pump_learning(trace)
         TRACER.finish(trace)
         return None

@@ -89,7 +89,7 @@ def test_verify_command(tmp_path, capsys):
 def _slo_config_file(tmp_path):
     # slow window wider than the run: terminal events push the sim
     # clock past the nominal duration, and the end-of-run verdict must
-    # still see the early overflow burst inside the slow window
+    # still see the whole run inside the slow window
     config = {
         "window_s": 12.0,
         "fast_window_s": 1.0,
@@ -104,14 +104,31 @@ def _slo_config_file(tmp_path):
     return str(path)
 
 
+def _failing_slo_config_file(tmp_path):
+    # every request makes one round trip on the 55 ms access link, so
+    # none is answered within 50 ms and the latency objective is
+    # overspent
+    config = {
+        "window_s": 12.0,
+        "fast_window_s": 1.0,
+        "objectives": [
+            {"name": "latency_under_rtt", "kind": "latency",
+             "good_under_ms": 50, "target": 0.99, "fast_burn": 2.0,
+             "slow_burn": 1.0, "min_events": 10},
+        ],
+    }
+    path = tmp_path / "slo_failing.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 def test_scale_slo_violation_exits_nonzero(tmp_path, capsys):
     report_path = tmp_path / "slo_report.json"
     code, out = run_cli(
         capsys, "scale", "--users", "60", "--duration", "4",
         "--rate", "2.0", "--max-entries-per-user", "16",
-        "--slo", _slo_config_file(tmp_path),
+        "--slo", _failing_slo_config_file(tmp_path),
         "--slo-report", str(report_path),
-        "--learn-queue-capacity", "4", "--learn-drain-budget", "0",
     )
     assert code == 1
     assert "slo verdict: FAIL" in out

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from repro.apps import all_apps
 from repro.cli import main
 from repro.experiments.scale import (
     _ScaleDeployment,
     record_session_template,
     run_scale,
 )
+from repro.metrics.perf import PERF
 
 
 def test_record_session_template_yields_replayable_requests():
@@ -43,6 +45,20 @@ def test_per_request_stages_time_every_request():
     assert stages["proxy.learn_drain"]["count"] > 0
 
 
+def test_every_observation_is_drained_before_the_next():
+    """The proxy, the prefetcher and the refresher each drain the learn
+    queue right after they park an observation, so it never holds two;
+    an ``observe`` left without its drain shows up as a deeper peak."""
+    row = run_scale(
+        users=40, duration=4.0, apps=tuple(all_apps()), seed=0,
+        rate_per_user=1.0, warm_start=True,
+    )
+    assert row["prefetch_issued"] > 0  # background fetches observed too
+    assert PERF.get("learn.queue_depth_peak") == 1
+    assert row["learn_queue_overflows"] == 0
+    assert row["learn_deferred_drained"] == PERF.get("learn.deferred_drained") > 0
+
+
 def test_run_scale_is_deterministic_in_virtual_metrics():
     first = run_scale(users=8, duration=3.0, seed=11)
     second = run_scale(users=8, duration=3.0, seed=11)
@@ -69,14 +85,12 @@ def test_run_scale_row_reports_the_prebuilt_deployment_settings():
     deployment = _ScaleDeployment(
         apps,
         max_entries_per_user=3,
-        max_bytes=1 << 20,
         max_entries_total=64,
         adaptive_budget=True,
         admission_threshold=0.2,
     )
     row = run_scale(users=4, duration=2.0, apps=apps, seed=0, _deployment=deployment)
     assert row["max_entries_per_user"] == 3
-    assert row["max_bytes"] == 1 << 20
     assert row["max_entries_total"] == 64
     assert row["adaptive_budget"] is True
     assert row["admission_threshold"] == 0.2

@@ -1,18 +1,19 @@
-"""Deferred learn pipeline: differential oracle vs inline mode.
+"""Learn queue: differential oracle vs the seed's learn-on-observe.
 
-The deferred pipeline (``learn_mode="deferred"``) moves the full learn
-workflow — value learning, cookie tracking, successor spawning, the
-pending-instance drain — off the request path into a budgeted queue
-drain.  Its correctness claim is purely differential: once the queue is
-drained, the ready-prefetch stream must be exactly what inline mode
-(the seed behavior, retained as the oracle) produced, observation for
-observation.  This file pins that claim:
+:meth:`DynamicLearner.observe` parks an observation and
+:meth:`DynamicLearner.drain_learn_queue` runs the full learn workflow —
+value learning, cookie tracking, successor spawning, the
+pending-instance drain — for everything parked.  Its correctness claim
+is purely differential: once the queue is drained, the ready-prefetch
+stream must be exactly what the seed's inline pipeline
+(:class:`~tests.oracles.inline_learner.InlineLearner`) produced,
+observation for observation.  This file pins that claim:
 
-* across every registered app's real recorded session (drain pumped
-  per observation: byte-level list equality; drain deferred to the
-  end: set equality of completed prefetches);
-* under hypothesis-fuzzed drain budgets and observe/drain
-  interleavings on the synthetic feed→detail analysis;
+* across every registered app's real recorded session (drained per
+  observation: byte-level list equality; drained once at the end: the
+  same completed prefetches);
+* under hypothesis-fuzzed observe/drain interleavings on the synthetic
+  feed→detail analysis;
 * and for the bounded queue's failure mode — a full queue drops the
   observation, counts ``learn.queue_overflow``, and never blocks.
 
@@ -53,6 +54,8 @@ from repro.httpmsg.uri import Uri
 from repro.httpmsg.wire import serialize_request
 from repro.proxy.instances import is_per_user_tag
 from repro.proxy.learning import DynamicLearner, ReadyPrefetch
+from tests.learn_helpers import learn_now
+from tests.oracles.inline_learner import InlineLearner, inline_learners
 from tests.oracles.naive_build import build_naive
 from tests.test_proxy_learning import (
     detail_transaction,
@@ -151,14 +154,6 @@ def _assert_same_store(indexed, rescan):
     """Both learners learned the very same values, in the same scopes."""
     for name in ("_global_tags", "_user_tags", "_global_fields", "_user_fields"):
         assert getattr(indexed.store, name) == getattr(rescan.store, name), name
-
-
-def _drain_all(learner):
-    """Pump the budgeted drain until the queue is empty."""
-    ready = []
-    while learner.learn_queue_depth:
-        ready.extend(learner.drain_learn_queue())
-    return ready
 
 
 def _wake_zoo_analysis():
@@ -302,24 +297,23 @@ def _zoo_transaction(op, value=0):
 
 
 def _assert_zoo_matches_rescan(steps):
-    """Feed ``(op, user, value, budget)`` steps (budget None: no drain)
-    to the indexed learner and the rescan; every drain must agree."""
+    """Feed ``(op, user, value, drain)`` steps to the indexed learner
+    and the rescan, draining after the steps that ask; every drain
+    must agree."""
     analysis = _wake_zoo_analysis()
-    indexed = DynamicLearner(analysis, learn_mode="deferred")
-    rescan = RescanLearner(analysis, learn_mode="deferred")
+    indexed = DynamicLearner(analysis)
+    rescan = RescanLearner(analysis)
     completed = 0
-    for op, user, value, budget in steps:
+    for op, user, value, drain in steps:
         transaction = _zoo_transaction(op, value)
         indexed.observe(transaction, user)
         rescan.observe(transaction, user)
-        if budget is not None:
-            ready = indexed.drain_learn_queue(budget=budget)
-            assert _wire_keys(ready) == _wire_keys(
-                rescan.drain_learn_queue(budget=budget)
-            )
+        if drain:
+            ready = indexed.drain_learn_queue()
+            assert _wire_keys(ready) == _wire_keys(rescan.drain_learn_queue())
             completed += len(ready)
-    ready = _drain_all(indexed)
-    assert _wire_keys(ready) == _wire_keys(_drain_all(rescan))
+    ready = indexed.drain_learn_queue()
+    assert _wire_keys(ready) == _wire_keys(rescan.drain_learn_queue())
     assert indexed.pending_count == rescan.pending_count
     assert indexed.completed_count == rescan.completed_count
     _assert_same_store(indexed, rescan)
@@ -339,14 +333,15 @@ def _app_fixture(name):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", APP_NAMES, ids=str)
 def test_deferred_drained_per_observation_equals_inline(name):
-    """Pump-after-every-observe is byte-for-byte the inline stream."""
+    """Drain-after-every-observe is byte-for-byte the inline stream."""
     transactions, analysis = _app_fixture(name)
-    inline = DynamicLearner(analysis)
-    deferred = DynamicLearner(analysis, learn_mode="deferred")
+    inline = InlineLearner(analysis)
+    deferred = DynamicLearner(analysis)
     for transaction in transactions:
-        inline_ready = inline.observe(transaction, "u1")
-        assert deferred.observe(transaction, "u1") == []
-        deferred_ready = deferred.drain_learn_queue(budget=None)
+        inline_ready = learn_now(inline, transaction, "u1")
+        deferred.observe(transaction, "u1")
+        assert deferred.learn_queue_depth == 1
+        deferred_ready = deferred.drain_learn_queue()
         assert _keys(deferred_ready) == _keys(inline_ready)
         for a, b in zip(inline_ready, deferred_ready):
             assert serialize_request(a.request) == serialize_request(b.request)
@@ -360,18 +355,16 @@ def test_deferred_drained_per_observation_equals_inline(name):
 def test_deferred_drained_at_end_equals_inline_as_set(name):
     """Eventually-drained: the completed-prefetch set is identical."""
     transactions, analysis = _app_fixture(name)
-    inline = DynamicLearner(analysis)
-    deferred = DynamicLearner(
-        analysis, learn_mode="deferred", learn_queue_capacity=10_000
-    )
+    inline = InlineLearner(analysis)
+    deferred = DynamicLearner(analysis, learn_queue_capacity=10_000)
     inline_ready = []
     for transaction in transactions:
-        inline_ready.extend(inline.observe(transaction, "u1"))
+        inline_ready.extend(learn_now(inline, transaction, "u1"))
         deferred.observe(transaction, "u1")
     assert deferred.learn_queue_depth == len(transactions)
-    # repeated default-budget pumps, the way the proxy/sweeper drains a
-    # backlog — the eventual completed-prefetch stream is identical
-    deferred_ready = _drain_all(deferred)
+    # one drain of the whole backlog: the eventual completed-prefetch
+    # stream is identical
+    deferred_ready = deferred.drain_learn_queue()
     assert _keys(deferred_ready) == _keys(inline_ready)
     assert deferred.deferred_drained == len(transactions)
 
@@ -385,7 +378,7 @@ def test_wake_keys_equal_rescan_in_every_teaching_order():
         ("feed", "host", "tok", "agent", "mode", "v1")
     ):
         completed += _assert_zoo_matches_rescan(
-            [(op, "u1", 0, 1) for op in order + ("v2",)]
+            [(op, "u1", 0, True) for op in order + ("v2",)]
         )
     assert completed > 0
 
@@ -395,11 +388,27 @@ def test_alternation_learn_scope_equals_rescan_across_users():
     and sends Side's dependency alternation; u2's instances keep waiting
     for u2's own alternation value, exactly as in the rescan."""
     steps = [
-        (op, "u1", 0, 1)
+        (op, "u1", 0, True)
         for op in ("feed", "host", "tok", "agent", "v1", "v2", "side")
     ]
-    steps += [("feed", "u2", 1, 1), ("ping", "u2", 1, 1), ("v2", "u2", 1, 1)]
+    steps += [("feed", "u2", 1, True), ("ping", "u2", 1, True), ("v2", "u2", 1, True)]
     assert _assert_zoo_matches_rescan(steps) > 0
+
+
+def test_fig13_row_is_the_same_under_the_inline_oracle(monkeypatch):
+    """A figure runner serves through the shipped learner exactly as
+    through the seed's learn-on-observe pipeline."""
+    from repro.experiments import runner, scenario
+
+    monkeypatch.delenv("REPRO_ANALYSIS_CACHE", raising=False)
+    monkeypatch.setattr(scenario, "_PREPARED", {})
+    shipped = runner.fig13_row("wish", runs=1)
+    # verify the app again, under the oracle too
+    monkeypatch.setattr(scenario, "_PREPARED", {})
+    with inline_learners() as built:
+        oracle = runner.fig13_row("wish", runs=1)
+    assert sum(learner.observed_count for learner in built) > 0
+    assert oracle == shipped
 
 
 @pytest.mark.parametrize("name", APP_NAMES, ids=str)
@@ -411,8 +420,8 @@ def test_wake_index_equals_rescan_on_recorded_sessions(name):
     other user's instances wait.
     """
     transactions, analysis = _app_fixture(name)
-    indexed = DynamicLearner(analysis, learn_mode="deferred")
-    rescan = RescanLearner(analysis, learn_mode="deferred")
+    indexed = DynamicLearner(analysis)
+    rescan = RescanLearner(analysis)
     half = len(transactions) // 2
     schedule = [("u1", t) for t in transactions[:half]]
     for first, second in zip(transactions[half:], transactions):
@@ -422,64 +431,42 @@ def test_wake_index_equals_rescan_on_recorded_sessions(name):
     for user, transaction in schedule:
         indexed.observe(transaction, user)
         rescan.observe(transaction, user)
-        indexed_ready = indexed.drain_learn_queue(budget=None)
-        assert _wire_keys(indexed_ready) == _wire_keys(
-            rescan.drain_learn_queue(budget=None)
-        )
+        indexed_ready = indexed.drain_learn_queue()
+        assert _wire_keys(indexed_ready) == _wire_keys(rescan.drain_learn_queue())
         completed += len(indexed_ready)
     assert completed == rescan.completed_count > 0
     assert indexed.pending_count == rescan.pending_count
     _assert_same_store(indexed, rescan)
 
 
-def test_budgeted_drain_processes_fifo_and_stops_at_budget():
-    learner = DynamicLearner(make_analysis(), learn_mode="deferred")
-    learner.observe(detail_transaction(), "u1")  # learns _ver + cookie
-    learner.observe(feed_transaction(item_ids=("a1", "b2")), "u1")
-    learner.observe(feed_transaction(item_ids=("c3",)), "u1")
-    assert learner.learn_queue_depth == 3
-    # budget=1 processes only the oldest observation (the detail)
-    assert learner.drain_learn_queue(budget=1) == []
-    assert learner.learn_queue_depth == 2
-    ready = _drain_all(learner)
-    assert learner.learn_queue_depth == 0
-    cids = sorted(r.request.body.get("cid") for r in ready)
-    assert cids == ["a1", "b2", "c3"]
-
-
 # ----------------------------------------------------------------------
 # overflow: a full queue degrades gracefully
 # ----------------------------------------------------------------------
 def test_full_queue_drops_learn_and_counts_overflow():
-    learner = DynamicLearner(
-        make_analysis(), learn_mode="deferred", learn_queue_capacity=2
-    )
+    learner = DynamicLearner(make_analysis(), learn_queue_capacity=2)
     for index in range(5):
-        # never raises, never blocks, always returns [] on the
-        # request path regardless of queue state
-        assert learner.observe(feed_transaction(item_ids=(str(index),)), "u1") == []
+        # never raises and never blocks, whatever the queue state
+        learner.observe(feed_transaction(item_ids=(str(index),)), "u1")
     assert learner.learn_queue_depth == 2
     assert learner.queue_overflows == 3
     assert learner.deferred_enqueued == 2
     assert learner.stats()["queue_overflows"] == 3
     # only the two admitted observations ever reach the pipeline
-    _drain_all(learner)
+    learner.drain_learn_queue()
     assert learner.observed_count == 5
     assert learner.deferred_drained == 2
     assert learner.pending_count == 2  # one instance per admitted feed
 
 
 def test_overflow_recovers_after_drain():
-    learner = DynamicLearner(
-        make_analysis(), learn_mode="deferred", learn_queue_capacity=1
-    )
+    learner = DynamicLearner(make_analysis(), learn_queue_capacity=1)
     learner.observe(detail_transaction(), "u1")
     learner.observe(detail_transaction(), "u1")  # dropped
     assert learner.queue_overflows == 1
-    _drain_all(learner)
+    learner.drain_learn_queue()
     learner.observe(feed_transaction(item_ids=("a1",)), "u1")  # admitted again
     assert learner.learn_queue_depth == 1
-    ready = _drain_all(learner)
+    ready = learner.drain_learn_queue()
     assert [r.request.body.get("cid") for r in ready] == ["a1"]
 
 
@@ -488,21 +475,21 @@ def test_unmatched_transactions_still_update_cookies_via_drain():
     from repro.httpmsg.message import Request, Response, Transaction
     from repro.httpmsg.uri import Uri
 
-    learner = DynamicLearner(make_analysis(), learn_mode="deferred")
+    learner = DynamicLearner(make_analysis())
     headers = Headers()
     headers.add("Set-Cookie", "tok=xyz")
     other = Transaction(
         Request("GET", Uri.parse("https://elsewhere.com/x")),
         Response(200, headers),
     )
-    assert learner.observe(other, "u1") == []
+    learner.observe(other, "u1")
     assert learner.jar("u1").cookie_header("https://elsewhere.com") == ""
-    _drain_all(learner)
+    learner.drain_learn_queue()
     assert learner.jar("u1").cookie_header("https://elsewhere.com") == "tok=xyz"
 
 
 # ----------------------------------------------------------------------
-# hypothesis: fuzz budgets and observe/drain interleavings
+# hypothesis: fuzz observe/drain interleavings
 # ----------------------------------------------------------------------
 if HAVE_HYPOTHESIS:
 
@@ -511,8 +498,7 @@ if HAVE_HYPOTHESIS:
         plan=st.lists(
             st.tuples(
                 st.sampled_from(["feed", "detail", "other_user_feed"]),
-                st.integers(min_value=0, max_value=3),  # drain budget after
-                st.booleans(),  # drain at all after this observation?
+                st.booleans(),  # drain after this observation?
             ),
             min_size=1,
             max_size=12,
@@ -521,12 +507,12 @@ if HAVE_HYPOTHESIS:
     )
     def test_fuzzed_interleavings_match_inline(plan, item_seed):
         analysis = make_analysis()
-        inline = DynamicLearner(analysis)
-        deferred = DynamicLearner(analysis, learn_mode="deferred")
-        rescan = RescanLearner(analysis, learn_mode="deferred")
+        inline = InlineLearner(analysis)
+        deferred = DynamicLearner(analysis)
+        rescan = RescanLearner(analysis)
         inline_ready = []
         deferred_ready = []
-        for step, (kind, budget, do_drain) in enumerate(plan):
+        for step, (kind, do_drain) in enumerate(plan):
             item = "i{}-{}".format(item_seed, step)
             if kind == "feed":
                 transaction = feed_transaction(item_ids=(item, item + "b"))
@@ -537,17 +523,15 @@ if HAVE_HYPOTHESIS:
             else:
                 transaction = feed_transaction(item_ids=(item,))
                 user = "u2"
-            inline_ready.extend(inline.observe(transaction, user))
-            assert deferred.observe(transaction, user) == []
+            inline_ready.extend(learn_now(inline, transaction, user))
+            deferred.observe(transaction, user)
             rescan.observe(transaction, user)
             if do_drain:
-                drained = deferred.drain_learn_queue(budget=budget)
-                assert _wire_keys(drained) == _wire_keys(
-                    rescan.drain_learn_queue(budget=budget)
-                )
+                drained = deferred.drain_learn_queue()
+                assert _wire_keys(drained) == _wire_keys(rescan.drain_learn_queue())
                 deferred_ready.extend(drained)
-        drained = _drain_all(deferred)
-        assert _wire_keys(drained) == _wire_keys(_drain_all(rescan))
+        drained = deferred.drain_learn_queue()
+        assert _wire_keys(drained) == _wire_keys(rescan.drain_learn_queue())
         deferred_ready.extend(drained)
         assert deferred.learn_queue_depth == 0
         assert set(_keys(deferred_ready)) == set(_keys(inline_ready))
@@ -561,28 +545,29 @@ if HAVE_HYPOTHESIS:
             st.tuples(
                 st.integers(min_value=0, max_value=10_000),  # transaction
                 st.sampled_from(["u1", "u2", "u3"]),
-                st.integers(min_value=0, max_value=3),  # drain budget after
-                st.booleans(),  # drain at all after this observation?
+                st.booleans(),  # drain after this observation?
             ),
             min_size=1,
             max_size=40,
         ),
     )
     def test_fuzzed_interleavings_wake_index_equals_rescan(name, plan):
-        """Recorded transactions in any order, by any user, under any
-        drain budgets: every drain yields the rescan's ready list."""
+        """Recorded transactions in any order, by any user, drained at
+        any points: every drain yields the rescan's ready list."""
         transactions, analysis = _app_fixture(name)
-        indexed = DynamicLearner(analysis, learn_mode="deferred")
-        rescan = RescanLearner(analysis, learn_mode="deferred")
-        for pick, user, budget, do_drain in plan:
+        indexed = DynamicLearner(analysis)
+        rescan = RescanLearner(analysis)
+        for pick, user, do_drain in plan:
             transaction = transactions[pick % len(transactions)]
             indexed.observe(transaction, user)
             rescan.observe(transaction, user)
             if do_drain:
-                assert _wire_keys(
-                    indexed.drain_learn_queue(budget=budget)
-                ) == _wire_keys(rescan.drain_learn_queue(budget=budget))
-        assert _wire_keys(_drain_all(indexed)) == _wire_keys(_drain_all(rescan))
+                assert _wire_keys(indexed.drain_learn_queue()) == _wire_keys(
+                    rescan.drain_learn_queue()
+                )
+        assert _wire_keys(indexed.drain_learn_queue()) == _wire_keys(
+            rescan.drain_learn_queue()
+        )
         assert indexed.pending_count == rescan.pending_count
         assert indexed.completed_count == rescan.completed_count
         _assert_same_store(indexed, rescan)
@@ -594,7 +579,7 @@ if HAVE_HYPOTHESIS:
                 st.sampled_from(ZOO_OPS),
                 st.sampled_from(["u1", "u2"]),
                 st.integers(min_value=0, max_value=1),  # value
-                st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+                st.booleans(),  # drain after this observation?
             ),
             min_size=1,
             max_size=30,
@@ -602,6 +587,6 @@ if HAVE_HYPOTHESIS:
     )
     def test_fuzzed_wake_keys_equal_rescan(steps):
         """Every kind of wake key, learned alone or together, in any
-        order, for either user, under any drain budgets: every drain
+        order, for either user, drained at any points: every drain
         yields the rescan's list."""
         _assert_zoo_matches_rescan(steps)

@@ -194,16 +194,17 @@ def test_violation_verdict_reads_the_slow_window():
 # an overflow burst, end to end
 # ----------------------------------------------------------------------
 def test_overflow_burst_alerts_and_fails_the_slo():
-    from repro.experiments.scale import run_scale
+    from repro.experiments.scale import DEFAULT_APPS, _ScaleDeployment, run_scale
 
+    deployment = _ScaleDeployment(DEFAULT_APPS, max_entries_per_user=16)
+    for _, proxy in deployment.multi._apps:
+        proxy.learner.learn_queue_capacity = 0
     row = run_scale(
         users=60, duration=4.0, rate_per_user=2.0, seed=0,
-        max_entries_per_user=16, slo_config=_config(),
-        telemetry_interval=0.25,
-        learn_queue_capacity=4, learn_drain_budget=0,
+        slo_config=_config(), telemetry_interval=0.25,
+        _deployment=deployment,
     )
-    # the starved drain fills the queue and every further observation
-    # overflows ...
+    # a zero-capacity queue drops every observation as an overflow ...
     assert row["learn_queue_overflows"] > 0
     # ... the burn-rate alert fires and the run fails its SLO
     assert row["live"]["alerts"] > 0

@@ -19,6 +19,7 @@ from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.httpmsg.uri import Uri
 from repro.proxy.learning import DynamicLearner
+from tests.learn_helpers import learn_now
 
 
 def host():
@@ -100,12 +101,12 @@ def test_unmatched_transaction_is_ignored():
     other = Transaction(
         Request("GET", Uri.parse("https://elsewhere.com/x")), Response(200)
     )
-    assert learner.observe(other, "u1") == []
+    assert learn_now(learner, other, "u1") == []
 
 
 def test_predecessor_spawns_pending_instances():
     learner = DynamicLearner(make_analysis())
-    ready = learner.observe(feed_transaction(), "u1")
+    ready = learn_now(learner, feed_transaction(), "u1")
     # _ver (env:config:version) has never been observed → still pending
     assert ready == []
     assert learner.pending_count == 2  # one per item id
@@ -113,8 +114,8 @@ def test_predecessor_spawns_pending_instances():
 
 def test_successor_observation_completes_pending():
     learner = DynamicLearner(make_analysis())
-    learner.observe(feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
-    ready = learner.observe(detail_transaction(cid="a1"), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
+    ready = learn_now(learner, detail_transaction(cid="a1"), "u1")
     # remaining items become prefetchable using the learned _ver
     cids = sorted(r.request.body.get("cid") for r in ready)
     assert cids == ["a1", "b2", "c3"]
@@ -126,43 +127,43 @@ def test_successor_observation_completes_pending():
 
 def test_learned_values_enable_future_first_sight_prefetch():
     learner = DynamicLearner(make_analysis())
-    learner.observe(feed_transaction(item_ids=("a1",)), "u1")
-    learner.observe(detail_transaction(), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
+    learn_now(learner, detail_transaction(), "u1")
     # a NEW feed for the same user completes instantly
-    ready = learner.observe(feed_transaction(item_ids=("zz",)), "u1")
+    ready = learn_now(learner, feed_transaction(item_ids=("zz",)), "u1")
     assert [r.request.body.get("cid") for r in ready] == ["zz"]
 
 
 def test_cookie_tracked_from_set_cookie_not_stale_request():
     learner = DynamicLearner(make_analysis())
-    learner.observe(detail_transaction(), "u1")  # learn _ver globally
+    learn_now(learner, detail_transaction(), "u1")  # learn _ver globally
     # the feed request carried an EMPTY cookie, but its response sets one
-    ready = learner.observe(feed_transaction(cookie=""), "u1")
+    ready = learn_now(learner, feed_transaction(cookie=""), "u1")
     assert ready, "instances must complete"
     assert ready[0].request.headers.get("Cookie") == "bsid=fresh"
 
 
 def test_per_user_isolation_of_cookies():
     learner = DynamicLearner(make_analysis())
-    learner.observe(detail_transaction(), "u1")  # global _ver learned
+    learn_now(learner, detail_transaction(), "u1")  # global _ver learned
     # u2's feed: u2 gets their own cookie, not u1's
-    ready = learner.observe(feed_transaction(cookie=""), "u2")
+    ready = learn_now(learner, feed_transaction(cookie=""), "u2")
     assert ready
     assert ready[0].instance.user == "u2"
 
 
 def test_global_config_shared_across_users():
     learner = DynamicLearner(make_analysis())
-    learner.observe(detail_transaction(version="1.2.3"), "u1")
-    ready = learner.observe(feed_transaction(), "u2")
+    learn_now(learner, detail_transaction(version="1.2.3"), "u1")
+    ready = learn_now(learner, feed_transaction(), "u2")
     assert ready
     assert ready[0].request.body.get("_ver") == "1.2.3"
 
 
 def test_duplicate_pending_instances_deduped():
     learner = DynamicLearner(make_analysis())
-    learner.observe(feed_transaction(item_ids=("a1",)), "u1")
-    learner.observe(feed_transaction(item_ids=("a1",)), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
     assert learner.pending_count == 1
 
 
@@ -170,19 +171,20 @@ def test_error_responses_do_not_spawn_instances():
     learner = DynamicLearner(make_analysis())
     request = Request("GET", Uri.parse("https://api.test.com/feed"))
     transaction = Transaction(request, Response(500, body=JsonBody({"error": 500})))
-    learner.observe(transaction, "u1")
+    learn_now(learner, transaction, "u1")
     assert learner.pending_count == 0
 
 
 def test_depth_bound_blocks_spawning():
-    learner = DynamicLearner(make_analysis(), max_depth=1)
-    learner.observe(feed_transaction(), "u1", depth=1)  # would create depth 2
+    learner = DynamicLearner(make_analysis())
+    learner.spawn_gate = lambda site, depth: depth <= 1  # max_chain_depth=1
+    learn_now(learner, feed_transaction(), "u1", depth=1)  # would create depth 2
     assert learner.pending_count == 0
 
 
 def test_pred_context_captured_for_conditions():
     learner = DynamicLearner(make_analysis())
-    learner.observe(feed_transaction(item_ids=("a1", "b2")), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
     contexts = [i.pred_context for i in learner._pending]
     assert all(c.get("price") == 10 for c in contexts)
     assert sorted(c["id"] for c in contexts) == ["a1", "b2"]
@@ -191,7 +193,7 @@ def test_pred_context_captured_for_conditions():
 def test_variant_learned_from_observation():
     analysis = make_analysis()
     learner = DynamicLearner(analysis)
-    learner.observe(detail_transaction(), "u1")
+    learn_now(learner, detail_transaction(), "u1")
     variant = learner.preferred_variant.get(("u1", "Detail.fetch#0"))
     assert variant == frozenset({"header.Cookie", "body.cid", "body._ver"})
 
@@ -238,7 +240,7 @@ def search_transaction(who, ref):
 
 def test_alternation_with_per_user_option_is_learned_per_user():
     learner = DynamicLearner(alternation_analysis())
-    learner.observe(search_transaction("bsid=secret-u1", "home"), "u1")
+    learn_now(learner, search_transaction("bsid=secret-u1", "home"), "u1")
     store = learner.store
     assert store.field_value("u1", "Search.run#0", "body.who") == "bsid=secret-u1"
     # another user's prefetches must never carry u1's value
@@ -249,7 +251,7 @@ def test_alternation_with_dependency_option_is_never_cached():
     learner = DynamicLearner(alternation_analysis())
     fired = []
     learner.store.add_listener(fired.append)
-    learner.observe(search_transaction("x", "a1"), "u1")
+    learn_now(learner, search_transaction("x", "a1"), "u1")
     store = learner.store
     assert store.field_value("u1", "Search.run#0", "body.ref") is None
     assert store.field_value("u2", "Search.run#0", "body.ref") is None

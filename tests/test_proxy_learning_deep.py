@@ -22,6 +22,7 @@ from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.httpmsg.uri import Uri
 from repro.proxy.learning import DynamicLearner
+from tests.learn_helpers import learn_now
 
 
 def host():
@@ -59,7 +60,7 @@ def test_uri_path_segment_dependency_learned():
         DependencyEdge("P#0", FieldPath.parse("body.ids[]"), "S#0", FieldPath("uri"))
     ]
     learner = DynamicLearner(make_analysis(succ_uri_atoms=atoms, edges=edges))
-    ready = learner.observe(list_transaction(ids=("ab", "cd")), "u1")
+    ready = learn_now(learner, list_transaction(ids=("ab", "cd")), "u1")
     uris = sorted(r.request.uri.to_string() for r in ready)
     assert uris == [
         "https://api.test.com/item/ab/view",
@@ -80,8 +81,8 @@ def test_uri_host_learned_from_any_matching_signature():
         )
     }
     learner = DynamicLearner(make_analysis(succ_fields=fields, edges=edges))
-    ready = learner.observe(
-        list_transaction(host_text="https://eu-west.api.test.com"), "u1"
+    ready = learn_now(
+        learner, list_transaction(host_text="https://eu-west.api.test.com"), "u1"
     )
     assert ready
     assert all(
@@ -106,14 +107,14 @@ def test_alternation_field_adapts_to_recent_observation():
     ]
     learner = DynamicLearner(make_analysis(succ_fields=fields, edges=edges))
     # before any successor observation the alternation is unresolved
-    assert learner.observe(list_transaction(), "u1") == []
+    assert learn_now(learner, list_transaction(), "u1") == []
     # observe an actual successor with count=1
     observed = Transaction(
         Request("GET", Uri.parse("https://api.test.com/item?id=zz&count=1")),
         Response(200, body=JsonBody({})),
     )
-    learner.observe(observed, "u1")
-    ready = learner.observe(list_transaction(ids=("q9",)), "u1")
+    learn_now(learner, observed, "u1")
+    ready = learn_now(learner, list_transaction(ids=("q9",)), "u1")
     assert ready
     assert ready[0].request.uri.query_get("count") == "1"
     # the condition flips: proxy adapts to count=30
@@ -121,8 +122,8 @@ def test_alternation_field_adapts_to_recent_observation():
         Request("GET", Uri.parse("https://api.test.com/item?id=zz&count=30")),
         Response(200, body=JsonBody({})),
     )
-    learner.observe(observed, "u1")
-    ready = learner.observe(list_transaction(ids=("q8",)), "u1")
+    learn_now(learner, observed, "u1")
+    ready = learn_now(learner, list_transaction(ids=("q8",)), "u1")
     assert ready[0].request.uri.query_get("count") == "30"
 
 
@@ -154,7 +155,7 @@ def test_response_header_dependency():
         Request("GET", Uri.parse("https://api.test.com/list")),
         Response(200, Headers([("X-Next-Token", "tok-77")]), JsonBody({})),
     )
-    ready = learner.observe(transaction, "u1")
+    ready = learn_now(learner, transaction, "u1")
     assert ready
     assert ready[0].request.uri.query_get("token") == "tok-77"
 
@@ -189,8 +190,8 @@ def test_nonce_fields_block_prefetch_matching():
         Request("GET", Uri.parse("https://api.test.com/item?id=a&nonce=n1")),
         Response(200, body=JsonBody({})),
     )
-    learner.observe(observed, "u1")
-    ready = learner.observe(list_transaction(ids=("zz",)), "u1")
+    learn_now(learner, observed, "u1")
+    ready = learn_now(learner, list_transaction(ids=("zz",)), "u1")
     assert ready
     built = ready[0].request
     client = Request("GET", Uri.parse("https://api.test.com/item?id=zz&nonce=n2"))

@@ -32,6 +32,7 @@ from repro.httpmsg.uri import Uri
 from repro.proxy import learning as learning_module
 from repro.proxy.instances import RequestInstance
 from repro.proxy.learning import DynamicLearner
+from tests.learn_helpers import learn_now
 
 
 def host():
@@ -125,10 +126,10 @@ def count_try_builds(monkeypatch):
 # -- targeting ---------------------------------------------------------------
 def test_learning_tag_retries_only_waiting_instances(monkeypatch):
     learner = DynamicLearner(two_successor_analysis())
-    learner.observe(feed_transaction(), "u1")  # spawns Alpha×2 + Beta×2
+    learn_now(learner, feed_transaction(), "u1")  # spawns Alpha×2 + Beta×2
     assert learner.pending_count == 4
     counts = count_try_builds(monkeypatch)
-    ready = learner.observe(teach_alpha_transaction(), "u1")
+    ready = learn_now(learner, teach_alpha_transaction(), "u1")
     # only the Alpha instances (blocked on env:config:alpha) retried...
     assert counts.get("Alpha#0", 0) == 2
     assert counts.get("Beta#0", 0) == 0
@@ -140,23 +141,23 @@ def test_learning_tag_retries_only_waiting_instances(monkeypatch):
 
 def test_unrelated_observation_retries_nothing(monkeypatch):
     learner = DynamicLearner(two_successor_analysis())
-    learner.observe(feed_transaction(), "u1")
+    learn_now(learner, feed_transaction(), "u1")
     counts = count_try_builds(monkeypatch)
     # same feed again: spawned duplicates are deduped, nothing learned
     # beyond already-known values → no pending retries at all
-    learner.observe(feed_transaction(), "u1")
+    learn_now(learner, feed_transaction(), "u1")
     assert counts.get("Alpha#0", 0) == 0
     assert counts.get("Beta#0", 0) == 0
 
 
 def test_completed_instances_not_retried_on_later_wakes(monkeypatch):
     learner = DynamicLearner(two_successor_analysis())
-    learner.observe(feed_transaction(), "u1")
-    learner.observe(teach_alpha_transaction("tok-1"), "u1")
+    learn_now(learner, feed_transaction(), "u1")
+    learn_now(learner, teach_alpha_transaction("tok-1"), "u1")
     assert learner.pending_count == 2  # Beta instances remain
     counts = count_try_builds(monkeypatch)
     # alpha changes value again: the completed Alpha instances are gone
-    learner.observe(teach_alpha_transaction("tok-2"), "u1")
+    learn_now(learner, teach_alpha_transaction("tok-2"), "u1")
     assert counts.get("Alpha#0", 0) == 0
 
 
@@ -164,11 +165,11 @@ def test_per_user_tag_wakes_only_that_users_instances(monkeypatch):
     analysis = two_successor_analysis()
     # make Alpha's missing tag per-user (env:cookie)
     learner = DynamicLearner(analysis)
-    learner.observe(feed_transaction(), "u1")
-    learner.observe(feed_transaction(), "u2")
+    learn_now(learner, feed_transaction(), "u1")
+    learn_now(learner, feed_transaction(), "u2")
     assert learner.pending_count == 8
     counts = count_try_builds(monkeypatch)
-    learner.observe(teach_alpha_transaction(), "u1")
+    learn_now(learner, teach_alpha_transaction(), "u1")
     # env:config:alpha is app-level → instances of BOTH users wake
     assert counts.get("Alpha#0", 0) == 4
     assert counts.get("Beta#0", 0) == 0
@@ -177,18 +178,18 @@ def test_per_user_tag_wakes_only_that_users_instances(monkeypatch):
 # -- unchanged observable behavior -------------------------------------------
 def test_pending_count_and_dedupe_unchanged():
     learner = DynamicLearner(two_successor_analysis())
-    learner.observe(feed_transaction(item_ids=("a1",)), "u1")
-    learner.observe(feed_transaction(item_ids=("a1",)), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
     assert learner.pending_count == 2  # Alpha + Beta for a1, deduped
 
 
 def test_eviction_at_max_pending_drops_oldest_first(monkeypatch):
     monkeypatch.setattr(learning_module, "MAX_PENDING", 6)
     learner = DynamicLearner(two_successor_analysis())
-    learner.observe(feed_transaction(item_ids=("o1", "o2", "o3")), "u1")
+    learn_now(learner, feed_transaction(item_ids=("o1", "o2", "o3")), "u1")
     assert learner.pending_count == 6
     before = list(learner._pending)  # FIFO order
-    learner.observe(feed_transaction(item_ids=("n1",)), "u1")
+    learn_now(learner, feed_transaction(item_ids=("n1",)), "u1")
     assert learner.pending_count == 6
     after = list(learner._pending)
     # exactly the two oldest instances were evicted, newest present
@@ -203,10 +204,10 @@ def test_eviction_at_max_pending_drops_oldest_first(monkeypatch):
 def test_evicted_instances_do_not_wake(monkeypatch):
     monkeypatch.setattr(learning_module, "MAX_PENDING", 2)
     learner = DynamicLearner(two_successor_analysis())
-    learner.observe(feed_transaction(item_ids=("x1", "x2", "x3")), "u1")
+    learn_now(learner, feed_transaction(item_ids=("x1", "x2", "x3")), "u1")
     assert learner.pending_count == 2
     counts = count_try_builds(monkeypatch)
-    ready = learner.observe(teach_alpha_transaction(), "u1")
+    ready = learn_now(learner, teach_alpha_transaction(), "u1")
     # at most the live Alpha instances retried; evicted ones never
     assert counts.get("Alpha#0", 0) <= 2
     assert all(r.instance.signature.site == "Alpha#0" for r in ready)
@@ -263,14 +264,14 @@ def test_preferred_variant_change_wakes_instances():
         )
 
     # the app is first seen sending the larger variant → preferred
-    learner.observe(observed_succ([("cid", "zz"), ("ref", "r0")]), "u1")
+    learn_now(learner, observed_succ([("cid", "zz"), ("ref", "r0")]), "u1")
     # the spawned instance honors the preferred (unbuildable) variant
-    learner.observe(feed_transaction(item_ids=("a1",)), "u1")
+    learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
     assert learner.pending_count == 1
     version_before = learner.store.version
     # same field values, smaller variant: no store change, only the
     # preferred variant flips — the variant wake must retry the instance
-    ready = learner.observe(observed_succ([("cid", "zz")]), "u1")
+    ready = learn_now(learner, observed_succ([("cid", "zz")]), "u1")
     assert learner.store.version == version_before
     assert [r.instance.signature.site for r in ready] == ["Succ#0"]
     assert ready[0].request.body.get("cid") == "a1"
@@ -358,7 +359,7 @@ def indexed_instances(learner):
 
 def test_cookie_changes_do_not_retry_instance_missing_other_field(monkeypatch):
     learner = DynamicLearner(cookie_analysis())
-    learner.observe(cookie_feed("bsid=0", "bsid=1"), "u1")
+    learn_now(learner, cookie_feed("bsid=0", "bsid=1"), "u1")
     assert learner.pending_count == 2
     # registered under the missing vip value only, not the cookie
     for instance in learner._pending:
@@ -369,14 +370,14 @@ def test_cookie_changes_do_not_retry_instance_missing_other_field(monkeypatch):
     counts = count_try_builds(monkeypatch)
     # env:cookie changes (new Set-Cookie on a cookie-sending signature)
     version = learner.store.version
-    assert learner.observe(cookie_feed("bsid=1", "bsid=2"), "u1") == []
+    assert learn_now(learner, cookie_feed("bsid=1", "bsid=2"), "u1") == []
     # header.Cookie of Detail itself changes (and env:cookie with it);
     # the request carries no vip, so nothing the instances miss arrives
-    assert learner.observe(detail_request([("cid", "zz")], "bsid=3"), "u1") == []
+    assert learn_now(learner, detail_request([("cid", "zz")], "bsid=3"), "u1") == []
     assert learner.store.version > version
     assert counts.get("Detail#0", 0) == 0
     # the value they do miss wakes and completes them
-    ready = learner.observe(detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
+    ready = learn_now(learner, detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
     assert counts["Detail#0"] == 2
     assert sorted(r.request.body.get("cid") for r in ready) == ["a1", "b2"]
     assert learner._wake_index == {}
@@ -384,8 +385,8 @@ def test_cookie_changes_do_not_retry_instance_missing_other_field(monkeypatch):
 
 def test_instance_built_on_first_attempt_is_never_registered():
     learner = DynamicLearner(cookie_analysis())
-    learner.observe(detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
-    ready = learner.observe(cookie_feed("bsid=0", "bsid=1"), "u1")
+    learn_now(learner, detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
+    ready = learn_now(learner, cookie_feed("bsid=0", "bsid=1"), "u1")
     assert len(ready) == 2
     assert all(r.instance.wake_keys is None for r in ready)
     assert learner._wake_index == {}
@@ -426,12 +427,11 @@ def test_wake_index_holds_only_live_instances_after_five_app_replay(
         analysis = analyze_apk(
             get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
         )
-        learner = DynamicLearner(analysis, learn_mode="deferred")
+        learner = DynamicLearner(analysis)
         transactions = record_session_transactions(name)
         for user in ("u1", "u2", "u3"):
             for transaction in transactions:
-                learner.observe(transaction, user)
-                learner.drain_learn_queue()
+                learn_now(learner, transaction, user)
         indexed = indexed_instances(learner)
         registered += len(indexed)
         assert all(learner._is_live(instance) for instance in indexed)

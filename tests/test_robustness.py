@@ -20,6 +20,7 @@ from repro.httpmsg.uri import Uri
 from repro.proxy import learning as learning_module
 from repro.proxy.learning import DynamicLearner
 from repro.netsim.sim import Delay
+from tests.learn_helpers import learn_now
 
 
 def unresolvable_analysis():
@@ -65,15 +66,15 @@ def test_pending_queue_bounded(monkeypatch):
     learner = DynamicLearner(unresolvable_analysis())
     for batch in range(20):
         ids = ["id-{}-{}".format(batch, i) for i in range(10)]
-        learner.observe(list_transaction(ids), "u1")
+        learn_now(learner, list_transaction(ids), "u1")
     assert learner.pending_count <= 50
 
 
 def test_pending_eviction_drops_oldest(monkeypatch):
     monkeypatch.setattr(learning_module, "MAX_PENDING", 5)
     learner = DynamicLearner(unresolvable_analysis())
-    learner.observe(list_transaction(["old-{}".format(i) for i in range(5)]), "u1")
-    learner.observe(list_transaction(["new-{}".format(i) for i in range(5)]), "u1")
+    learn_now(learner, list_transaction(["old-{}".format(i) for i in range(5)]), "u1")
+    learn_now(learner, list_transaction(["new-{}".format(i) for i in range(5)]), "u1")
     remaining = {i.dep_values["query.id"] for i in learner._pending}
     assert all(value.startswith("new-") for value in remaining)
 

@@ -31,6 +31,7 @@ from tests.test_proxy_wake_index import (
     teach_alpha_transaction,
     two_successor_analysis,
 )
+from tests.learn_helpers import learn_now
 
 
 class Recording:
@@ -192,22 +193,20 @@ def test_scale_shard_matches_spawn_everything(strategy, options):
 
 
 # -- where the gate does not reach --------------------------------------------
-def inline_proxy(analysis):
-    """A proxy whose learner learns on observe, so tests drive it directly."""
-    return AccelerationProxy(
-        Simulator(), OriginMap(), analysis, learner=DynamicLearner(analysis)
-    )
+def idle_proxy(analysis):
+    """A proxy with no traffic, so tests drive its learner directly."""
+    return AccelerationProxy(Simulator(), OriginMap(), analysis)
 
 
 def test_site_disabled_after_spawn_is_dropped_at_submit():
-    proxy = inline_proxy(two_successor_analysis())
+    proxy = idle_proxy(two_successor_analysis())
     learner, prefetcher = proxy.learner, proxy.prefetcher
-    assert learner.observe(feed_transaction(), "u1") == []
+    assert learn_now(learner, feed_transaction(), "u1") == []
     assert learner.pending_count == 4  # Alpha and Beta, two items each
     # §4.3 verification or the expiration estimator turns Alpha off
     # while its instances are pending
     proxy.config.disable("Alpha#0", "disabled after spawn")
-    ready = learner.observe(teach_alpha_transaction(), "u1")
+    ready = learn_now(learner, teach_alpha_transaction(), "u1")
     assert sorted(r.instance.signature.site for r in ready) == ["Alpha#0"] * 2
     assert [prefetcher.submit(r) for r in ready] == ["skipped_policy"] * 2
     assert prefetcher.skipped_policy == 2
@@ -215,30 +214,30 @@ def test_site_disabled_after_spawn_is_dropped_at_submit():
 
     # a later predecessor spawns no Alpha instance: one refusal counted
     # for the successor group, however many items the feed lists
-    learner.observe(feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
+    learn_now(learner, feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
     assert not learner.has_pending("u1", "Alpha#0")
     assert prefetcher.skipped_policy == 3
     assert learner.pending_count == 5  # the two older Beta plus three new
 
 
 def test_gate_reads_the_live_depth_bound():
-    proxy = inline_proxy(two_successor_analysis())
+    proxy = idle_proxy(two_successor_analysis())
     learner = proxy.learner
     proxy.config.max_chain_depth = 1
-    learner.observe(feed_transaction(), "u1", depth=1)  # would spawn depth 2
+    learn_now(learner, feed_transaction(), "u1", depth=1)  # would spawn depth 2
     assert learner.pending_count == 0
     # the depth bound is not a policy refusal
     assert proxy.prefetcher.skipped_policy == 0
     proxy.config.max_chain_depth = 2
-    learner.observe(feed_transaction(), "u1", depth=1)
+    learn_now(learner, feed_transaction(), "u1", depth=1)
     assert learner.pending_count == 4
 
 
 def test_refusal_is_counted_under_perf():
-    proxy = inline_proxy(two_successor_analysis())
+    proxy = idle_proxy(two_successor_analysis())
     proxy.config.disable("Beta#0", "off")
     with PERF.capture():
-        proxy.learner.observe(feed_transaction(), "u1")
+        learn_now(proxy.learner, feed_transaction(), "u1")
         assert PERF.get("learner.spawn_skipped") == 1
         assert PERF.get("learner.enqueued") == 2
 
@@ -259,8 +258,8 @@ def test_disabled_spawns_no_longer_evict_enabled_instances(monkeypatch):
         )
         proxy.config.disable("Beta#0", "off")
         learner = proxy.learner
-        learner.observe(feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
-        ready = learner.observe(teach_alpha_transaction(), "u1")
+        learn_now(learner, feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
+        ready = learn_now(learner, teach_alpha_transaction(), "u1")
         completed[learner_cls] = sorted(r.request.body.get("cid") for r in ready)
     assert completed[DynamicLearner] == ["a1", "b2", "c3"]
     # Alpha a1, b2, c3 then Beta a1, b2, c3: Beta's spawns evicted the
