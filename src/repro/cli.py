@@ -154,33 +154,22 @@ def _command_demo(args) -> int:
 
 def _command_scale(args) -> int:
     from repro.experiments.scale import (
+        check_settings,
         format_strategy_table,
         run_scale_sweep,
         run_strategy_comparison,
     )
 
-    if any(count < 1 for count in args.users):
-        print("scale: --users values must be positive", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("scale: --duration must be positive", file=sys.stderr)
-        return 2
-    if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
-        print("scale: --trace-sample must be within [0, 1]", file=sys.stderr)
-        return 2
-    if args.admission_threshold is not None and not (
-        0.0 <= args.admission_threshold <= 1.0
-    ):
-        print(
-            "scale: --admission-threshold must be within [0, 1]",
-            file=sys.stderr,
+    try:
+        for count in args.users:
+            check_settings(users=count)
+        check_settings(
+            duration=args.duration, rate_per_user=args.rate, trace_sample=args.trace_sample,
+            max_entries_per_user=args.max_entries_per_user,
+            admission_threshold=args.admission_threshold,
         )
-        return 2
-    if args.adaptive_budget and args.max_entries_total is None:
-        print(
-            "scale: --adaptive-budget requires --max-entries-total",
-            file=sys.stderr,
-        )
+    except ValueError as error:
+        print("scale: {}".format(error), file=sys.stderr)
         return 2
     if args.slo_report and args.slo is None:
         print("scale: --slo-report requires --slo", file=sys.stderr)
@@ -204,8 +193,6 @@ def _command_scale(args) -> int:
     telemetry_on = args.telemetry or slo_config is not None
     policy_kwargs = dict(
         max_entries_per_user=args.max_entries_per_user,
-        max_entries_total=args.max_entries_total,
-        adaptive_budget=args.adaptive_budget,
         admission_threshold=args.admission_threshold,
         estimate_expiration=args.estimate_expiration,
     )
@@ -233,7 +220,6 @@ def _command_scale(args) -> int:
         seed=args.seed,
         trace_path=args.trace,
         trace_sample=args.trace_sample,
-        trace_seed=args.trace_seed,
         strategy=args.strategy,
         warm_start=args.warm_start,
         telemetry=args.telemetry,
@@ -699,14 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
              "print the comparison table (uses the largest --users value)",
     )
     scale.add_argument(
-        "--max-entries-total", type=int, default=None,
-        help="global cache entry budget shared across all users",
-    )
-    scale.add_argument(
-        "--adaptive-budget", action="store_true",
-        help="apportion --max-entries-total by recent per-user hit mass",
-    )
-    scale.add_argument(
         "--admission-threshold", type=float, default=None, metavar="PROB",
         help="stop prefetching signatures whose observed hit probability "
              "falls below PROB (hit-aware admission, §4.4)",
@@ -728,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-sample", type=float, default=None, metavar="RATE",
         help="trace sampling rate in [0, 1] (arms tracing; default 1.0 "
              "when --trace is given)",
-    )
-    scale.add_argument(
-        "--trace-seed", type=int, default=0,
-        help="sampling PRNG seed (default: 0, deterministic sample set)",
     )
     scale.add_argument(
         "--prom", default=None, metavar="FILE",

@@ -162,10 +162,6 @@ def init_worker_env(cache_env: Optional[str]) -> None:
         os.environ.pop(ENV_ENABLE, None)
 
 
-#: backwards-compatible alias (this began life as the pool initializer)
-_worker_init = init_worker_env
-
-
 def execute_cell(unit: WorkUnit) -> Tuple[Any, Optional[Dict[str, Any]]]:
     """Run one work unit (in a pool worker or inline).
 

@@ -82,6 +82,27 @@ STRATEGIES = ("appx", "history", "none")
 ACCESS_RTT = 0.055  # client <-> proxy round trip (seconds)
 TRACE_CAPACITY = 65_536  # trace ring size when tracing is armed
 
+_UNIT_INTERVAL = (lambda v: v is None or 0.0 <= v <= 1.0, "must be within [0, 1]")
+#: every ranged setting of the harness: ``name -> (valid, rule)``
+SETTING_CHECKS = {
+    "users": (lambda v: v >= 1, "must be >= 1"),
+    "duration": (lambda v: v > 0, "must be positive"),
+    "rate_per_user": (lambda v: v > 0, "must be positive"),
+    "max_entries_per_user": (lambda v: v is None or v >= 1, "must be >= 1"),
+    "admission_threshold": _UNIT_INTERVAL,
+    "trace_sample": _UNIT_INTERVAL,
+    "strategy": (lambda v: v in STRATEGIES, "must be one of {}".format(STRATEGIES)),
+}
+
+
+def check_settings(**settings) -> None:
+    """The harness's one range check, run before anything is built or
+    served: ``ValueError`` names the first setting out of range."""
+    for name, value in settings.items():
+        valid, rule = SETTING_CHECKS[name]
+        if not valid(value):
+            raise ValueError("{} {}, got {!r}".format(name, rule, value))
+
 
 def record_session_transactions(
     app_name: str, catalog_seed: int = 7
@@ -213,15 +234,13 @@ class _ScaleDeployment:
         apps: Sequence[str],
         catalog_seed: int = 7,
         max_entries_per_user: Optional[int] = None,
-        max_entries_total: Optional[int] = None,
-        adaptive_budget: bool = False,
         admission_threshold: Optional[float] = None,
         strategy: str = "appx",
     ) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                "strategy must be one of {}, got {!r}".format(STRATEGIES, strategy)
-            )
+        check_settings(
+            max_entries_per_user=max_entries_per_user,
+            admission_threshold=admission_threshold, strategy=strategy,
+        )
         self.sim = Simulator()
         self.origins = OriginMap()
         self.multi = MultiAppProxy(self.sim, self.origins)
@@ -245,11 +264,7 @@ class _ScaleDeployment:
                     app_origins.link_for(Request("GET", _origin_uri(origin))),
                 )
             analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
-            cache = PrefetchCache(
-                max_entries_per_user=max_entries_per_user,
-                max_entries_total=max_entries_total,
-                adaptive=adaptive_budget,
-            )
+            cache = PrefetchCache(max_entries_per_user=max_entries_per_user)
             proxy = AccelerationProxy(self.sim, app_origins, analysis, cache=cache)
             if admission_threshold is not None:
                 proxy.config.admission_threshold = admission_threshold
@@ -326,16 +341,12 @@ def run_scale(
     max_entries_per_user: Optional[int] = None,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
-    trace_seed: int = 0,
     strategy: str = "appx",
-    max_entries_total: Optional[int] = None,
-    adaptive_budget: bool = False,
     admission_threshold: Optional[float] = None,
     estimate_expiration: bool = False,
     warm_start: bool = False,
     collect_latencies: bool = False,
     telemetry: bool = False,
-    telemetry_interval: float = 0.5,
     slo_config: Optional[Dict[str, object]] = None,
     _deployment: Optional[_ScaleDeployment] = None,
 ) -> Dict[str, object]:
@@ -369,7 +380,7 @@ def run_scale(
     The **live telemetry plane** (:mod:`repro.metrics.live`) is armed
     by ``telemetry=True`` or by an SLO config (``slo_config``, the
     parsed ``benchmarks/slo.json``): a simulator process ticks every
-    ``telemetry_interval`` virtual seconds, maintaining rolling windows
+    ``DEFAULT_TICK_S`` (0.5) virtual seconds, maintaining rolling windows
     and evaluating SLO burn rates (alerts land in the trace ring as
     ``kind=alert``).  The row gains ``live`` / ``slo`` sections
     (``None`` when the plane is off, which is the default: the only
@@ -377,8 +388,10 @@ def run_scale(
     """
     import random
 
-    if users < 1:
-        raise ValueError("users must be >= 1")
+    # a deployment checks its own settings before it is built
+    check_settings(
+        users=users, duration=duration, rate_per_user=rate_per_user, trace_sample=trace_sample
+    )
     tracing = trace_path is not None or trace_sample is not None
     apps = tuple(apps)
     deployment = _deployment
@@ -392,8 +405,6 @@ def run_scale(
         deployment = _ScaleDeployment(
             apps,
             max_entries_per_user=max_entries_per_user,
-            max_entries_total=max_entries_total,
-            adaptive_budget=adaptive_budget,
             admission_threshold=admission_threshold,
             strategy=strategy,
         )
@@ -441,7 +452,6 @@ def run_scale(
             [proxy for _, proxy in multi._apps],
             windows=LiveWindows(window_s=window_s),
             slo=engine,
-            interval_s=telemetry_interval,
         )
 
     def transport_for(user_index: int) -> MultiAppTransport:
@@ -554,7 +564,6 @@ def run_scale(
         TRACER.configure(
             sample_rate=1.0 if trace_sample is None else trace_sample,
             capacity=TRACE_CAPACITY,
-            seed=trace_seed,
             registry=PERF.registry,
             sim_clock=lambda: sim.now,
         )
@@ -661,10 +670,10 @@ def run_scale(
         "cache_wheel_purged": sum(c.wheel_purged for c in caches),
         "peak_rss_bytes": rss_peak_bytes(),
         "max_entries_per_user": caches[0].max_entries_per_user,
-        "max_entries_total": caches[0].max_entries_total,
-        "adaptive_budget": caches[0].adaptive,
         "admission_threshold": deployment.admission_threshold,
         "strategy": strategy,
+        "warm_start": warm_start,
+        "estimate_expiration": estimate_expiration,
         "learn_queue_overflows": sum(
             proxy.learner.queue_overflows for _, proxy in multi._apps
         ),
@@ -837,10 +846,13 @@ def run_scale_sweep(
     """
     import os
 
+    cells = [(n, (duration_for or {}).get(n, default_duration)) for n in user_counts]
+    for count, duration in cells:  # every cell is checked before the first runs
+        check_settings(users=count, duration=duration)
+    check_settings(**{k: v for k, v in kwargs.items() if k in SETTING_CHECKS})
     trace_path = kwargs.pop("trace_path", None)
     rows = []
-    for count in user_counts:
-        duration = (duration_for or {}).get(count, default_duration)
+    for count, duration in cells:
         cell_path = trace_path
         if trace_path is not None and len(user_counts) > 1:
             stem, ext = os.path.splitext(trace_path)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import all_apps
 from repro.cli import main
+from repro.experiments import scale
 from repro.experiments.scale import (
     _ScaleDeployment,
     record_session_template,
@@ -85,14 +86,10 @@ def test_run_scale_row_reports_the_prebuilt_deployment_settings():
     deployment = _ScaleDeployment(
         apps,
         max_entries_per_user=3,
-        max_entries_total=64,
-        adaptive_budget=True,
         admission_threshold=0.2,
     )
     row = run_scale(users=4, duration=2.0, apps=apps, seed=0, _deployment=deployment)
     assert row["max_entries_per_user"] == 3
-    assert row["max_entries_total"] == 64
-    assert row["adaptive_budget"] is True
     assert row["admission_threshold"] == 0.2
     # the caches really hold those bounds
     for _, proxy in deployment.multi._apps:
@@ -103,6 +100,66 @@ def test_run_scale_row_reports_the_prebuilt_deployment_settings():
 def test_run_scale_rejects_empty_population():
     with pytest.raises(ValueError):
         run_scale(users=0, duration=1.0)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"admission_threshold": 1.5},
+        {"duration": 0.0},
+        {"duration": -1.0},
+        {"rate_per_user": -1.0},
+        {"max_entries_per_user": 0},
+    ],
+    ids=["admission", "zero-duration", "negative-duration", "rate", "bound"],
+)
+def test_run_scale_rejects_out_of_range_settings(setting):
+    arguments = dict({"users": 4, "duration": 1.0}, **setting)
+    with pytest.raises(ValueError):
+        run_scale(**arguments)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"admission_threshold": 1.5}, {"max_entries_per_user": 0}],
+    ids=["admission", "bound"],
+)
+def test_deployment_rejects_out_of_range_settings(setting):
+    with pytest.raises(ValueError):
+        _ScaleDeployment(("wish",), **setting)
+
+
+@pytest.mark.parametrize(
+    "users, kwargs",
+    [([4, 0], {}), ([4, 8], {"rate_per_user": -1.0})],
+    ids=["count", "rate"],
+)
+def test_sweep_rejects_a_bad_cell_before_serving_any(monkeypatch, users, kwargs):
+    served = []
+    monkeypatch.setattr(scale, "run_scale", lambda *args, **_: served.append(args))
+    with pytest.raises(ValueError):
+        scale.run_scale_sweep(users, default_duration=1.0, **kwargs)
+    assert served == []
+
+
+#: what the per-user LRU bound does to a bounded five-app run (seed 0):
+#: stores, evictions, waste, hits, peak size and simulator events
+BOUNDED_FIVE_APP_GOLDEN = {
+    "cache_stored": 11179,
+    "cache_lru_evictions": 11031,
+    "prefetch_wasted": 11029,
+    "served_prefetched": 2,
+    "peak_cache_entries": 148,
+    "sim_events": 91775,
+}
+
+
+def test_bounded_five_app_run_matches_its_golden():
+    row = run_scale(
+        users=40, duration=4.0, apps=tuple(all_apps()), rate_per_user=1.0,
+        seed=0, warm_start=True, max_entries_per_user=4,
+    )
+    assert {key: row[key] for key in BOUNDED_FIVE_APP_GOLDEN} == BOUNDED_FIVE_APP_GOLDEN
 
 
 def test_cli_scale_smoke(tmp_path, capsys):
@@ -127,6 +184,9 @@ def test_cli_scale_smoke(tmp_path, capsys):
 def test_cli_scale_validates_arguments(capsys):
     assert main(["scale", "--users", "0"]) == 2
     assert main(["scale", "--users", "5", "--duration", "0"]) == 2
+    assert main(["scale", "--users", "5", "--rate", "-1"]) == 2
+    assert main(["scale", "--users", "5", "--max-entries-per-user", "0"]) == 2
+    assert "max_entries_per_user must be >= 1" in capsys.readouterr().err
 
 
 # ======================================================================
@@ -190,14 +250,11 @@ def test_run_strategy_comparison_reports_deltas():
     assert "appx" in table and "none" in table and "speedup" in table
 
 
-def test_run_scale_adaptive_budget_and_estimator_row_fields():
+def test_run_scale_estimator_row_fields():
     row = run_scale(
         users=4, duration=8.0, rate_per_user=1.0, seed=3, apps=("wish",),
-        strategy="appx", max_entries_total=64, adaptive_budget=True,
-        estimate_expiration=True, warm_start=True,
+        strategy="appx", estimate_expiration=True, warm_start=True,
     )
-    assert row["max_entries_total"] == 64
-    assert row["adaptive_budget"] is True
     assert row["expiration"] is not None
     assert row["expiration"]["sites"] > 0
     assert row["prefetch_by_signature"]
@@ -225,7 +282,7 @@ def test_cli_scale_compare_strategies_smoke(tmp_path, capsys):
 
 def test_cli_scale_validates_new_arguments(capsys):
     assert main(["scale", "--users", "4", "--admission-threshold", "1.5"]) == 2
-    assert main(["scale", "--users", "4", "--adaptive-budget"]) == 2
+    assert main(["scale", "--users", "4", "--trace-sample", "2"]) == 2
     capsys.readouterr()
 
 
@@ -255,6 +312,25 @@ DETERMINISTIC_KEYS = (
     "expiration",
     "history",
 )
+
+
+#: the settings a row echoes that decide its deterministic outcome
+ROW_SETTINGS = (
+    "users", "apps", "rate_per_user", "seed", "max_entries_per_user",
+    "admission_threshold", "strategy", "warm_start", "estimate_expiration",
+)
+
+
+def test_a_row_reproduces_from_its_own_settings():
+    first = run_scale(
+        users=12, duration=6.0, apps=("wish", "doordash"), rate_per_user=1.0,
+        seed=5, max_entries_per_user=8, admission_threshold=0.2,
+        warm_start=True, estimate_expiration=True,
+    )
+    settings = {key: first[key] for key in ROW_SETTINGS}
+    again = run_scale(duration=first["duration_s"], **settings)
+    for key in DETERMINISTIC_KEYS:
+        assert again[key] == first[key], key
 
 
 def test_telemetry_plane_does_not_perturb_the_workload():

@@ -201,7 +201,7 @@ def test_overflow_burst_alerts_and_fails_the_slo():
         proxy.learner.learn_queue_capacity = 0
     row = run_scale(
         users=60, duration=4.0, rate_per_user=2.0, seed=0,
-        slo_config=_config(), telemetry_interval=0.25,
+        slo_config=_config(),
         _deployment=deployment,
     )
     # a zero-capacity queue drops every observation as an overflow ...

@@ -1,11 +1,8 @@
 """Tests for the prefetch-efficacy machinery: hit-aware admission,
-the wasted-prefetch counter, adaptive per-user budgets, and the
-history-based baseline strategy.
+the wasted-prefetch counter, and the history-based baseline strategy.
 """
 
 import random
-
-import pytest
 
 from repro.httpmsg.body import JsonBody
 from repro.httpmsg.message import Request, Response
@@ -133,78 +130,6 @@ def test_naive_cache_counts_wasted_identically():
         )
         cache.purge_expired(10.0)
     assert naive.wasted == indexed.wasted == 1
-
-
-# ----------------------------------------------------------------------
-# adaptive per-user budgets
-# ----------------------------------------------------------------------
-def test_adaptive_requires_total_budget():
-    with pytest.raises(ValueError):
-        PrefetchCache(adaptive=True)
-
-
-def test_hit_mass_rotates_by_window():
-    cache = PrefetchCache(
-        max_entries_total=16, adaptive=True, hit_mass_window=10.0
-    )
-    cache._note_user_hit("u0", 1.0)
-    cache._note_user_hit("u0", 2.0)
-    assert cache.hit_mass("u0") == 2
-    # one window later the mass survives (cur + prev)...
-    cache._note_user_hit("u0", 11.0)
-    assert cache.hit_mass("u0") == 3
-    # ...but two quiet windows later it is gone
-    cache._note_user_hit("u1", 35.0)
-    assert cache.hit_mass("u0") == 0
-
-
-def test_active_users_get_larger_allowance():
-    cache = PrefetchCache(
-        max_entries_total=40, adaptive=True, min_entries_per_user=2
-    )
-    for user in ("u0", "u1"):
-        cache.put(
-            user, make_request("/seed-" + user), make_response({"u": user}),
-            SITE, now=0.0, ttl=600.0,
-        )
-    for _ in range(8):
-        cache._note_user_hit("u0", 1.0)
-    assert cache._allowance("u0") > cache._allowance("u1")
-    assert cache._allowance("u1") >= 2  # the floor
-
-
-def test_adaptive_budget_evicts_cold_users_first():
-    cache = PrefetchCache(
-        max_entries_total=10, adaptive=True, min_entries_per_user=2
-    )
-    # u0 earns hit mass; u1 is cold
-    for index in range(5):
-        cache.put(
-            "u0", make_request("/hot-{}".format(index)),
-            make_response({"i": index}), SITE, now=0.0, ttl=600.0,
-        )
-        cache._note_user_hit("u0", 0.5)
-    for index in range(8):
-        cache.put(
-            "u1", make_request("/cold-{}".format(index)),
-            make_response({"i": index}), SITE, now=1.0, ttl=600.0,
-        )
-    hot = len(cache.entries_for_user("u0"))
-    cold = len(cache.entries_for_user("u1"))
-    assert hot + cold <= 10
-    assert cold <= cache._allowance("u1")
-    assert hot >= cache._allowance("u1")
-
-
-def test_total_budget_is_enforced_without_adaptive():
-    cache = PrefetchCache(max_entries_total=4)
-    for index in range(10):
-        cache.put(
-            "u{}".format(index % 3), make_request("/e{}".format(index)),
-            make_response({"i": index}), SITE, now=float(index), ttl=600.0,
-        )
-    assert len(cache) <= 4
-    assert cache.lru_evictions >= 6
 
 
 # ----------------------------------------------------------------------

@@ -174,32 +174,25 @@ def test_max_entries_per_user_is_per_shard():
     assert len(cache) == 2
 
 
-def test_max_bytes_evicts_globally_oldest_first():
-    one_size = response().wire_size()
-    cache = PrefetchCache(max_bytes=3 * one_size)
-    for i, user in enumerate(["u1", "u2", "u3", "u4"]):
-        cache.put(user, request(), response(), "s#{}".format(i), float(i), 60.0)
+def test_bounded_overwrite_keeps_its_lru_slot():
+    cache = PrefetchCache(max_entries_per_user=2)
+    cache.put("u1", request(cid="a"), response(0), "s#a", 0.0, 60.0)
+    cache.put("u1", request(cid="b"), response(0), "s#b", 1.0, 60.0)
+    cache.put("u1", request(cid="a"), response(1), "s#a", 2.0, 60.0)  # overwrite
+    cache.put("u1", request(cid="c"), response(0), "s#c", 3.0, 60.0)
+    # the overwrite stayed in the oldest slot, so "a" is the one evicted
     assert cache.lru_evictions == 1
-    assert cache.get("u1", request(), 5.0) is None  # oldest across users
-    assert cache.get("u4", request(), 5.0) is not None
-    assert cache.total_bytes <= 3 * one_size
-
-
-def test_byte_accounting_on_overwrite_and_expiry():
-    small, big = response(0), Response(200, body=JsonBody({"v": list(range(50))}))
-    cache = PrefetchCache(max_bytes=10_000)
-    cache.put("u1", request(), small, "s#0", 0.0, 5.0)
-    cache.put("u1", request(), big, "s#0", 1.0, 5.0)  # overwrite
-    assert cache.total_bytes == big.wire_size()
-    assert cache.purge_expired(now=6.0) == 1
-    assert cache.total_bytes == 0
+    assert [e.site for e in cache.entries_for_user("u1")] == ["s#b", "s#c"]
+    assert len(cache) == 2
 
 
 def test_unbounded_indexed_cache_skips_lru_tracking():
     cache = PrefetchCache()
-    cache.put("u1", request(), response(), "s#0", 0.0, 60.0)
-    cache.get("u1", request(), 1.0)
-    assert cache._lru == {}
+    cache.put("u1", request(cid="a"), response(), "s#a", 0.0, 60.0)
+    cache.put("u1", request(cid="b"), response(), "s#b", 0.0, 60.0)
+    # a hit does not re-file the entry: insertion order stays the order
+    assert cache.get("u1", request(cid="a"), 1.0) is not None
+    assert [e.site for e in cache.entries_for_user("u1")] == ["s#a", "s#b"]
     assert cache.lru_evictions == 0
 
 
@@ -229,17 +222,18 @@ def test_lookup_for_a_user_with_no_entries_computes_no_key():
 
 
 def test_lookup_after_the_last_entry_was_evicted_computes_no_key():
-    cache = PrefetchCache(max_entries_total=1)
-    cache.put("u1", request("1"), response(), "s#0", now=0.0, ttl=50.0)
-    # u2's store pushes u1's only entry out of the global budget
+    cache = PrefetchCache(max_entries_per_user=4)
+    cache.put("u1", request("1"), response(), "s#0", now=0.0, ttl=5.0)
     cache.put("u2", request("2"), response(), "s#0", now=1.0, ttl=50.0)
-    assert cache.lru_evictions == 1
+    # the sweep evicts u1's only entry once it has expired
+    assert cache.purge_expired(now=6.0) == 1
+    assert cache.user_count == 1
     probe = counting_request("1")
-    assert cache.lookup("u1", probe, now=2.0) == (None, "miss_absent")
+    assert cache.lookup("u1", probe, now=7.0) == (None, "miss_absent")
     assert probe.exact_key_calls == 0
     # a user holding entries still digests the request
     held = counting_request("2")
-    entry, outcome = cache.lookup("u2", held, now=2.0)
+    entry, outcome = cache.lookup("u2", held, now=7.0)
     assert outcome == "hit" and held.exact_key_calls == 1
 
 
