@@ -1,18 +1,12 @@
-"""Parallel experiment engine benchmark: fan-out and artifact cache.
+"""Parallel experiment engine benchmark: serial vs process-pool sweep.
 
-Two measurements, one per layer of the engine, written to
-``BENCH_experiments.json`` at the repo root:
-
-* a fig15-style sweep (all apps x RTTs) run serially and over a
-  4-worker process pool with a warm on-disk artifact cache — rows must
-  be byte-identical; wall-clock speedup is recorded, and asserted
-  (>= 2x) only on machines with >= 4 cores, since a 1-core container
-  cannot physically show it.  On *any* machine the parallel entry
-  point must not lose to serial by more than noise — the break-even
-  projection falls back to in-process execution when the pool cannot
-  pay for itself;
-* the analysis artifact cache: cold ``prepare_app`` vs a warm load
-  from disk for the same app.
+A fig15-style sweep (all apps x RTTs) runs serially and over a 4-job
+process pool, both after every app's phases 1-2 are memoized, and the
+result goes to ``BENCH_experiments.json`` at the repo root.  Rows must be byte-identical.  The wall-clock speedup is
+recorded, and asserted (>= 2x) only on machines with >= 4 cores, since
+a 1-core container cannot physically show it.  On *any* machine the
+parallel entry point must not lose to serial by more than noise: with
+one core the engine runs the cells inline.
 """
 
 from __future__ import annotations
@@ -26,9 +20,8 @@ import pytest
 
 from conftest import banner
 
+from repro.apps.registry import all_apps
 from repro.experiments import parallel, scenario
-from repro.experiments.cache import AnalysisArtifactCache
-from repro.metrics.perf import PERF
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_experiments.json"
 
@@ -37,50 +30,22 @@ SWEEP_PARTICIPANTS = 4
 SWEEP_JOBS = 4
 
 
-def _warm_cache(tmp_path):
-    """Analyze every app once, persisting artifacts to a fresh cache."""
-    cache = AnalysisArtifactCache(str(tmp_path / "artifact-cache"))
-    scenario._PREPARED.clear()
-    started = time.perf_counter()
-    for name in parallel.plan_cells("table3"):
-        scenario.prepare_app(name[1]["name"], disk_cache=cache)
-    cold_s = time.perf_counter() - started
-
-    # warm load: drop the in-process memo so prepare comes from disk
-    scenario._PREPARED.clear()
-    started = time.perf_counter()
-    for name in parallel.plan_cells("table3"):
-        scenario.prepare_app(name[1]["name"], disk_cache=cache)
-    warm_s = time.perf_counter() - started
-    return cache, {"cold_prepare_s": cold_s, "warm_prepare_s": warm_s,
-                   "hits": cache.hits, "writes": cache.writes}
-
-
 @pytest.mark.bench
-def test_perf_experiments(tmp_path):
+def test_perf_experiments():
     result = {"cpu_count": os.cpu_count(), "jobs": SWEEP_JOBS}
 
-    # -- layer 2: artifact cache, cold vs warm -------------------------
-    cache, cache_stats = _warm_cache(tmp_path)
-    result["artifact_cache"] = cache_stats
-
-    # -- layer 1: serial vs process-pool sweep -------------------------
     params = {"rtts": SWEEP_RTTS, "participants": SWEEP_PARTICIPANTS}
+    # phases 1-2 once up front: otherwise the serial run pays them and
+    # the pool, forked after it, inherits the warm memo for free
+    for name in all_apps():
+        scenario.prepare_app(name)
     started = time.perf_counter()
     serial_rows = parallel.SERIAL_RUNNERS["fig15"](**params)
     serial_s = time.perf_counter() - started
 
-    with PERF.capture() as perf:
-        started = time.perf_counter()
-        pooled_rows = parallel.run_figure(
-            "fig15",
-            jobs=SWEEP_JOBS,
-            params=dict(params),
-            artifact_cache=cache,
-            capture_perf=True,
-        )
-        parallel_s = time.perf_counter() - started
-        counters = dict(perf.counters)
+    started = time.perf_counter()
+    pooled_rows = parallel.run_figure("fig15", jobs=SWEEP_JOBS, params=dict(params))
+    parallel_s = time.perf_counter() - started
 
     identical = json.dumps(pooled_rows, sort_keys=True) == json.dumps(
         serial_rows, sort_keys=True
@@ -88,42 +53,27 @@ def test_perf_experiments(tmp_path):
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     result["sweep"] = {
         "figure": "fig15",
-        "cells": counters.get("experiments.cells", 0),
+        "cells": len(parallel.plan_cells("fig15", params)),
         "serial_wall_s": serial_s,
         "parallel_wall_s": parallel_s,
         "speedup": speedup,
         "byte_identical": identical,
-        "worker_counters": {
-            name: counters[name]
-            for name in sorted(counters)
-            if name.startswith(("analysis_cache.", "experiments."))
-        },
     }
 
-    banner("Parallel experiment engine: fan-out / cache")
+    banner("Parallel experiment engine: fan-out")
     print(
-        "sweep: {} cells, serial {:.2f}s, {}-worker pool {:.2f}s "
+        "sweep: {} cells, serial {:.2f}s, {}-job pool {:.2f}s "
         "({:.2f}x, byte-identical={})".format(
             result["sweep"]["cells"], serial_s, SWEEP_JOBS, parallel_s,
             speedup, identical,
         )
     )
-    print(
-        "artifact cache: cold prepare {:.2f}s -> warm {:.3f}s "
-        "({} writes, {} hits)".format(
-            cache_stats["cold_prepare_s"], cache_stats["warm_prepare_s"],
-            cache_stats["writes"], cache_stats["hits"],
-        )
-    )
 
     # correctness is unconditional
     assert identical
-    # the cache turns multi-second analysis+fuzzing into a sub-second load
-    assert cache_stats["warm_prepare_s"] < cache_stats["cold_prepare_s"] / 2.0
-    assert cache_stats["hits"] >= cache_stats["writes"] > 0
-    # the break-even fallback guarantees jobs>1 is never a regression:
-    # on few-core boxes the projection keeps the sweep serial, so the
-    # parallel entry point costs at most noise over the serial oracle
+    # jobs>1 is never a regression: on a one-core box the cells run
+    # inline, so the parallel entry point costs at most noise over the
+    # serial oracle
     assert parallel_s <= serial_s * 1.10
     # wall-clock speedup needs real cores; a 1-core container cannot show it
     if (os.cpu_count() or 1) >= SWEEP_JOBS:

@@ -81,14 +81,6 @@ class InterpOptions:
         self.max_call_depth = max_call_depth
         self.max_list_iterations = max_list_iterations
 
-    def to_dict(self) -> dict:
-        """All option fields, sorted — the analysis-cache key material.
-
-        Subclasses that add fields (``AnalysisOptions``) are covered
-        automatically; any new switch changes the cache key.
-        """
-        return dict(sorted(vars(self).items()))
-
 
 class SiteSnapshot:
     """One abstract request observed at a transaction site."""

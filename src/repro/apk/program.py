@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional
 
 from repro.apk.ir import Block, MethodRef
@@ -190,61 +189,6 @@ class ApkFile:
         return sum(
             1 for method in self.all_methods() for _ in method.body.walk()
         )
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the app binary.
-
-        Covers every input the analyzer and verification phases read —
-        classes with their methods' IR (instruction reprs are
-        address-free), components, screens with their event wiring, and
-        the config defaults — so any change to an app model invalidates
-        disk-cached analysis artifacts keyed on it.
-        """
-        hasher = hashlib.sha256()
-
-        def feed(text: str) -> None:
-            hasher.update(text.encode("utf-8"))
-            hasher.update(b"\0")
-
-        feed(self.package)
-        feed(self.label)
-        feed(self.main_component or "")
-        for key in sorted(self.config_defaults):
-            feed("config:{}={}".format(key, self.config_defaults[key]))
-        for class_name in sorted(self.classes):
-            app_class = self.classes[class_name]
-            feed("class:{}".format(class_name))
-            for method_name in sorted(app_class.methods):
-                method = app_class.methods[method_name]
-                feed("method:{}({})".format(method_name, ",".join(method.params)))
-                for instruction in method.body.walk():
-                    feed(repr(instruction))
-        for name in sorted(self.components):
-            component = self.components[name]
-            feed(
-                "component:{}:{}:{}:{}:{}".format(
-                    component.name,
-                    component.class_name,
-                    component.kind,
-                    component.screen or "",
-                    component.on_start,
-                )
-            )
-        for name in sorted(self.screens):
-            screen = self.screens[name]
-            feed("screen:{}".format(name))
-            for event_name in sorted(screen.events):
-                event = screen.events[event_name]
-                feed(
-                    "event:{}:{}:{}:{}:{}".format(
-                        event.name,
-                        event.handler.to_string(),
-                        int(event.takes_index),
-                        int(event.side_effect),
-                        event.weight,
-                    )
-                )
-        return hasher.hexdigest()
 
     def __repr__(self) -> str:
         return "ApkFile({}, {} classes, {} components)".format(

@@ -8,7 +8,6 @@ Commands::
     demo APP                  accelerate one session, print the speedup
     experiment NAME           run one table/figure experiment
     figs [NAME...] --jobs N   run figure sweeps over a process pool
-    cache [--clear]           inspect / clear the analysis artifact cache
     scale --users N...        million-user serving-core load harness
                               (--trace out.jsonl samples request traces)
     stats TRACE.jsonl         per-stage / per-cause rollup of a trace
@@ -250,13 +249,14 @@ def _command_scale(args) -> int:
             )
         )
     derived = result["derived"]
-    print(
-        "per-request wall cost at {} users is {:.2f}x the {}-user cost".format(
-            derived["largest_users"],
-            derived["per_request_cost_ratio"],
-            derived["smallest_users"],
+    if len(set(args.users)) >= 2:
+        print(
+            "per-request wall cost at {} users is {:.2f}x the {}-user cost".format(
+                derived["largest_users"],
+                derived["per_request_cost_ratio"],
+                derived["smallest_users"],
+            )
         )
-    )
     if telemetry_on:
         for row in result["rows"]:
             live = row.get("live") or {}
@@ -491,7 +491,6 @@ def _print_rows(rows) -> None:
 
 
 def _command_figs(args) -> int:
-    from repro.experiments.cache import AnalysisArtifactCache
     from repro.experiments.parallel import PARALLEL_FIGURES, run_figures
 
     names = args.names or list(PARALLEL_FIGURES)
@@ -504,9 +503,6 @@ def _command_figs(args) -> int:
             file=sys.stderr,
         )
         return 2
-    artifact_cache = None
-    if not args.no_cache:
-        artifact_cache = AnalysisArtifactCache(args.cache_dir)
     params = {
         "table3": {"fuzz_duration": 300.0, "trace_participants": 6},
         "fig13": {"runs": 5},
@@ -515,45 +511,15 @@ def _command_figs(args) -> int:
         "fig16": {"participants": args.participants},
         "fig17": {"participants": args.participants},
     }
-    results = run_figures(
-        names,
-        jobs=args.jobs,
-        params_by_figure=params,
-        artifact_cache=artifact_cache,
-    )
+    results = run_figures(names, jobs=args.jobs, params_by_figure=params)
     for name, rows in results.items():
         print("== {} ==".format(name))
         _print_rows(rows)
-    if artifact_cache is not None:
-        print("analysis cache: {}".format(artifact_cache.stats()))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("wrote rows to {}".format(args.output))
-    return 0
-
-
-def _command_cache(args) -> int:
-    from repro.experiments.cache import AnalysisArtifactCache
-
-    artifact_cache = AnalysisArtifactCache(args.cache_dir)
-    if args.clear:
-        removed = artifact_cache.clear()
-        print("removed {} cached artifact(s) from {}".format(removed, artifact_cache.root))
-        return 0
-    if args.invalidate:
-        removed = artifact_cache.invalidate(args.invalidate)
-        print(
-            "removed {} cached artifact(s) for {!r}".format(removed, args.invalidate)
-        )
-        return 0
-    entries = artifact_cache.entries()
-    print("cache dir: {}".format(artifact_cache.root))
-    if not entries:
-        print("(empty)")
-    for file_name, app in entries.items():
-        print("  {:<14} {}".format(app, file_name))
     return 0
 
 
@@ -631,24 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--participants", type=int, default=6,
         help="user-study participants per cell (default: 6)",
     )
-    figs.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk analysis artifact cache",
-    )
-    figs.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory (default: REPRO_CACHE_DIR or ~/.cache/repro-appx)",
-    )
     figs.add_argument("--output", help="also write all rows to this JSON file")
-
-    cache = commands.add_parser(
-        "cache", help="inspect / clear the analysis artifact cache"
-    )
-    cache.add_argument("--clear", action="store_true", help="drop every entry")
-    cache.add_argument(
-        "--invalidate", metavar="APP", help="drop one app's entries"
-    )
-    cache.add_argument("--cache-dir", default=None, help="cache directory")
 
     scale = commands.add_parser(
         "scale", help="serving-core load harness (open-loop Poisson users)"
@@ -784,7 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "demo": _command_demo,
         "experiment": _command_experiment,
         "figs": _command_figs,
-        "cache": _command_cache,
         "scale": _command_scale,
         "stats": _command_stats,
         "lint": _command_lint,

@@ -8,15 +8,13 @@ sharing the same proxy — mirroring the paper's §6 setup.
 
 :func:`prepare_app` performs the paper's phases 1–2 once per app —
 static analysis, then the verification phase which produces the
-initial configuration and the app-level learned values — and caches
-the result for every experiment: in-memory per process, and optionally
-on disk via :mod:`repro.experiments.cache` so pool workers and repeat
-CLI invocations skip re-analysis and re-fuzzing entirely.
+initial configuration and the app-level learned values — and memoizes
+the result in-process for every experiment with the same arguments.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.model import AnalysisResult
 from repro.analysis.pipeline import AnalysisOptions, analyze_apk
@@ -81,58 +79,22 @@ class PreparedApp:
         self.seed_store = seed_store
 
 
-_PREPARED: Dict[str, PreparedApp] = {}
+_PREPARED: Dict[Tuple[str, float, bool], PreparedApp] = {}
 
 
 def prepare_app(
     name: str,
     fuzz_duration: float = 90.0,
     estimate_expiry: bool = True,
-    use_cache: bool = True,
-    disk_cache: Union[bool, None, "AnalysisArtifactCache"] = None,
 ) -> PreparedApp:
-    """Analyze + verify one app (cached across experiments).
-
-    ``disk_cache`` selects the on-disk artifact layer: ``None`` honors
-    the ``REPRO_ANALYSIS_CACHE`` environment switch (how pool workers
-    inherit the engine's cache), ``True``/``False`` force it on or off
-    at the default directory, and an :class:`AnalysisArtifactCache`
-    instance is used as-is.  ``use_cache=False`` bypasses *both* layers
-    — the ``--no-cache`` escape hatch.
-    """
-    if use_cache and name in _PREPARED:
-        return _PREPARED[name]
-    from repro.experiments.cache import (
-        AnalysisArtifactCache,
-        cache_from_environment,
-    )
-
+    """Analyze + verify one app, memoized per process on every argument."""
+    key = (name, fuzz_duration, estimate_expiry)
+    prepared = _PREPARED.get(key)
+    if prepared is not None:
+        return prepared
     spec = get_app(name)
     apk = spec.build_apk()
-    options = AnalysisOptions(run_slicing=False)
-
-    artifact_cache: Optional[AnalysisArtifactCache] = None
-    if use_cache:
-        if isinstance(disk_cache, AnalysisArtifactCache):
-            artifact_cache = disk_cache
-        elif disk_cache is True:
-            artifact_cache = AnalysisArtifactCache()
-        elif disk_cache is None:
-            artifact_cache = cache_from_environment()
-
-    key = None
-    if artifact_cache is not None:
-        key = artifact_cache.key_for(
-            name, apk, options, fuzz_duration, estimate_expiry
-        )
-        cached = artifact_cache.load(name, key)
-        if cached is not None:
-            analysis, config, seed_store = cached
-            prepared = PreparedApp(spec, apk, analysis, config, seed_store)
-            _PREPARED[name] = prepared
-            return prepared
-
-    analysis = analyze_apk(apk, options)
+    analysis = analyze_apk(apk, AnalysisOptions(run_slicing=False))
     config, report = run_verification(
         apk,
         analysis,
@@ -141,11 +103,9 @@ def prepare_app(
         fuzz_duration=fuzz_duration,
         estimate_expiry=estimate_expiry,
     )
-    prepared = PreparedApp(spec, apk, analysis, config, report.seed_store)
-    if artifact_cache is not None and key is not None:
-        artifact_cache.store(name, key, analysis, config, report.seed_store)
-    if use_cache:
-        _PREPARED[name] = prepared
+    prepared = _PREPARED[key] = PreparedApp(
+        spec, apk, analysis, config, report.seed_store
+    )
     return prepared
 
 

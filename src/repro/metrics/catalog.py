@@ -2,11 +2,9 @@
 
 The registry (:mod:`repro.metrics.registry`), the PERF facade
 (:mod:`repro.metrics.perf`), and the tracer (:mod:`repro.metrics.trace`)
-all address series by *string name* — and the parallel figure
-engine's fold-back (:mod:`repro.experiments.parallel`) matches those
-strings across process boundaries.  A typo'd name therefore does not
-crash; it silently forks a parallel series that no merge, no dashboard,
-and no CI gate ever looks at.  This module is the single place those
+all address series by *string name*.  A typo'd name therefore does not
+crash; it silently forks a parallel series that no dashboard, no
+``repro stats`` rollup and no CI gate ever looks at.  This module is the single place those
 names are declared, and ``python -m repro lint`` statically extracts
 every name used at a call site and fails on anything undeclared
 (rule family ``met-*`` in :mod:`repro.qa.rules.metrics_hygiene`).
@@ -140,20 +138,12 @@ METRICS: Dict[str, MetricSpec] = {
 # unlabeled PERF counters (dotted hot-path names)
 # ======================================================================
 COUNTERS: Dict[str, str] = {
-    "analysis_cache.hits": "artifact-cache hits in prepare_app",
-    "analysis_cache.misses": "artifact-cache misses in prepare_app",
-    "analysis_cache.writes": "artifact-cache writes",
-    "analysis_cache.invalidated": "artifact-cache entries dropped",
     "cache.stores": "prefetch-cache inserts",
     "cache.lookups": "per-user exact-match cache probes",
     "cache.lookup_hits": "cache probes answered from a prefetched entry",
     "cache.expired_on_lookup": "entries found expired at probe time",
     "cache.lru_evictions": "entries evicted by per-user/global LRU bounds",
     "cache.wheel_purged": "entries removed by timer-wheel expiry sweeps",
-    "experiments.cells": "sweep cells planned by the parallel engine",
-    "experiments.parallel_cells": "cells dispatched to the process pool",
-    "experiments.fallback_serial": "sweeps where the pool lost break-even",
-    "experiments.pool_reuse": "warm shared-pool reuses across sweeps",
     "expiration.probes": "§4.3 expiration-estimator probe fetches",
     "expiration.disabled": "signatures disabled by probe errors",
     "history.issued": "prefetches issued by the PALOMA-style baseline",

@@ -136,30 +136,6 @@ class PerfCounters:
         if self.enabled and value > self.counters.get(name, 0):
             self.counters[name] = value
 
-    def merge(self, snapshot: Dict) -> None:
-        """Fold a worker-process snapshot in.
-
-        Accepts either a plain counter dict (the historical shape) or a
-        full :meth:`snapshot` dict (``counters`` + ``timings_s`` +
-        ``histograms``), so pool runners fold back stage timings and
-        histograms too instead of silently dropping them.  Plain
-        counters add; ``*_peak`` names keep the maximum, matching
-        :meth:`peak` semantics.
-        """
-        if not self.enabled:
-            return
-        if isinstance(snapshot.get("counters"), dict):
-            # full snapshot: the registry owns the fold-back semantics
-            # (peak counters keep max, histogram bounds must agree, new
-            # series respect the cardinality guard)
-            self.registry.merge(snapshot)
-            return
-        for name, value in snapshot.items():
-            if name.split("{", 1)[0].endswith("_peak"):
-                self.peak(name, value)
-            else:
-                self.counters[name] = self.counters.get(name, 0) + value
-
     def stage(self, name: str):
         """Accumulate wall-clock time under ``name`` while enabled.
 

@@ -24,9 +24,9 @@ folded into one ``{overflow="true"}`` series instead of growing the
 store without bound — label values must be *bounded* dimensions
 (signature site, stage, outcome), never per-request values.
 
-``snapshot()``/``merge()`` mirror the worker-process fold-back the
-parallel experiment engine relies on, and ``render_prometheus()``
-emits the text exposition format for scraping or file dumps.
+``snapshot()`` returns the whole state as plain data, and
+``render_prometheus()`` emits the text exposition format for scraping
+or file dumps.
 """
 
 from __future__ import annotations
@@ -107,16 +107,12 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def merge(self, snapshot: Dict[str, object], name: Optional[str] = None) -> None:
+    def merge(self, snapshot: Dict[str, object]) -> None:
         counts = list(snapshot["bucket_counts"])
         if tuple(snapshot["bounds"]) != self.bounds:
             raise ValueError(
-                "cannot merge histogram{}: local bounds {} != snapshot "
-                "bounds {}".format(
-                    " {!r}".format(name) if name else "s",
-                    self.bounds,
-                    tuple(snapshot["bounds"]),
-                )
+                "cannot merge histograms: local bounds {} != snapshot "
+                "bounds {}".format(self.bounds, tuple(snapshot["bounds"]))
             )
         for index, value in enumerate(counts):
             self.bucket_counts[index] += value
@@ -176,11 +172,6 @@ class MetricRegistry:
         key = series_key(name, labels)
         if key in store:
             self._keys[memo] = key
-            return key
-        if dict(labels).get("overflow") == "true":
-            # the guard's own sink series: always admitted and never
-            # counted against the budget, so worker-side overflow
-            # series fold back into it verbatim on merge
             return key
         used = self._series_count.get(name, 0)
         if used >= self.max_series_per_metric:
@@ -244,26 +235,8 @@ class MetricRegistry:
     def snapshot_histograms(self) -> Dict[str, Dict[str, object]]:
         return {key: h.snapshot() for key, h in self.histograms.items()}
 
-    def merge_histograms(self, snapshots: Dict[str, Dict[str, object]]) -> None:
-        for key, snapshot in snapshots.items():
-            histogram = self.histograms.get(key)
-            if histogram is None:
-                name, labels = parse_series_key(key)
-                key = self._key(self.histograms, name, labels)
-                histogram = self.histograms.get(key)
-            if histogram is None:
-                histogram = self.histograms[key] = Histogram(
-                    tuple(snapshot["bounds"])
-                )
-            histogram.merge(snapshot, name=key)
-
     def snapshot(self) -> Dict[str, object]:
-        """Full picklable registry state, for cross-process fold-back.
-
-        The shape is what :meth:`merge` consumes — the parallel figure
-        engine (``repro figs --jobs``) ships one of these back from each
-        pool worker and folds them into a single aggregate registry.
-        """
+        """Full picklable registry state."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
@@ -271,48 +244,6 @@ class MetricRegistry:
             "histograms": self.snapshot_histograms(),
             "overflow_series": self.overflow_series,
         }
-
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Fold-back semantics — chosen so that merging is commutative and
-        associative across any set of worker snapshots:
-
-        * counters and timings **add**, except counters whose base name
-          ends in ``_peak``, which keep the **maximum** (matching
-          :meth:`~repro.metrics.perf.PerfCounters.peak`);
-        * gauges keep the **maximum** (worker gauges are high-water
-          marks once they cross process boundaries — a "last written"
-          has no meaning across concurrent workers);
-        * histograms merge bucket-wise and **raise** on mismatched
-          bucket bounds rather than silently corrupting percentiles;
-        * ``overflow_series`` adds.
-
-        New labeled series are routed through the cardinality guard, so
-        a merge cannot grow a metric past ``max_series_per_metric`` —
-        excess series fold into ``{overflow="true"}`` exactly as live
-        recording would, and overflow-labeled series from the worker
-        side survive as themselves.
-        """
-        for key, value in (snapshot.get("counters") or {}).items():
-            name, labels = parse_series_key(key)
-            key = self._key(self.counters, name, labels)
-            if name.endswith("_peak"):
-                if value > self.counters.get(key, 0):
-                    self.counters[key] = value
-            else:
-                self.counters[key] = self.counters.get(key, 0) + value
-        for key, value in (snapshot.get("timings_s") or {}).items():
-            name, labels = parse_series_key(key)
-            key = self._key(self.timings, name, labels)
-            self.timings[key] = self.timings.get(key, 0.0) + value
-        for key, value in (snapshot.get("gauges") or {}).items():
-            name, labels = parse_series_key(key)
-            key = self._key(self.gauges, name, labels)
-            if key not in self.gauges or value > self.gauges[key]:
-                self.gauges[key] = value
-        self.merge_histograms(snapshot.get("histograms") or {})
-        self.overflow_series += int(snapshot.get("overflow_series") or 0)
 
     # -- export ---------------------------------------------------------
     def render_prometheus(self, prefix: str = "repro_") -> str:

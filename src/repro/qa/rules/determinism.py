@@ -10,7 +10,7 @@ the source level:
 ``det-wall-clock``
     ``time.time``/``time.sleep``/``datetime.now``-family calls.
     ``time.perf_counter`` is deliberately **allowed**: it measures
-    host cost (stage timings, break-even projection) and never feeds
+    host cost (stage timings, scale-cell wall time) and never feeds
     simulated state.
 ``det-entropy``
     ``uuid.uuid1``/``uuid4``, ``os.urandom``, ``secrets.*``,

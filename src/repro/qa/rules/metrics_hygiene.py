@@ -1,10 +1,9 @@
 """Metrics/trace hygiene: every observable name must be declared.
 
-The registry merge that folds pool-worker snapshots back into the
-parallel figure engine matches series by *string name*; a typo'd name
-doesn't crash, it silently forks a series nothing ever reads.  These
-rules statically extract the name at every ``PERF``/``REGISTRY``/
-tracer call site and check it against
+The registry, the PERF facade and the tracer address series by
+*string name*; a typo'd name doesn't crash, it silently forks a series
+nothing ever reads.  These rules statically extract the name at every
+``PERF``/``REGISTRY``/tracer call site and check it against
 :mod:`repro.metrics.catalog`:
 
 ``met-undeclared-name``

@@ -11,8 +11,8 @@ code like this:
     Under the *fork* start method that mutation silently diverges from
     the parent; under *spawn* it never happens at all — either way the
     two sides disagree.  Worker-global setup is sometimes the point
-    (a pool initializer exists to mutate the worker's environment), so
-    the escape hatch is an explicit suppression with a justification.
+    (a pool initializer that prepares the worker), so the escape hatch
+    is an explicit suppression with a justification.
 ``mp-unpicklable-callable``
     a ``lambda`` or nested function handed to a pool/``Process``.
     These fail to pickle under spawn — but only at runtime, on the

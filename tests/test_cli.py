@@ -168,3 +168,22 @@ def test_scale_prom_atomic_dump(tmp_path, capsys):
     assert code == 0
     assert "wrote Prometheus metrics to {}".format(prom_path) in out
     assert "# TYPE" in prom_path.read_text()
+
+
+def test_scale_one_population_prints_no_scaling_verdict(capsys):
+    code, out = run_cli(
+        capsys, "scale", "--users", "10", "--duration", "1",
+        "--max-entries-per-user", "16",
+    )
+    assert code == 0
+    assert "per-request wall cost" not in out
+
+
+def test_scale_two_populations_print_the_scaling_verdict(capsys):
+    code, out = run_cli(
+        capsys, "scale", "--users", "10", "20", "--duration", "1",
+        "--max-entries-per-user", "16",
+    )
+    assert code == 0
+    assert "per-request wall cost at 20 users is" in out
+    assert "the 10-user cost" in out

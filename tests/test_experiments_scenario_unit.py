@@ -70,10 +70,11 @@ def test_scoped_config_none_enables_everything(wish):
     assert len(enabled) == len(wish.analysis.signatures) - len(side_effects)
 
 
-def test_prepare_app_no_cache_builds_fresh():
-    a = prepare_app("purple_ocean", fuzz_duration=10.0, estimate_expiry=False,
-                    use_cache=False)
-    b = prepare_app("purple_ocean", fuzz_duration=10.0, estimate_expiry=False,
-                    use_cache=False)
-    assert a is not b
-    assert a.analysis.summary() == b.analysis.summary()
+def test_prepare_app_memo_is_keyed_on_every_argument(monkeypatch):
+    monkeypatch.setattr("repro.experiments.scenario._PREPARED", {})
+    a = prepare_app("purple_ocean", fuzz_duration=10.0, estimate_expiry=False)
+    assert prepare_app("purple_ocean", fuzz_duration=10.0, estimate_expiry=False) is a
+    longer = prepare_app("purple_ocean", fuzz_duration=20.0, estimate_expiry=False)
+    estimated = prepare_app("purple_ocean", fuzz_duration=10.0, estimate_expiry=True)
+    assert len({id(a), id(longer), id(estimated)}) == 3
+    assert prepare_app("purple_ocean", fuzz_duration=20.0, estimate_expiry=False) is longer

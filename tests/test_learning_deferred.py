@@ -400,7 +400,6 @@ def test_fig13_row_is_the_same_under_the_inline_oracle(monkeypatch):
     through the seed's learn-on-observe pipeline."""
     from repro.experiments import runner, scenario
 
-    monkeypatch.delenv("REPRO_ANALYSIS_CACHE", raising=False)
     monkeypatch.setattr(scenario, "_PREPARED", {})
     shipped = runner.fig13_row("wish", runs=1)
     # verify the app again, under the oracle too

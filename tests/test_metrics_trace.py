@@ -97,16 +97,6 @@ def test_registry_prometheus_exposition():
     assert 'repro_span_wall_seconds_count{stage="match"} 1' in text
 
 
-def test_registry_merge_histograms_creates_missing_series():
-    source = MetricRegistry()
-    source.observe("lat", 0.002, labels={"stage": "learn"})
-    sink = MetricRegistry()
-    sink.merge_histograms(source.snapshot_histograms())
-    sink.merge_histograms(source.snapshot_histograms())
-    merged = sink.histogram("lat", {"stage": "learn"})
-    assert merged is not None and merged.count == 2
-
-
 # ======================================================================
 # PERF facade
 # ======================================================================
@@ -121,40 +111,6 @@ def test_perf_facade_aliases_registry_stores():
     # reset clears in place, the aliases stay live
     assert perf.counters is perf.registry.counters
     assert perf.counters == {}
-
-
-def test_perf_merge_folds_timings_and_histograms():
-    worker = PerfCounters()
-    worker.enabled = True
-    worker.incr("cells", 2)
-    worker.incr("rss_peak", 100)
-    with worker.stage("pass"):
-        pass
-    snapshot = worker.snapshot()
-    assert "timings_s" in snapshot and "pass" in snapshot["timings_s"]
-
-    parent = PerfCounters()
-    parent.enabled = True
-    parent.incr("rss_peak", 250)
-    parent.merge(snapshot)
-    parent.merge(snapshot)
-    assert parent.counters["cells"] == 4
-    assert parent.counters["rss_peak"] == 250  # *_peak max-merges
-    # worker stage timings fold into the parent instead of vanishing
-    assert parent.timings["pass"] == pytest.approx(
-        2 * snapshot["timings_s"]["pass"]
-    )
-    merged = parent.registry.histogram("stage_seconds", {"stage": "pass"})
-    assert merged is not None and merged.count == 2
-
-
-def test_perf_merge_accepts_legacy_plain_counter_dict():
-    parent = PerfCounters()
-    parent.enabled = True
-    parent.merge({"cells": 3, "rss_peak": 9})
-    parent.merge({"cells": 1, "rss_peak": 4})
-    assert parent.counters["cells"] == 4
-    assert parent.counters["rss_peak"] == 9
 
 
 # ======================================================================

@@ -562,12 +562,18 @@ def test_src_tree_is_strict_clean():
     report = run_lint(["src"], root=str(REPO_ROOT), strict=True)
     rendered = render_text(report)
     assert report.exit_code == 0, "src/ is no longer lint-clean:\n" + rendered
-    # the tree exercises all three rule families' sinks, so a silently
-    # inert linter would also show up here: the known, justified
-    # suppressions (parallel.py's two pool-initializer environ writes)
-    # must have matched real findings
-    assert report.suppressed >= 2, rendered
     assert report.files_scanned > 80, rendered
+    # a silently inert linter would also pass above: the real pool
+    # entrypoint (``pool.map(execute_cell, ...)``) must still be found,
+    # so a global write added to the worker side must flag
+    relpath = "src/repro/experiments/parallel.py"
+    source = (REPO_ROOT / relpath).read_text()
+    mutated = source.replace(
+        "    kind, kwargs = unit\n",
+        "    kind, kwargs = unit\n    os.environ['CELL'] = kind\n",
+    )
+    assert mutated != source
+    assert "mp-global-mutation" in rule_ids(mutated, relpath=relpath)
 
 
 def test_sink_heuristics_still_match_real_call_shapes():
