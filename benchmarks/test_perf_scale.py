@@ -4,7 +4,7 @@ Sweeps the ``repro scale`` open-loop harness over N ∈ {100, 1k, 10k}
 users sharing one :class:`MultiAppProxy`, holding the expected request
 volume per cell constant (duration ∝ 1/N) so the cells compare
 per-request *cost*, not workload size.  The tentpole claim asserted
-here: with the sharded timer-wheel cache and the lazy prefetch drain,
+here: with the sharded heap-expiry cache and the site-scan prefetch drain,
 serving cost is population-independent — per-request wall time at 10k
 users stays within 2× of the 100-user cell.
 

@@ -205,14 +205,41 @@ def _build_replay_steps(
 
 class _UserSession:
     """Per-user replay state: cookie jar, latest ok response per site,
-    and the session-template cursor."""
+    the values extracted from those responses, and the session-template
+    cursor."""
 
-    __slots__ = ("jar", "responses", "position")
+    __slots__ = ("jar", "responses", "extracted", "position")
 
     def __init__(self) -> None:
         self.jar = CookieJar()
         self.responses: Dict[str, Response] = {}
+        #: site -> {pred_path -> values} of ``responses[site]``
+        self.extracted: Dict[str, Dict[object, List]] = {}
         self.position: Optional[int] = None
+
+    def values_at(self, site: str, path) -> List:
+        """Values the latest ``site`` response exposes at ``path``.
+
+        Each list is extracted once per stored response; a missing
+        response or a failed extraction yields no values.
+        """
+        memo = self.extracted.get(site)
+        if memo is None:
+            memo = self.extracted[site] = {}
+        values = memo.get(path)
+        if values is None:
+            response = self.responses.get(site)
+            try:
+                values = [] if response is None else path.extract(response)
+            except (ValueError, KeyError):
+                values = []
+            memo[path] = values
+        return values
+
+    def store(self, site: str, response: Response) -> None:
+        """File ``response`` as the latest for ``site``; forget its values."""
+        self.responses[site] = response
+        self.extracted.pop(site, None)
 
 
 def _history_site_for(learner):
@@ -474,15 +501,12 @@ def run_scale(
         # this user's own predecessor responses, and the Cookie header
         # from this user's own jar — never the template user's bytes
         for succ_path, pred_site, pred_path, value_index in step.subs:
-            predecessor = session.responses.get(pred_site)
-            if predecessor is None:
-                continue
-            try:
-                values = pred_path.extract(predecessor)
-                if value_index < len(values):
+            values = session.values_at(pred_site, pred_path)
+            if value_index < len(values):
+                try:
                     succ_path.assign(request, values[value_index])
-            except (ValueError, KeyError):
-                pass
+                except (ValueError, KeyError):
+                    pass
         origin = request.uri.origin()
         # Rewrite the Cookie header only on steps where the recorded
         # template sent one: real apps attach cookies consistently per
@@ -508,7 +532,7 @@ def run_scale(
             live.on_request(elapsed, sim.now)
         session.jar.store_from_response(origin, response)
         if step.site is not None and response.ok:
-            session.responses[step.site] = response
+            session.store(step.site, response)
         return None
 
     def arrivals() -> Generator:
@@ -667,7 +691,7 @@ def run_scale(
         "cache_stored": sum(c.stored for c in caches),
         "cache_expired_evictions": sum(c.expired_evictions for c in caches),
         "cache_lru_evictions": sum(c.lru_evictions for c in caches),
-        "cache_wheel_purged": sum(c.wheel_purged for c in caches),
+        "cache_purged": sum(c.purged for c in caches),
         "peak_rss_bytes": rss_peak_bytes(),
         "max_entries_per_user": caches[0].max_entries_per_user,
         "admission_threshold": deployment.admission_threshold,

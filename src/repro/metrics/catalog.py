@@ -143,7 +143,7 @@ COUNTERS: Dict[str, str] = {
     "cache.lookup_hits": "cache probes answered from a prefetched entry",
     "cache.expired_on_lookup": "entries found expired at probe time",
     "cache.lru_evictions": "entries evicted by per-user/global LRU bounds",
-    "cache.wheel_purged": "entries removed by timer-wheel expiry sweeps",
+    "cache.purged": "entries removed by expiry sweeps",
     "expiration.probes": "§4.3 expiration-estimator probe fetches",
     "expiration.disabled": "signatures disabled by probe errors",
     "history.issued": "prefetches issued by the PALOMA-style baseline",
@@ -158,7 +158,6 @@ COUNTERS: Dict[str, str] = {
     "prefetch.submitted": "ready instances submitted (a site refused at spawn never is)",
     "prefetch.issued": "prefetch fetches actually issued",
     "prefetch.queue_peak": "high-water mark of the waiting prefetch queue",
-    "prefetch.stale_heap_entries": "lazy-drain heap entries skipped as stale",
     "prefetch.wasted": "prefetched entries that never served a hit",
     "sim.events": "simulator events processed",
     "sim.inline_starts": "awaited child processes started inside the parent's step",

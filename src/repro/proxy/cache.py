@@ -11,10 +11,9 @@ Serving-scale layout
 --------------------
 The store is *sharded by user*: one inner dict per user keyed by
 ``exact_key``, so lookup, insert, and ``entries_for_user`` touch only
-that user's shard, and a hierarchical
-:class:`~repro.proxy.timerwheel.TimerWheel` files every entry by
-expiry tick so ``purge_expired(now)`` visits only buckets the clock
-passed — per-request cost stays flat as the user population grows.
+that user's shard, and one min-heap of ``(expires_at, seq, ...)``
+records every store so ``purge_expired(now)`` pops only what the clock
+has passed — per-request cost stays flat as the user population grows.
 The one optional bound, ``max_entries_per_user``, evicts the user's
 least-recently-used entries when a deployment must cap memory.  The
 seed's flat ``(user, exact_key)`` table with full-scan purge lives on
@@ -28,13 +27,11 @@ prefetcher's admission gate and offline audits run on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import heapq
+from typing import Dict, List, Optional, Tuple
 
 from repro.httpmsg.message import Request, Response
 from repro.metrics.perf import PERF
-from repro.proxy.timerwheel import TimerWheel
-
-WHEEL_TICK = 0.5  # seconds of expiry time one timer-wheel bucket spans
 
 
 class CacheEntry:
@@ -67,28 +64,22 @@ class PrefetchCache:
     def __init__(self, max_entries_per_user: Optional[int] = None) -> None:
         self.max_entries_per_user = max_entries_per_user
         #: user -> {exact_key -> entry}; dict insertion order doubles
-        #: as per-user LRU order (touched on bounded gets)
+        #: as per-user LRU order (touched on bounded hits)
         self._shards: Dict[str, Dict[str, CacheEntry]] = {}
-        self._wheel = TimerWheel(tick=WHEEL_TICK)
+        #: (expires_at, seq, user, exact, entry) per store; ``seq``
+        #: keeps equal expiries in store order and entries uncompared
+        self._expiry: List[Tuple[float, int, str, str, CacheEntry]] = []
         self._count = 0  # live entries across all shards
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
         self.expired_evictions = 0
         self.lru_evictions = 0
-        self.wheel_purged = 0
+        self.purged = 0
         self.stored = 0
         #: entries that left the cache (evicted or expired) having
         #: never served a hit — the prefetch-waste signal
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
-        self._stats_listeners: List[Callable[[str], None]] = []
-
-    # ------------------------------------------------------------------
-    def add_stats_listener(self, listener: Callable[[str], None]) -> None:
-        """Call ``listener(site)`` whenever a hit/miss moves a site's
-        hit rate — the prefetcher uses this to re-rank its queue
-        lazily instead of rebuilding it."""
-        self._stats_listeners.append(listener)
 
     # ------------------------------------------------------------------
     def put(
@@ -109,7 +100,9 @@ class PrefetchCache:
         shard[exact] = entry
         if previous is None:
             self._count += 1
-        self._wheel.schedule(entry.expires_at, (user, exact, entry))
+        heapq.heappush(
+            self._expiry, (entry.expires_at, self.stored, user, exact, entry)
+        )
         bound = self.max_entries_per_user
         if bound is not None:
             # an overwrite keeps its slot; shard dict order is the
@@ -171,7 +164,7 @@ class PrefetchCache:
         present but past its TTL — evicted, not served), or
         ``"miss_absent"`` (nothing prefetched for this exact request).
         The distinction feeds per-cause miss attribution in traces and
-        the metric registry; :meth:`get` is the outcome-blind facade.
+        the metric registry.
         """
         if PERF.enabled:
             PERF.incr("cache.lookups")
@@ -197,21 +190,13 @@ class PrefetchCache:
             PERF.incr("cache.lookup_hits")
         return entry, "hit"
 
-    def get(self, user: str, request: Request, now: float) -> Optional[CacheEntry]:
-        """Exact-match lookup; expired entries are evicted, not served."""
-        return self.lookup(user, request, now)[0]
-
     def record_hit(self, site: str) -> None:
         self.hits[site] = self.hits.get(site, 0) + 1
         if PERF.enabled:
             PERF.registry.inc("prefetch_hits", labels={"signature": site})
-        for listener in self._stats_listeners:
-            listener(site)
 
     def record_miss(self, site: str) -> None:
         self.misses[site] = self.misses.get(site, 0) + 1
-        for listener in self._stats_listeners:
-            listener(site)
 
     def contains_fresh(self, user: str, request: Request, now: float) -> bool:
         entry = self._lookup(user, request.exact_key())
@@ -227,22 +212,23 @@ class PrefetchCache:
     def purge_expired(self, now: float) -> int:
         """Evict every expired entry; returns how many went.
 
-        The timer wheel surfaces only buckets the clock passed; each
+        The expiry heap surfaces only stores whose time has passed; each
         candidate is revalidated against its shard (it may have been
-        overwritten or evicted since scheduling), so cost tracks
+        overwritten or evicted since it was stored), so cost tracks
         expirations, not population.
         """
         purged = 0
-        for user, exact, entry in self._wheel.advance(now):
-            live = self._lookup(user, exact)
-            if live is not entry or not entry.expired(now):
-                continue  # overwritten, already evicted, or refreshed
+        expiry = self._expiry
+        while expiry and expiry[0][0] <= now:
+            _, _, user, exact, entry = heapq.heappop(expiry)
+            if self._lookup(user, exact) is not entry:
+                continue  # overwritten or already evicted
             self._remove(user, exact)
             purged += 1
         self.expired_evictions += purged
-        self.wheel_purged += purged
+        self.purged += purged
         if PERF.enabled and purged:
-            PERF.incr("cache.wheel_purged", purged)
+            PERF.incr("cache.purged", purged)
         return purged
 
     def entries_for_user(self, user: str) -> List[CacheEntry]:

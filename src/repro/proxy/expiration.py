@@ -5,7 +5,7 @@ runs once, pre-deployment, and writes a static ``expiration_time`` into
 the configuration.  The :class:`ExpirationEstimator` is the *serving
 time* counterpart: per prefetchable signature it keeps a live
 ``[lo, hi)`` bracket on the origin's real content lifetime and refines
-it with binary-search probes, so the timer wheel files entries under a
+it with binary-search probes, so the cache stores entries under a
 learned per-signature TTL instead of the global default.
 
 Probe semantics
@@ -193,11 +193,6 @@ class ExpirationEstimator:
     def _apply(self, site: str, ttl: float) -> None:
         if self.apply_to_config:
             self.config.policy(site).expiration_time = self._clamp(ttl)
-
-    # ------------------------------------------------------------------
-    def observe_response(self, site: str, response: Response) -> None:
-        """Passive path: honor cache headers on any stored response."""
-        self.ttl_for(site, response)
 
     # ------------------------------------------------------------------
     def _fetch(self, request: Request) -> Generator:

@@ -13,32 +13,26 @@ rate, exactly the §5 policy
 ("prioritize requests that take longer to complete and signatures that
 generate higher hit rates").
 
-Lazy epoch-stamped drain
-------------------------
-The seed re-ranked the *entire* waiting queue on every completed fetch
-(rebuild + heapify: O(W) per drain), because a completion moves the §5
-signals.  But priority is a per-*site* property, so the queue now keeps
-one FIFO per site plus a heap holding at most one live head entry per
-site, stamped with that site's *epoch*.  Whenever a site's priority
-inputs move — its running-average response time (an observable dict) or
-its hit rate (a cache stats listener) — the epoch bumps and a fresh
-head entry is pushed eagerly; stale stamps are discarded on pop.  Each
-drain step is O(log S) for S sites with queued work, and the pop order
-is exactly the rebuild-drain's order: max current priority, FIFO on
-ties (per-site FIFOs preserve sequence order, and every heap entry
-carries its site's current head sequence).  The seed's
-rebuild-everything drain lives on as the oracle in
-``tests/oracles/rebuild_drain.py``; ``tests/test_prefetcher_drain_equiv.py``
-replays recorded workloads through both and asserts identical issue
-order.
+Site-scan drain
+---------------
+Priority is a per-*site* property, so waiting requests sit in one FIFO
+per site.  Whenever a slot is free, the drain starts the head of the
+queued site with the least ``(-priority, head_seq)``: the highest §5
+priority as of now, FIFO on ties.  Priorities are read when the drain
+runs, so nothing has to announce that one moved, and each step scans
+only the sites holding queued work (a handful, however deep the
+queue).  The seed re-ranked the *entire* waiting queue on every drain
+instead; that rebuild drain lives on as the oracle in
+``tests/oracles/rebuild_drain.py``, and
+``tests/test_prefetcher_drain_equiv.py`` replays recorded workloads
+through both and asserts identical issue order.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Generator, Optional, Set, Tuple
 
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.metrics.perf import PERF
@@ -53,36 +47,6 @@ from repro.proxy.popularity import PopularityTracker, item_key_for_instance
 #: §5 priority weights: seconds of origin RTT vs hit-rate fraction
 TIME_WEIGHT = 1.0
 HIT_RATE_WEIGHT = 0.5
-
-
-class _ObservedDict(dict):
-    """Dict that reports every key whose value is (re)assigned.
-
-    ``avg_response_time`` is public state — tests and ablations assign
-    into it directly — so priority invalidation hooks the container
-    instead of trusting every caller to call a bump method.
-    """
-
-    __slots__ = ("_on_change",)
-
-    def __init__(self, on_change: Callable[[str], None]) -> None:
-        super().__init__()
-        self._on_change = on_change
-
-    def __setitem__(self, key: str, value: float) -> None:
-        super().__setitem__(key, value)
-        self._on_change(key)
-
-    def __delitem__(self, key: str) -> None:
-        super().__delitem__(key)
-        self._on_change(key)
-
-    def update(self, *args, **kwargs) -> None:  # keep observation complete
-        for mapping in args:
-            for key, value in dict(mapping).items():
-                self[key] = value
-        for key, value in kwargs.items():
-            self[key] = value
 
 
 def origin_fetch(
@@ -122,27 +86,19 @@ class Prefetcher:
         self.rng = random.Random(seed)
         self.max_concurrent = max_concurrent
         #: ablation switch: False degrades the waiting queue to FIFO
-        self._priority_enabled = True
+        self.priority_enabled = True
         #: client-demand popularity per (site, item) — §6.3 extension
         self.popularity = PopularityTracker()
         self._active = 0
         self._sequence = 0
-        #: waiting queues: per-site FIFO of (seq, ready), a heap of
-        #: (-priority, head_seq, site, epoch) head entries, the current
-        #: per-site epoch, and the total queued count
+        #: waiting queues: per-site FIFO of (seq, ready), holding only
+        #: sites with queued work, and the total queued count
         self._site_fifos: Dict[str, Deque[Tuple[int, ReadyPrefetch]]] = {}
-        self._site_heap: List[Tuple[float, int, str, int]] = []
-        self._site_epoch: Dict[str, int] = {}
         self._waiting_count = 0
-        self.stale_heap_entries = 0
         self._inflight: Set[Tuple[str, str]] = set()
-        #: running average origin response time per signature site;
-        #: assignment (from anywhere) invalidates that site's queued
-        #: priority via the epoch
-        self.avg_response_time: Dict[str, float] = _ObservedDict(self._bump_epoch)
+        #: running average origin response time per signature site
+        self.avg_response_time: Dict[str, float] = {}
         self._response_samples: Dict[str, int] = {}
-        if hasattr(cache, "add_stats_listener"):
-            cache.add_stats_listener(self._bump_epoch)
         self.prefetch_bytes = 0
         self.issued = 0
         self.issued_by_site: Dict[str, int] = {}
@@ -164,18 +120,6 @@ class Prefetcher:
         self.errors = 0
 
     # ------------------------------------------------------------------
-    @property
-    def priority_enabled(self) -> bool:
-        return self._priority_enabled
-
-    @priority_enabled.setter
-    def priority_enabled(self, value: bool) -> None:
-        if value != self._priority_enabled:
-            self._priority_enabled = value
-            # every queued site's effective priority just changed
-            for site in list(self._site_fifos):
-                self._bump_epoch(site)
-
     @property
     def waiting(self) -> int:
         """Requests queued behind the concurrency limit."""
@@ -295,48 +239,19 @@ class Prefetcher:
         return self.config.policy(site).expiration_time
 
     def _priority(self, site: str) -> float:
-        if not self._priority_enabled:
-            return 0.0  # heap degenerates to submission order
+        if not self.priority_enabled:
+            return 0.0  # the drain degenerates to submission order
         return (
             TIME_WEIGHT * self.avg_response_time.get(site, 0.0)
             + HIT_RATE_WEIGHT * self.cache.hit_rate(site)
         )
 
-    # -- waiting-queue maintenance -------------------------------------
     def _enqueue_waiting(self, site: str, seq: int, ready: ReadyPrefetch) -> None:
         fifo = self._site_fifos.get(site)
         if fifo is None:
             fifo = self._site_fifos[site] = deque()
         fifo.append((seq, ready))
         self._waiting_count += 1
-        if len(fifo) == 1:
-            self._push_head(site)
-
-    def _push_head(self, site: str) -> None:
-        """Push ``site``'s current head with its current priority."""
-        fifo = self._site_fifos.get(site)
-        if fifo:
-            heapq.heappush(
-                self._site_heap,
-                (
-                    -self._priority(site),
-                    fifo[0][0],
-                    site,
-                    self._site_epoch.get(site, 0),
-                ),
-            )
-
-    def _bump_epoch(self, site: str) -> None:
-        """A priority input for ``site`` moved: outdate its heap entry.
-
-        Pushing the replacement *eagerly* (not on pop) is what keeps
-        the drain order identical to the rebuild oracle — priorities
-        can rise as well as fall, and a risen site buried under its old
-        stamp would otherwise drain too late.
-        """
-        self._site_epoch[site] = self._site_epoch.get(site, 0) + 1
-        if self._site_fifos.get(site):
-            self._push_head(site)
 
     def _start(self, ready: ReadyPrefetch) -> None:
         self._active += 1
@@ -442,27 +357,15 @@ class Prefetcher:
         self._response_samples[site] = samples + 1
 
     def _drain(self) -> None:
-        """Pop fresh head entries until the slots fill: O(log S) each."""
-        heap = self._site_heap
-        while self._active < self.max_concurrent and self._waiting_count:
-            entry = heapq.heappop(heap)
-            _, head_seq, site, epoch = entry
-            if epoch != self._site_epoch.get(site, 0):
-                self.stale_heap_entries += 1
-                if PERF.enabled:
-                    PERF.incr("prefetch.stale_heap_entries")
-                continue
-            fifo = self._site_fifos.get(site)
-            if not fifo or fifo[0][0] != head_seq:
-                # defensive: a live-epoch entry always names the head
-                self.stale_heap_entries += 1
-                continue
+        """Start queued heads, best site first, while slots are free."""
+        fifos = self._site_fifos
+        while self._active < self.max_concurrent and fifos:
+            site = min(fifos, key=lambda s: (-self._priority(s), fifos[s][0][0]))
+            fifo = fifos[site]
             _, ready = fifo.popleft()
             self._waiting_count -= 1
-            if fifo:
-                self._push_head(site)
-            else:
-                del self._site_fifos[site]
+            if not fifo:
+                del fifos[site]
             self._start(ready)
 
     # ------------------------------------------------------------------

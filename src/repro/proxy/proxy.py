@@ -92,14 +92,9 @@ class AccelerationProxy:
         site = signature.site if signature else None
         if span is not None:
             trace.end_span(span, signature=site or "")
-        observing = trace is not None or PERF.enabled
         span = trace.start_span("cache_lookup") if trace is not None else None
         with PERF.stage("proxy.cache_lookup"):
-            if observing:
-                entry, lookup_outcome = self.cache.lookup(user, request, self.sim.now)
-            else:
-                entry = self.cache.get(user, request, self.sim.now)
-                lookup_outcome = "hit" if entry is not None else "miss_absent"
+            entry, lookup_outcome = self.cache.lookup(user, request, self.sim.now)
         started_at = self.sim.now
         if entry is not None:
             if span is not None:
@@ -114,7 +109,7 @@ class AccelerationProxy:
             response = entry.response
             prefetched = True
         else:
-            if observing:
+            if trace is not None or PERF.enabled:
                 cause = self._miss_cause(signature, user, lookup_outcome)
                 if PERF.enabled:
                     PERF.incr("cache.miss." + cause)

@@ -70,7 +70,7 @@ class Refresher:
             self.cycles += 1
             # long-lived sessions keep storing entries past their TTL;
             # sweep them each cycle so the cache holds only live ones
-            # (timer-wheel backed: cost tracks expirations, not size)
+            # (heap backed: cost tracks expirations, not size)
             self.purged += self.proxy.cache.purge_expired(sim.now)
             issued = 0
             for (user, site), request in list(self._known.items()):

@@ -1,7 +1,7 @@
 """The seed's prefetch cache: one flat ``(user, exact_key)`` table.
 
 :class:`repro.proxy.cache.PrefetchCache` shards entries by user and
-files expiries on a timer wheel.  :class:`FlatPrefetchCache` keeps the
+files expiries on a min-heap.  :class:`FlatPrefetchCache` keeps the
 seed's single dict with a full-table purge and per-user scans instead;
 unbounded, the two must agree on every observable result.  It takes no
 LRU bounds: the flat table has no per-user order to evict by.

@@ -1,10 +1,10 @@
 """The seed's prefetch drain: re-rank the whole waiting queue per drain.
 
 :class:`repro.proxy.prefetcher.Prefetcher` keeps one FIFO per site and
-a heap of epoch-stamped site heads, so a drain step costs O(log S).
+scans the queued sites' heads, so a drain step costs O(S).
 :class:`RebuildDrainPrefetcher` keeps every waiting request on one heap
 and rebuilds it from the current §5 priorities on every drain, O(W) per
-drain — the order the lazy drain must reproduce exactly.
+drain — the order the site scan must reproduce exactly.
 """
 
 from __future__ import annotations

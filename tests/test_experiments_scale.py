@@ -1,6 +1,7 @@
 """Tests for the ``repro scale`` load harness."""
 
 import json
+import sys
 
 import pytest
 
@@ -73,6 +74,39 @@ def test_run_scale_is_deterministic_in_virtual_metrics():
         "cache_stored",
     ):
         assert first[key] == second[key], key
+
+
+def test_replay_extracts_each_predecessor_value_list_once(monkeypatch):
+    """A replaying user reads a predecessor's values at a path once per
+    stored response, however many later steps substitute from it."""
+    from repro.httpmsg.fieldpath import FieldPath
+
+    original = FieldPath.extract
+    held = []  # keeps every response alive, so ids are never reused
+    seen = set()
+    duplicates = []
+
+    def recording_extract(path, message):
+        caller = sys._getframe(1)
+        if (
+            caller.f_globals.get("__name__") == scale.__name__
+            and caller.f_code.co_name != "_build_replay_steps"
+        ):
+            key = (id(message), path)
+            if key in seen:
+                duplicates.append(key)
+            seen.add(key)
+            held.append(message)
+        return original(path, message)
+
+    monkeypatch.setattr(FieldPath, "extract", recording_extract)
+    row = run_scale(
+        users=20, duration=20.0, apps=tuple(all_apps()), seed=0,
+        rate_per_user=1.0, warm_start=True,
+    )
+    assert row["requests"] > 0
+    assert seen  # the replay did substitute predecessor values
+    assert duplicates == []
 
 
 def test_run_scale_per_user_bound_caps_cache():
@@ -301,7 +335,7 @@ DETERMINISTIC_KEYS = (
     "cache_stored",
     "cache_expired_evictions",
     "cache_lru_evictions",
-    "cache_wheel_purged",
+    "cache_purged",
     "prefetch_wasted",
     "skipped_admission",
     "latency_p50_ms",

@@ -253,7 +253,7 @@ def test_cache_lookup_reports_miss_cause():
     entry, outcome = cache.lookup("u1", request, now=9.0)
     assert entry is None and outcome == "miss_expired"
     # get() keeps its historical entry-only shape
-    assert cache.get("u1", request, now=9.0) is None
+    assert cache.lookup("u1", request, now=9.0)[0] is None
 
 
 # ======================================================================

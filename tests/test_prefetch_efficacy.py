@@ -104,7 +104,7 @@ def test_served_entry_is_not_wasted():
     cache = PrefetchCache(max_entries_per_user=1)
     a, b = make_request("/a"), make_request("/b")
     cache.put("u0", a, make_response({"k": 1}), SITE, now=0.0, ttl=60.0)
-    entry = cache.get("u0", a, 0.5)
+    entry = cache.lookup("u0", a, 0.5)[0]
     entry.served = True
     cache.put("u0", b, make_response({"k": 2}), SITE, now=1.0, ttl=60.0)
     assert cache.wasted == 0
@@ -167,7 +167,7 @@ def test_history_prefetches_most_frequent_successor():
 
     sim.run_process(flow())
     assert history.issued == 1
-    assert cache.get("u0", b, sim.now) is not None
+    assert cache.lookup("u0", b, sim.now)[0] is not None
 
 
 def test_history_skips_fresh_duplicates():
@@ -207,4 +207,4 @@ def test_history_is_per_user():
 
     sim.run_process(flow())
     assert history.issued == 0
-    assert cache.get("u1", b, sim.now) is None
+    assert cache.lookup("u1", b, sim.now)[0] is None

@@ -1,13 +1,14 @@
-"""Lazy epoch-stamped drain vs the seed's rebuild drain: same order.
+"""Site-scan drain vs the seed's rebuild drain: same order.
 
 The §5 scheduler's contract is "drain in priority order as of *now*,
 FIFO within a site".  The seed re-sorted the whole waiting queue per
-drain (O(W)); the lazy drain keeps per-site FIFOs plus a head-entry
-heap invalidated by epoch stamps (amortized O(log W)).  These tests
-drive both implementations with identical recorded workloads — queue
-buildups, mid-flight priority moves, hit-rate updates, the priority
-ablation toggle — and assert the origin observed the *identical*
-issue order.  The seed's drain is :class:`RebuildDrainPrefetcher` in
+drain (O(W)); the site-scan drain keeps per-site FIFOs and, per slot,
+starts the head of the site with the best current priority (O(S) for
+S sites with queued work).  These tests drive both implementations
+with identical recorded workloads — queue buildups, mid-flight
+priority moves, hit-rate updates, the priority ablation toggle — and
+assert the origin observed the *identical* issue order.  The seed's
+drain is :class:`RebuildDrainPrefetcher` in
 ``tests/oracles/rebuild_drain.py``.
 """
 
@@ -116,8 +117,7 @@ def test_lazy_drain_order_matches_with_concurrency():
 
 
 def test_priority_rise_while_queued_reorders_lazily():
-    # a site whose priority RISES after enqueue must jump the queue —
-    # the case plain re-push-on-pop lazy invalidation gets wrong
+    # a site whose priority RISES after enqueue must jump the queue
     sim, endpoint, cache, prefetcher = make_prefetcher(lazy_drain=True)
     prefetcher.submit(ready_for("hold#0", "/hold"))
     prefetcher.submit(ready_for("a#0", "/a"))
@@ -125,19 +125,11 @@ def test_priority_rise_while_queued_reorders_lazily():
     prefetcher.avg_response_time["b#0"] = 5.0
     sim.run()
     assert endpoint.order == ["/hold", "/b", "/a"]
-    # b's outdated (pre-rise) head entry was never popped: it is the
-    # leftover the epoch stamp guards against
-    assert len(prefetcher._site_heap) > 0
-    assert all(
-        epoch != prefetcher._site_epoch.get(site, 0)
-        for _, _, site, epoch in prefetcher._site_heap
-    )
 
 
 def test_priority_drop_while_queued_discards_stale_head():
-    # a site whose priority DROPS keeps its old (higher) stamp at the
-    # heap top; the pop must recognize it as stale and fall through to
-    # the demoted fresh entry
+    # a site whose priority DROPS after enqueue must fall behind the
+    # sites it outranked when it was queued
     sim, endpoint, cache, prefetcher = make_prefetcher(lazy_drain=True)
     prefetcher.avg_response_time["a#0"] = 5.0
     prefetcher.avg_response_time["c#0"] = 1.0
@@ -147,18 +139,18 @@ def test_priority_drop_while_queued_discards_stale_head():
     prefetcher.avg_response_time["a#0"] = 0.0  # demote a below c
     sim.run()
     assert endpoint.order == ["/hold", "/c", "/a"]
-    assert prefetcher.stale_heap_entries > 0
 
 
-def test_hit_rate_update_bumps_epoch():
+def test_hit_on_a_queued_site_moves_it_ahead():
+    # a cache hit raises the site's hit rate, and with it the §5
+    # priority the next drain reads: b overtakes the earlier-queued a
     sim, endpoint, cache, prefetcher = make_prefetcher(lazy_drain=True)
     prefetcher.submit(ready_for("hold#0", "/hold"))
     prefetcher.submit(ready_for("a#0", "/a"))
-    epoch_before = prefetcher._site_epoch.get("a#0", 0)
-    cache.record_miss("a#0")
-    assert prefetcher._site_epoch["a#0"] == epoch_before + 1
+    prefetcher.submit(ready_for("b#0", "/b"))
+    cache.record_hit("b#0")
     sim.run()
-    assert endpoint.order == ["/hold", "/a"]
+    assert endpoint.order == ["/hold", "/b", "/a"]
 
 
 def test_waiting_count_tracks_queue_in_both_modes():

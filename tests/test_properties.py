@@ -225,8 +225,8 @@ def test_events_fire_in_time_order(delays):
 def test_cache_never_serves_expired(request, ttl):
     cache = PrefetchCache()
     cache.put("u", request, Response(200), "s#0", now=0.0, ttl=ttl)
-    assert cache.get("u", request, now=ttl * 0.99) is not None
-    assert cache.get("u", request, now=ttl) is None
+    assert cache.lookup("u", request, now=ttl * 0.99)[0] is not None
+    assert cache.lookup("u", request, now=ttl)[0] is None
 
 
 @given(requests(), requests())
@@ -234,7 +234,7 @@ def test_cache_never_serves_expired(request, ttl):
 def test_cache_exact_match_only(a, b):
     cache = PrefetchCache()
     cache.put("u", a, Response(200), "s#0", now=0.0, ttl=60.0)
-    hit = cache.get("u", b, now=1.0)
+    hit = cache.lookup("u", b, now=1.0)[0]
     if a == b:
         assert hit is not None
     else:

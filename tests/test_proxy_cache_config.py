@@ -25,7 +25,7 @@ def request(path="/x", cid="1"):
 def test_exact_match_hit():
     cache = PrefetchCache()
     cache.put("u1", request(), Response(200), "s#0", now=0.0, ttl=60.0)
-    entry = cache.get("u1", request(), now=10.0)
+    entry = cache.lookup("u1", request(), now=10.0)[0]
     assert entry is not None
     assert entry.site == "s#0"
 
@@ -33,20 +33,20 @@ def test_exact_match_hit():
 def test_different_query_value_misses():
     cache = PrefetchCache()
     cache.put("u1", request(cid="1"), Response(200), "s#0", now=0.0, ttl=60.0)
-    assert cache.get("u1", request(cid="2"), now=1.0) is None
+    assert cache.lookup("u1", request(cid="2"), now=1.0)[0] is None
 
 
 def test_user_isolation():
     cache = PrefetchCache()
     cache.put("u1", request(), Response(200), "s#0", now=0.0, ttl=60.0)
-    assert cache.get("u2", request(), now=1.0) is None
+    assert cache.lookup("u2", request(), now=1.0)[0] is None
 
 
 def test_expiry_evicts():
     cache = PrefetchCache()
     cache.put("u1", request(), Response(200), "s#0", now=0.0, ttl=5.0)
-    assert cache.get("u1", request(), now=4.9) is not None
-    assert cache.get("u1", request(), now=5.0) is None
+    assert cache.lookup("u1", request(), now=4.9)[0] is not None
+    assert cache.lookup("u1", request(), now=5.0)[0] is None
     assert cache.expired_evictions == 1
     assert len(cache) == 0
 
@@ -79,7 +79,7 @@ def test_newer_put_replaces():
     cache = PrefetchCache()
     cache.put("u1", request(), Response(200, body=JsonBody({"v": 1})), "s#0", 0.0, 60.0)
     cache.put("u1", request(), Response(200, body=JsonBody({"v": 2})), "s#0", 1.0, 60.0)
-    assert cache.get("u1", request(), 2.0).response.body.value == {"v": 2}
+    assert cache.lookup("u1", request(), 2.0)[0].response.body.value == {"v": 2}
     assert len(cache) == 1
 
 

@@ -1,4 +1,4 @@
-"""Sharded cache + timer wheel vs the flat full-scan oracle."""
+"""Sharded cache + expiry heap vs the flat full-scan oracle."""
 
 import random
 
@@ -8,7 +8,6 @@ from repro.httpmsg.body import JsonBody
 from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri
 from repro.proxy.cache import PrefetchCache
-from repro.proxy.timerwheel import TimerWheel
 from tests.oracles.flat_cache import FlatPrefetchCache
 
 
@@ -20,52 +19,13 @@ def response(payload=0):
     return Response(200, body=JsonBody({"v": payload}))
 
 
-# -- timer wheel --------------------------------------------------------------
-def test_wheel_boundary_tick_expires_exactly_on_time():
-    wheel = TimerWheel(tick=0.5)
-    wheel.schedule(5.0, "a")
-    assert wheel.advance(4.9) == []
-    # now == expires_at is expired (matches CacheEntry.expired)
-    assert wheel.advance(5.0) == ["a"]
-    assert len(wheel) == 0
-
-
-def test_wheel_same_tick_unexpired_resident_stays_filed():
-    wheel = TimerWheel(tick=0.5)
-    wheel.schedule(5.0, "a")
-    wheel.schedule(5.4, "b")  # same level-0 bucket as "a"
-    assert wheel.advance(5.0) == ["a"]
-    assert len(wheel) == 1
-    assert wheel.advance(5.4) == ["b"]
-
-
-def test_wheel_far_future_item_cascades_down():
-    wheel = TimerWheel(tick=0.5, bits=4, levels=3)
-    # 16 ticks per level-0 horizon at bits=4: 200s / 0.5 = 400 ticks is
-    # far beyond it, so the item files coarse and must cascade
-    wheel.schedule(200.0, "far")
-    for now in (50.0, 100.0, 150.0, 199.9):
-        assert wheel.advance(now) == []
-    assert wheel.advance(200.0) == ["far"]
-    assert wheel.cascades > 0
-
-
-def test_wheel_advance_never_moves_backwards():
-    wheel = TimerWheel(tick=0.5)
-    wheel.schedule(3.0, "a")
-    assert wheel.advance(10.0) == ["a"]
-    wheel.schedule(4.0, "late")  # already past the clock
-    assert wheel.advance(2.0) == []  # no rewind
-    assert wheel.advance(10.0) == ["late"]
-
-
 # -- boundary + overwrite semantics ------------------------------------------
 @pytest.mark.parametrize("sharded", [True, False])
 def test_boundary_now_equals_expires_at(sharded):
     cache = PrefetchCache() if sharded else FlatPrefetchCache()
     cache.put("u1", request(), response(), "s#0", now=0.0, ttl=5.0)
-    assert cache.get("u1", request(), now=4.999) is not None
-    assert cache.get("u1", request(), now=5.0) is None
+    assert cache.lookup("u1", request(), now=4.999)[0] is not None
+    assert cache.lookup("u1", request(), now=5.0)[0] is None
     assert len(cache) == 0
 
 
@@ -81,60 +41,64 @@ def test_boundary_purge_at_exact_expiry(sharded):
 def test_overwrite_unexpired_entry_survives_stale_wheel_schedule():
     cache = PrefetchCache()
     cache.put("u1", request(), response(1), "s#0", now=0.0, ttl=1.0)
-    # refresh before the first schedule fires; the wheel still holds
-    # the old (entry, tick=1.0) schedule, which must be recognized as
-    # stale (entry identity mismatch), not evict the replacement
+    # refresh before the first expiry comes due; the heap still holds
+    # the old (expires_at=1.0, entry) record, which must be recognized
+    # as stale (entry identity mismatch), not evict the replacement
     cache.put("u1", request(), response(2), "s#0", now=0.5, ttl=100.0)
     assert cache.purge_expired(now=2.0) == 0
-    entry = cache.get("u1", request(), now=50.0)
+    entry = cache.lookup("u1", request(), now=50.0)[0]
     assert entry is not None
     assert entry.response.body.value == {"v": 2}
-    assert cache.wheel_purged == 0
+    assert cache.purged == 0
 
 
 def test_refresh_same_expiry_tick_not_double_purged():
     cache = PrefetchCache()
     cache.put("u1", request(), response(1), "s#0", now=0.0, ttl=10.0)
     cache.put("u1", request(), response(2), "s#0", now=0.0, ttl=10.0)
-    # two schedules point at one live entry; only one eviction happens
+    # two heap records point at one live entry; only one eviction happens
     assert cache.purge_expired(now=10.0) == 1
     assert len(cache) == 0
     assert cache.expired_evictions == 1
 
 
-# -- differential: sharded/wheel vs flat full scan ----------------------------
+# -- differential: sharded/heap vs flat full scan -----------------------------
 def test_sharded_matches_naive_under_randomized_ttls():
     rng = random.Random(2018)
     indexed = PrefetchCache()
     naive = FlatPrefetchCache()
     users = ["u{}".format(i) for i in range(8)]
-    now = 0.0
+    now = last_purge = 0.0
     for step in range(2000):
         now += rng.random() * 0.7
         op = rng.random()
         user = rng.choice(users)
         req = request(cid=str(rng.randrange(40)))
         if op < 0.55:
-            ttl = rng.choice([0.1, 0.5, 1.0, 7.0, 60.0, 600.0])
+            ttl = rng.choice([0.1, 0.5, 1.0, 7.0, 60.0, 600.0, 1e4, 1e5])
             site = "s#{}".format(step)
             for cache in (indexed, naive):
                 cache.put(user, req, response(step), site, now, ttl)
+        elif op < 0.6:
+            # a purge at a clock earlier than the previous purge's
+            earlier = last_purge - rng.random() * 30.0
+            assert indexed.purge_expired(earlier) == naive.purge_expired(earlier)
         elif op < 0.85:
-            got_indexed = indexed.get(user, req, now)
-            got_naive = naive.get(user, req, now)
+            got_indexed = indexed.lookup(user, req, now)[0]
+            got_naive = naive.lookup(user, req, now)[0]
             assert (got_indexed is None) == (got_naive is None)
             if got_indexed is not None:
                 assert got_indexed.site == got_naive.site
                 assert got_indexed.expires_at == got_naive.expires_at
         else:
             assert indexed.purge_expired(now) == naive.purge_expired(now)
+            last_purge = now
         assert len(indexed) == len(naive)
     # drain everything: both stores must agree they are empty
     now += 1e6
-    indexed.purge_expired(now)
-    naive.purge_expired(now)
+    assert indexed.purge_expired(now) == naive.purge_expired(now) > 0
     assert len(indexed) == len(naive) == 0
-    assert indexed.wheel_purged > 0
+    assert indexed.purged > 0
 
 
 def test_entries_for_user_deterministic_insertion_order():
@@ -158,12 +122,12 @@ def test_max_entries_per_user_evicts_least_recently_used():
     cache.put("u1", request(cid="a"), response(), "s#a", 0.0, 60.0)
     cache.put("u1", request(cid="b"), response(), "s#b", 1.0, 60.0)
     # touch "a" so "b" becomes the least recently used
-    assert cache.get("u1", request(cid="a"), 2.0) is not None
+    assert cache.lookup("u1", request(cid="a"), 2.0)[0] is not None
     cache.put("u1", request(cid="c"), response(), "s#c", 3.0, 60.0)
     assert cache.lru_evictions == 1
-    assert cache.get("u1", request(cid="b"), 4.0) is None
-    assert cache.get("u1", request(cid="a"), 4.0) is not None
-    assert cache.get("u1", request(cid="c"), 4.0) is not None
+    assert cache.lookup("u1", request(cid="b"), 4.0)[0] is None
+    assert cache.lookup("u1", request(cid="a"), 4.0)[0] is not None
+    assert cache.lookup("u1", request(cid="c"), 4.0)[0] is not None
 
 
 def test_max_entries_per_user_is_per_shard():
@@ -191,7 +155,7 @@ def test_unbounded_indexed_cache_skips_lru_tracking():
     cache.put("u1", request(cid="a"), response(), "s#a", 0.0, 60.0)
     cache.put("u1", request(cid="b"), response(), "s#b", 0.0, 60.0)
     # a hit does not re-file the entry: insertion order stays the order
-    assert cache.get("u1", request(cid="a"), 1.0) is not None
+    assert cache.lookup("u1", request(cid="a"), 1.0)[0] is not None
     assert [e.site for e in cache.entries_for_user("u1")] == ["s#a", "s#b"]
     assert cache.lru_evictions == 0
 

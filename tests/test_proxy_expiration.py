@@ -3,7 +3,7 @@
 A synthetic origin with a known ``rotation_period`` gives the probes a
 ground-truth content lifetime to converge on; fault injection exercises
 disable-on-error; a wired-up prefetcher shows learned TTLs reaching the
-timer wheel.
+cache's expiry.
 """
 
 import pytest
@@ -185,11 +185,11 @@ def test_prefetcher_stores_entries_under_learned_ttl():
         "u0", request, response, SITE, now=sim.now,
         ttl=prefetcher.ttl_for(SITE),
     )
-    entry = cache.get("u0", request, sim.now)
+    entry = cache.lookup("u0", request, sim.now)[0]
     assert entry is not None
     assert entry.expires_at == pytest.approx(sim.now + learned)
-    # ...and the wheel expires it right after the learned TTL
-    assert cache.get("u0", request, sim.now + learned + 1.0) is None
+    # ...and the cache expires it right after the learned TTL
+    assert cache.lookup("u0", request, sim.now + learned + 1.0)[0] is None
 
 
 def test_run_spawns_probers_for_sampled_sites():
