@@ -708,6 +708,9 @@ def run_scale(
         "skipped_admission": sum(
             proxy.prefetcher.skipped_admission for _, proxy in multi._apps
         ),
+        "skipped_bound": sum(
+            proxy.prefetcher.skipped_bound for _, proxy in multi._apps
+        ),
         "prefetch_by_signature": by_signature,
         "expiration": (
             {

@@ -20,9 +20,12 @@ seed's flat ``(user, exact_key)`` table with full-scan purge lives on
 as the oracle in ``tests/oracles/flat_cache.py``: unbounded, the two
 agree on every observable result (``tests/test_proxy_cache_scale.py``).
 
-Entries evicted or expired *before their first hit* are counted as
-``wasted`` (per-site in ``wasted_by_site``) — the signal the
-prefetcher's admission gate and offline audits run on.
+Entries evicted, expired or overwritten *before their first hit* are
+counted as ``wasted`` (per-site in ``wasted_by_site``) — the signal the
+prefetcher's admission gate and offline audits run on.  Until that
+first hit an entry is *unread*; ``unread(user)`` counts the user's,
+which the prefetcher adds to its in-flight requests to stop issuing
+what the bound would evict.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ class PrefetchCache:
         self.lru_evictions = 0
         self.purged = 0
         self.stored = 0
-        #: entries that left the cache (evicted or expired) having
-        #: never served a hit — the prefetch-waste signal
+        #: entries that left the cache (evicted, expired or
+        #: overwritten) having never served a hit — the prefetch-waste
+        #: signal
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
 
@@ -100,6 +104,8 @@ class PrefetchCache:
         shard[exact] = entry
         if previous is None:
             self._count += 1
+        else:
+            self._note_wasted(previous)
         heapq.heappush(
             self._expiry, (entry.expires_at, self.stored, user, exact, entry)
         )
@@ -113,6 +119,11 @@ class PrefetchCache:
         self.stored += 1
         if PERF.enabled:
             PERF.incr("cache.stores")
+
+    def unread(self, user: str) -> int:
+        """``user``'s stored entries that have not served a hit yet."""
+        shard = self._shards.get(user)
+        return 0 if shard is None else sum(not e.served for e in shard.values())
 
     def _note_wasted(self, entry: CacheEntry) -> None:
         """Count an entry leaving the cache without ever serving a hit."""

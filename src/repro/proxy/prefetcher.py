@@ -2,10 +2,14 @@
 
 Eligibility gates (§4.4): per-signature ``prefetch`` flag, probability
 (per-signature × global), predecessor-field conditions, the chain-depth
-bound, and the data-usage budget (C4).  The flag and the depth bound
-depend only on site and depth, so :meth:`Prefetcher.spawn_gate` applies
-them when the learner spawns a successor, before any instance is built;
-:meth:`Prefetcher.submit` repeats them for sites disabled after spawn.
+bound, and the data-usage budget (C4).  A bounded cache adds one more:
+a user holds at most ``max_entries_per_user`` *open* prefetches — in
+flight, queued, or stored and not yet served — so nothing is issued
+that the per-user LRU bound would evict unread.  The flag and the
+depth bound depend only on site and depth, so
+:meth:`Prefetcher.spawn_gate` applies them when the learner spawns a
+successor, before any instance is built; :meth:`Prefetcher.submit`
+repeats them for sites disabled after spawn.
 When more requests are ready than the concurrency limit allows, the
 waiting queue is drained in priority order — a linear combination of
 the signature's running-average origin response time and its cache hit
@@ -96,6 +100,9 @@ class Prefetcher:
         self._site_fifos: Dict[str, Deque[Tuple[int, ReadyPrefetch]]] = {}
         self._waiting_count = 0
         self._inflight: Set[Tuple[str, str]] = set()
+        #: user -> its prefetches queued or awaiting the origin; with
+        #: the cache's unread count, the user's open prefetches
+        self._fetching: Dict[str, int] = {}
         #: running average origin response time per signature site
         self.avg_response_time: Dict[str, float] = {}
         self._response_samples: Dict[str, int] = {}
@@ -117,6 +124,7 @@ class Prefetcher:
         self.skipped_condition = 0
         self.skipped_popularity = 0
         self.skipped_admission = 0
+        self.skipped_bound = 0
         self.errors = 0
 
     # ------------------------------------------------------------------
@@ -156,7 +164,9 @@ class Prefetcher:
         Returns the outcome — ``"started"``, ``"queued"`` (behind the
         concurrency limit), or the ``"skipped_*"`` gate that rejected
         the request — so callers (and trace spans) can attribute what
-        happened to each ready prefetch.
+        happened to each ready prefetch.  ``"skipped_bound"`` refuses a
+        user of a bounded cache who already holds
+        ``max_entries_per_user`` open prefetches.
         """
         if PERF.enabled:
             PERF.incr("prefetch.submitted")
@@ -191,13 +201,20 @@ class Prefetcher:
         ):
             self.skipped_budget += 1
             return "skipped_budget"
-        key = (ready.instance.user, ready.request.exact_key())
+        user = ready.instance.user
+        key = (user, ready.request.exact_key())
         if key in self._inflight or self.cache.contains_fresh(
-            ready.instance.user, ready.request, self.sim.now
+            user, ready.request, self.sim.now
         ):
             self.skipped_duplicate += 1
             return "skipped_duplicate"
+        fetching = self._fetching.get(user, 0)
+        bound = self.cache.max_entries_per_user
+        if bound is not None and fetching + self.cache.unread(user) >= bound:
+            self.skipped_bound += 1
+            return "skipped_bound"
         self._inflight.add(key)
+        self._fetching[user] = fetching + 1
         if self._active < self.max_concurrent:
             self._start(ready)
             return "started"
@@ -272,11 +289,15 @@ class Prefetcher:
         trace = TRACER.begin(user, kind="prefetch") if TRACER.enabled else None
         if trace is not None:
             trace.tag("signature", site)
+        fetching = True
         try:
             span = trace.start_span("origin_fetch") if trace is not None else None
             response, transferred = yield self.sim.spawn(
                 origin_fetch(self.sim, self.origins, wire_request, user)
             )
+            # answered: a stored response stays open as an unread entry
+            fetching = False
+            self._fetched(user)
             if span is not None:
                 trace.end_span(span, bytes=transferred, signature=site)
             self.prefetch_bytes += transferred
@@ -344,11 +365,20 @@ class Prefetcher:
                 if trace is not None:
                     trace.tag("ok", False)
         finally:
+            if fetching:
+                self._fetched(user)
             TRACER.finish(trace)
             self._inflight.discard((user, ready.request.exact_key()))
             self._active -= 1
             self._drain()
         return None
+
+    def _fetched(self, user: str) -> None:
+        left = self._fetching[user] - 1
+        if left:
+            self._fetching[user] = left
+        else:
+            del self._fetching[user]
 
     def _record_response_time(self, site: str, elapsed: float) -> None:
         samples = self._response_samples.get(site, 0)
@@ -382,4 +412,5 @@ class Prefetcher:
             "skipped_condition": self.skipped_condition,
             "skipped_popularity": self.skipped_popularity,
             "skipped_admission": self.skipped_admission,
+            "skipped_bound": self.skipped_bound,
         }

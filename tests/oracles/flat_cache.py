@@ -4,7 +4,8 @@
 files expiries on a min-heap.  :class:`FlatPrefetchCache` keeps the
 seed's single dict with a full-table purge and per-user scans instead;
 unbounded, the two must agree on every observable result.  It takes no
-LRU bounds: the flat table has no per-user order to evict by.
+LRU bounds: the flat table has no per-user order to evict by.  Like
+the sharded cache, it counts an entry overwritten unread as wasted.
 
 ``PrefetchCache.lookup`` answers ``miss_absent`` without digesting the
 request when the user has no shard.  The flat table keeps no shards,
@@ -46,9 +47,11 @@ class FlatPrefetchCache(PrefetchCache):
         now: float,
         ttl: float,
     ) -> None:
-        self._entries[(user, request.exact_key())] = CacheEntry(
-            response, site, now, now + ttl
-        )
+        key = (user, request.exact_key())
+        previous = self._entries.get(key)
+        if previous is not None:
+            self._note_wasted(previous)
+        self._entries[key] = CacheEntry(response, site, now, now + ttl)
         self.stored += 1
         if PERF.enabled:
             PERF.incr("cache.stores")

@@ -14,6 +14,7 @@ from repro.experiments.scale import (
     run_scale,
 )
 from repro.metrics.perf import PERF
+from repro.metrics.trace import aggregate_records, read_jsonl
 
 
 def test_record_session_template_yields_replayable_requests():
@@ -109,10 +110,18 @@ def test_replay_extracts_each_predecessor_value_list_once(monkeypatch):
     assert duplicates == []
 
 
-def test_run_scale_per_user_bound_caps_cache():
-    row = run_scale(users=6, duration=5.0, seed=0, max_entries_per_user=4)
+def test_run_scale_per_user_bound_caps_cache(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    row = run_scale(
+        users=6, duration=5.0, seed=0, max_entries_per_user=4,
+        trace_path=str(path),
+    )
     assert row["peak_cache_entries"] <= 6 * 4
-    assert row["cache_lru_evictions"] > 0
+    # the bound did real work: it refused prefetches it could not hold,
+    # and the trace names the refusal as the prefetch_issue outcome
+    assert row["skipped_bound"] > 0
+    outcomes = aggregate_records(read_jsonl(str(path)))["span_outcomes"]
+    assert outcomes["prefetch_issue"]["skipped_bound"] > 0
 
 
 def test_run_scale_row_reports_the_prebuilt_deployment_settings():
@@ -176,15 +185,17 @@ def test_sweep_rejects_a_bad_cell_before_serving_any(monkeypatch, users, kwargs)
     assert served == []
 
 
-#: what the per-user LRU bound does to a bounded five-app run (seed 0):
-#: stores, evictions, waste, hits, peak size and simulator events
+#: what the per-user bound does to a bounded five-app run (seed 0):
+#: stores, evictions, waste, hits, peak size, simulator events and the
+#: prefetches it refused to issue
 BOUNDED_FIVE_APP_GOLDEN = {
-    "cache_stored": 11179,
-    "cache_lru_evictions": 11031,
-    "prefetch_wasted": 11029,
-    "served_prefetched": 2,
+    "cache_stored": 150,
+    "cache_lru_evictions": 2,
+    "prefetch_wasted": 0,
+    "served_prefetched": 46,
     "peak_cache_entries": 148,
-    "sim_events": 91775,
+    "sim_events": 3279,
+    "skipped_bound": 2323,
 }
 
 
@@ -338,6 +349,7 @@ DETERMINISTIC_KEYS = (
     "cache_purged",
     "prefetch_wasted",
     "skipped_admission",
+    "skipped_bound",
     "latency_p50_ms",
     "latency_p95_ms",
     "latency_p99_ms",

@@ -52,6 +52,24 @@ def test_overwrite_unexpired_entry_survives_stale_wheel_schedule():
     assert cache.purged == 0
 
 
+@pytest.mark.parametrize("sharded", [True, False])
+def test_overwriting_an_unread_entry_counts_it_wasted(sharded):
+    cache = PrefetchCache() if sharded else FlatPrefetchCache()
+    cache.put("u1", request("a"), response(1), "s#a", now=0.0, ttl=1.0)
+    # expired but not yet purged: the store replaces it unread
+    cache.put("u1", request("a"), response(2), "s#a", now=2.0, ttl=60.0)
+    assert cache.wasted == 1 and cache.wasted_by_site == {"s#a": 1}
+    # a served entry that is overwritten (a refresh) was used, not wasted
+    cache.lookup("u1", request("a"), now=3.0)[0].served = True
+    cache.put("u1", request("a"), response(3), "s#a", now=4.0, ttl=60.0)
+    assert cache.wasted == 1
+    # the stale heap records of both replaced entries waste nothing more
+    assert cache.purge_expired(now=100.0) == 1
+    assert cache.wasted == 2
+    if sharded:
+        assert cache.unread("u1") == 0
+
+
 def test_refresh_same_expiry_tick_not_double_purged():
     cache = PrefetchCache()
     cache.put("u1", request(), response(1), "s#0", now=0.0, ttl=10.0)
@@ -99,6 +117,8 @@ def test_sharded_matches_naive_under_randomized_ttls():
     assert indexed.purge_expired(now) == naive.purge_expired(now) > 0
     assert len(indexed) == len(naive) == 0
     assert indexed.purged > 0
+    # overwrites included, both count every entry that left unread
+    assert indexed.wasted == naive.wasted == indexed.stored
 
 
 def test_entries_for_user_deterministic_insertion_order():
