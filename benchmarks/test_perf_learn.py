@@ -9,10 +9,12 @@ measures what the ``proxy.learn`` stage times — match + enqueue when
 shipped, the whole learn pipeline in the oracle — not a latency
 change: the shipped drain (``proxy.learn_drain``) still runs before the
 response returns, at the same sim instant.  Section 2 micro-benchmarks
-copy-on-write instantiation: N replicated instances building through
-the shared :class:`SignatureBuildPlan` vs the seed's per-build atom
-walk (``tests/oracles/naive_build.py``), reported as replicas/µs.  Both sections land in
-``BENCH_learn.json``; the headline row appends to ``bench_tables.txt``.
+instance builds: N replicated instances each built in one pass
+(``RequestInstance.try_build``) through the shared
+:class:`SignatureBuildPlan` they are copied on write from, vs the
+seed's per-build atom walk (``tests/oracles/naive_build.py``),
+reported as replicas/µs.  Both sections land in ``BENCH_learn.json``;
+the headline row appends to ``bench_tables.txt``.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _spawn_and_build(signature, store, use_plan: bool) -> int:
                 FieldPath.parse("body.cid"), "c{}-{}".format(burst, index)
             )
             if use_plan:
-                request = instance.build(store)
+                request = instance.try_build(store)
             else:
                 request = build_naive(instance, store)
             if request is not None:

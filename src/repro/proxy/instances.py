@@ -7,7 +7,11 @@ value teaches the proxy what the wildcard stands for) and its
 dependency edges.  A :class:`RequestInstance` is one concrete prefetch
 request being assembled, exactly the paper's Fig. 7 evolution: created
 from the successor's signature, fields copied in from predecessor
-responses and learned run-time values until nothing is missing.
+responses and learned run-time values until nothing is missing.  Each
+build attempt resolves the URI and every field once, through the
+signature's shared :class:`SignatureBuildPlan`, and keeps no memo: a
+failed attempt records the fields it could not resolve, which is all
+the learner needs to know which learned values can complete it.
 """
 
 from __future__ import annotations
@@ -131,8 +135,7 @@ class RuntimeSignature:
         self.in_edges: List[DependencyEdge] = []
         #: the copy-on-write build plan, decided once per signature.
         #: Every :class:`RequestInstance` replicated from this signature
-        #: shares it; per-instance state is only the dep bindings and
-        #: the per-field resolution memos.
+        #: shares it; per-instance state is only the dep bindings.
         self.build_plan = SignatureBuildPlan(self)
 
     # ------------------------------------------------------------------
@@ -148,15 +151,6 @@ class RuntimeSignature:
         return "RuntimeSignature({})".format(self.site)
 
 
-#: build-plan field classes: fully constant (resolved once per
-#: *signature*), constant + dependency atoms only (resolved once per
-#: *instance* — dep bindings never change after spawn), and dynamic
-#: (reads the value store, so re-resolved whenever ``store.version``
-#: moves)
-FIELD_CONST = "const"
-FIELD_DEP = "dep"
-FIELD_DYNAMIC = "dynamic"
-
 #: planned atom steps, walked by :meth:`RequestInstance._resolve_steps`
 STEP_CONST = 0
 STEP_DEP = 1
@@ -167,15 +161,14 @@ STEP_ALT = 3
 class _PlanField:
     """One field row of a build plan, decided once per signature.
 
-    Carries the resolution class and constant parts for the builder,
-    the atom steps with each wildcard tag's per-user scope already
-    decided, the learn action for an observed value of the field, and
-    the store keys whose learning can resolve it.
+    Carries the atom steps for the builder, with each wildcard tag's
+    per-user scope already decided, the learn action for an observed
+    value of the field, and the store keys whose learning can resolve
+    it.
     """
 
-    __slots__ = ("path", "path_string", "kind", "const_value", "root",
-                 "part0", "steps", "tags", "single_tag", "per_user",
-                 "has_dep", "reads_field")
+    __slots__ = ("path", "path_string", "root", "part0", "steps", "tags",
+                 "single_tag", "per_user", "has_dep", "reads_field")
 
     def __init__(self, path: FieldPath, path_string: str,
                  template: ValueTemplate) -> None:
@@ -189,13 +182,11 @@ class _PlanField:
         #: (tag, per-user) per top-level wildcard atom
         self.tags: List[Tuple[str, bool]] = []
         self.reads_field = False
-        top_dep = False
         for atom in atoms:
             if isinstance(atom, ConstAtom):
                 self.steps.append((STEP_CONST, str(atom.value), False))
             elif isinstance(atom, DepAtom):
                 self.steps.append((STEP_DEP, "", False))
-                top_dep = True
             elif isinstance(atom, UnknownAtom):
                 per_user = is_per_user_tag(atom.tag)
                 self.steps.append((STEP_TAG, atom.tag, per_user))
@@ -219,17 +210,6 @@ class _PlanField:
         self.per_user = any(
             is_per_user_tag(atom.tag) for atom in template.unknown_atoms()
         )
-        if self.tags or self.reads_field:
-            self.kind = FIELD_DYNAMIC
-        elif top_dep:
-            self.kind = FIELD_DEP
-        else:
-            self.kind = FIELD_CONST
-        self.const_value: Optional[str] = (
-            "".join(text for _step, text, _per_user in self.steps)
-            if self.kind == FIELD_CONST
-            else None
-        )
 
     def wake_keys(self, user: str, site: str) -> List[Tuple]:
         """Store keys whose learning can resolve this field for ``user``
@@ -248,17 +228,15 @@ class SignatureBuildPlan:
 
     ``_spawn_successors`` replicates one :class:`RequestInstance` per
     list element of the predecessor response — N instances that differ
-    *only* in their dep bindings.  The seed resolved every field of
-    every replica from scratch on every build attempt.  The plan hoists
-    everything replica-independent to the signature: fully-constant
-    field values are resolved here exactly once, each field's
-    resolution class and tag scopes are precomputed (so build attempts
-    skip the atom walk for settled fields), and the body skeleton kind
-    plus the variant frozensets are carried along.  The learner reads
-    its per-signature decisions from here too: which URI captures and
-    field values to learn, in which scope, and whether the signature
-    sends the cookie jar.  Instances keep only their dep bindings, pred
-    context, and two small memos.
+    *only* in their dep bindings.  The plan hoists everything
+    replica-independent to the signature: each field's atom steps with
+    their tag scopes already decided (a build walks these steps once
+    per field instead of re-inspecting template atoms), the body
+    skeleton kind and the variant frozensets.  The learner reads its
+    per-signature decisions from here too: which URI captures and field
+    values to learn, in which scope, whether the signature sends the
+    cookie jar, and which store keys can resolve each field.  Instances
+    keep only their dep bindings and pred context.
     """
 
     __slots__ = ("signature", "method", "body_kind", "uri", "rows",
@@ -374,13 +352,12 @@ class ValueStore:
         self._user_tags: Dict[Tuple[str, str], str] = {}
         self._global_fields: Dict[Tuple[str, str], str] = {}
         self._user_fields: Dict[Tuple[str, str, str], str] = {}
-        #: bumped whenever any value changes; pending instances use it
-        #: to skip rebuild attempts when nothing new was learned
-        self.version = 0
         #: change listeners, called with a wake key — ``("tag", user,
         #: tag)`` / ``("field", user, site, path)``, ``user`` None for
-        #: app-level values.  Learners subscribe their pending-instance
-        #: wake index here, so a shared store wakes every learner.
+        #: app-level values — whenever a value changes (re-learning the
+        #: same value notifies nothing).  Learners subscribe their
+        #: pending-instance wake index here, so a shared store wakes
+        #: every learner.
         self._listeners: List = []
 
     def add_listener(self, listener) -> None:
@@ -401,12 +378,10 @@ class ValueStore:
             key = (scope, tag)
             if self._user_tags.get(key) != value:
                 self._user_tags[key] = value
-                self.version += 1
                 self._notify(("tag", scope, tag))
         else:
             if self._global_tags.get(tag) != value:
                 self._global_tags[tag] = value
-                self.version += 1
                 self._notify(("tag", None, tag))
 
     def learn_field(self, user: str, site: str, path: str, value: str, per_user: bool) -> None:
@@ -414,13 +389,11 @@ class ValueStore:
             key = (user, site, path)
             if self._user_fields.get(key) != value:
                 self._user_fields[key] = value
-                self.version += 1
                 self._notify(("field", user, site, path))
         else:
             slot = (site, path)
             if self._global_fields.get(slot) != value:
                 self._global_fields[slot] = value
-                self.version += 1
                 self._notify(("field", None, site, path))
 
     def global_snapshot(self) -> "ValueStore":
@@ -476,30 +449,19 @@ class RequestInstance:
         #: scalar fields of the predecessor response, for Fig. 9
         #: ``condition`` policies
         self.pred_context: Dict[str, object] = {}
-        self._last_attempt: Optional[Tuple] = None
         #: learner bookkeeping: enqueue order, frozen dedupe key
         #: (``dep_values`` never change once the instance is queued),
         #: and the wake-index keys it is registered under (None: none)
         self.pending_seq = 0
         self.pending_key: Optional[Tuple] = None
         self.wake_keys: Optional[Tuple] = None
-        #: COW build memos: dep-class fields resolve once per instance
-        #: (dep bindings are frozen after spawn); dynamic-class fields
-        #: are memoized per ``store.version``.  Both are invalidated by
-        #: :meth:`fill` so out-of-order callers stay correct.
-        self._dep_resolved: Dict[str, str] = {}
-        self._memo_version = -1
-        self._memo: Dict[str, Optional[str]] = {}
+        #: the plan rows the last :meth:`try_build` could not resolve;
+        #: None before any attempt and when the URI did not resolve or
+        #: parse
+        self.missing: Optional[List[_PlanField]] = None
 
     def fill(self, path: FieldPath, value) -> None:
         self.dep_values[path.to_string()] = str(value)
-        # a new dep binding can change any field's resolution (mixed
-        # templates read dep values too) — drop the build memos
-        self._dep_resolved.clear()
-        self._memo_version = -1
-        # ...and the failed-attempt marker, or try_build would skip a
-        # build the new binding may complete
-        self._last_attempt = None
 
     def dedupe_key(self) -> Tuple:
         """Identity of this instance: signature + dep bindings."""
@@ -536,34 +498,36 @@ class RequestInstance:
                 best_rank = rank
         return best
 
-    def build(
-        self,
-        store: ValueStore,
-        preferred_variant: Optional[frozenset] = None,
+    def try_build(
+        self, store: ValueStore, preferred_variant: Optional[frozenset] = None
     ) -> Optional[Request]:
         """Assemble the concrete request, or None while values missing.
 
-        Resolves through the shared :class:`SignatureBuildPlan` with
-        per-instance memos — constant fields are never re-walked,
-        dep-bound fields resolve once per instance, and store-backed
-        fields re-resolve only after ``store.version`` moves.  The
-        seed's resolve-everything-per-attempt build lives on as the
-        oracle in ``tests/oracles/naive_build.py``; the differential
+        One pass through the shared :class:`SignatureBuildPlan`: the
+        URI and every field row resolve once.  A failed attempt leaves
+        the rows it could not resolve in :attr:`missing` (None when the
+        URI did not resolve or parse), which the learner reads for the
+        instance's wake keys.  The seed's atom-walking build lives on as
+        the oracle in ``tests/oracles/naive_build.py``; the differential
         tests assert both produce byte-identical requests.
         """
         plan = self.signature.build_plan
-        self._sync_memo(store)
-        uri_string = self._resolve_planned(plan.uri, store)
+        self.missing = None
+        uri_string = self._resolve_steps(plan.uri, store)
         if uri_string is None:
             return None
         try:
             uri = Uri.parse(uri_string)
         except ValueError:
             return None
-        resolved = {
-            row.path_string: self._resolve_planned(row, store)
-            for row in plan.rows
-        }
+        resolved: Dict[str, Optional[str]] = {}
+        missing: List[_PlanField] = []
+        for row in plan.rows:
+            value = self._resolve_steps(row, store)
+            resolved[row.path_string] = value
+            if value is None:
+                missing.append(row)
+        self.missing = missing
         variant = self.choose_variant(preferred_variant, resolved)
         if variant is None:
             return None
@@ -576,7 +540,7 @@ class RequestInstance:
         for row in plan.rows:
             if row.path_string not in variant:
                 continue
-            value = resolved.get(row.path_string)
+            value = resolved[row.path_string]
             if value is None:
                 return None
             if row.root == "header":
@@ -589,50 +553,6 @@ class RequestInstance:
                 else:
                     row.path.assign(request, value)
         return request
-
-    def unresolved_rows(self, store: ValueStore) -> Optional[List[_PlanField]]:
-        """The plan rows that do not resolve against ``store``, or None
-        when the URI does not resolve or parse (then any value the
-        instance reads may complete it).  Right after a failed build
-        every lookup is served from the build memos."""
-        plan = self.signature.build_plan
-        self._sync_memo(store)
-        uri_string = self._resolve_planned(plan.uri, store)
-        if uri_string is None:
-            return None
-        try:
-            Uri.parse(uri_string)
-        except ValueError:
-            return None
-        return [row for row in plan.rows if self._resolve_planned(row, store) is None]
-
-    def _sync_memo(self, store: ValueStore) -> None:
-        """Drop the dynamic-field memo once ``store.version`` moved."""
-        if self._memo_version != store.version:
-            self._memo = {}
-            self._memo_version = store.version
-
-    def _resolve_planned(self, row: _PlanField, store: ValueStore) -> Optional[str]:
-        """One field through the plan: memoized by resolution class."""
-        kind = row.kind
-        if kind == FIELD_CONST:
-            return row.const_value
-        path_string = row.path_string
-        if kind == FIELD_DEP:
-            value = self._dep_resolved.get(path_string)
-            if value is None:
-                value = self._resolve_steps(row, store)
-                if value is not None:
-                    # dep bindings are frozen after spawn, so a resolved
-                    # value never changes; an unresolved one stays cheap
-                    # to retry and is re-checked (fill() also clears)
-                    self._dep_resolved[path_string] = value
-            return value
-        if path_string in self._memo:
-            return self._memo[path_string]
-        value = self._resolve_steps(row, store)
-        self._memo[path_string] = value
-        return value
 
     def _resolve_steps(self, row: _PlanField, store: ValueStore) -> Optional[str]:
         """One field's value from the plan's precomputed atom steps.
@@ -673,19 +593,6 @@ class RequestInstance:
                     return None
                 parts.append(value)
         return "".join(parts)
-
-    def try_build(
-        self, store: ValueStore, preferred_variant: Optional[frozenset] = None
-    ) -> Optional[Request]:
-        """Like :meth:`build`, but skips work when nothing new was
-        learned since the last failed attempt."""
-        marker = (store.version, preferred_variant)
-        if self._last_attempt == marker:
-            return None
-        request = self.build(store, preferred_variant)
-        if request is None:
-            self._last_attempt = marker
-        return request
 
     def __repr__(self) -> str:
         return "RequestInstance({}, user={}, depth={})".format(

@@ -17,13 +17,18 @@ Pending-instance wake index
 An instance is built once at the drain after it is enqueued.  If that
 build fails, the instance is filed in the wake index under the store
 keys of the values it is missing — the tag and field keys of the plan
-rows the build left unresolved, plus its ``(user, site)`` variant key
-when the signature has more than one variant; every key its signature
-reads when the URI did not resolve or parse.  Values never leave the
-store and dep bindings are frozen at spawn, so a resolved field stays
-resolved: a drain retries exactly the instances under a key that fired
-since the last drain, in enqueue order.  Completion and eviction remove
-an instance from its buckets, so the index holds only live instances.
+rows the build left unresolved (the build records them in
+:attr:`~repro.proxy.instances.RequestInstance.missing`, so nothing is
+resolved twice), plus its ``(user, site)`` variant key when the
+signature has more than one variant; every key its signature reads when
+the URI did not resolve or parse.  Values never leave the store and dep
+bindings are frozen at spawn, so a resolved field stays resolved: a
+drain retries exactly the instances under a key that fired since the
+last drain, in enqueue order.  Live instances sit in one
+insertion-ordered dict keyed by their dedupe key; at
+:data:`MAX_PENDING` the first (oldest) is evicted.  Completion and
+eviction remove an instance from its buckets, so the index holds only
+live instances.
 Which tags are per-user, and what an observed field teaches, is decided
 once per signature in its :class:`~repro.proxy.instances.SignatureBuildPlan`.
 
@@ -160,12 +165,11 @@ class DynamicLearner:
         #: never be reconstructed (§7's comparison)
         self.static_only = static_only
         self.preferred_variant: Dict[Tuple[str, str], frozenset] = {}
-        # pending-instance state: a FIFO deque for eviction order (may
-        # hold stale entries, skipped lazily), the live-instance map,
-        # and the wake index mapping each store key to the live
-        # instances missing a value under it (enqueue seq → instance),
-        # so learning a value retries only the instances it can complete
-        self._queue: Deque[RequestInstance] = deque()
+        # pending-instance state: the live instances by dedupe key, in
+        # enqueue order (so the first key is the eviction victim), and
+        # the wake index mapping each store key to the live instances
+        # missing a value under it (enqueue seq → instance), so learning
+        # a value retries only the instances it can complete
         self._pending_keys: Dict[Tuple, RequestInstance] = {}
         #: live pending instances per (user, site) — backs the proxy's
         #: ``wildcard_pending`` miss-cause attribution in O(1)
@@ -480,7 +484,7 @@ class DynamicLearner:
         instance without any new value.
         """
         plan = instance.signature.build_plan
-        rows = instance.unresolved_rows(self.store)
+        rows = instance.missing
         if rows is None:
             rows = [plan.uri] + plan.rows
         user = instance.user
@@ -524,17 +528,15 @@ class DynamicLearner:
         key = instance.dedupe_key()
         if key in self._pending_keys:
             return
-        while len(self._pending_keys) >= MAX_PENDING and self._queue:
-            dropped = self._queue.popleft()
-            if self._is_live(dropped):
-                del self._pending_keys[dropped.pending_key]
-                self._forget_pending(dropped)
-                self._unregister(dropped)
+        pending = self._pending_keys
+        while len(pending) >= MAX_PENDING:
+            dropped = pending.pop(next(iter(pending)))
+            self._forget_pending(dropped)
+            self._unregister(dropped)
         self._enqueue_seq += 1
         instance.pending_seq = self._enqueue_seq
         instance.pending_key = key
-        self._queue.append(instance)
-        self._pending_keys[key] = instance
+        pending[key] = instance
         slot = (instance.user, instance.signature.site)
         self._pending_sites[slot] = self._pending_sites.get(slot, 0) + 1
         # not registered yet: the first build (at the next drain) tells
@@ -586,16 +588,12 @@ class DynamicLearner:
                 self.completed_count += 1
             elif instance.wake_keys is None:
                 self._register(instance)
-        # compact the deque once stale (completed/evicted) entries
-        # dominate, keeping eviction amortized O(1)
-        if len(self._queue) > 2 * len(self._pending_keys) + 64:
-            self._queue = deque(i for i in self._queue if self._is_live(i))
         return ready
 
     @property
     def _pending(self) -> List[RequestInstance]:
         """Live pending instances in enqueue order (compat view)."""
-        return [i for i in self._queue if self._is_live(i)]
+        return list(self._pending_keys.values())
 
     @property
     def pending_count(self) -> int:
@@ -610,7 +608,6 @@ class DynamicLearner:
             "wake_events": self.wake_events,
             "wake_retries": self.wake_retries,
             "wake_keys": len(self._wake_index),
-            "store_version": self.store.version,
             "learn_queue_depth": len(self._learn_queue),
             "deferred_enqueued": self.deferred_enqueued,
             "deferred_drained": self.deferred_drained,

@@ -40,7 +40,7 @@ from typing import Deque, Dict, Generator, Optional, Set, Tuple
 
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.metrics.perf import PERF
-from repro.metrics.trace import TRACER
+from repro.metrics.trace import TRACER, TraceContext
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import OriginMap
 from repro.proxy.cache import PrefetchCache
@@ -224,6 +224,34 @@ class Prefetcher:
             PERF.peak("prefetch.queue_peak", self.waiting)
         return "queued"
 
+    def pump_learning(self, trace: Optional[TraceContext] = None) -> int:
+        """Drain the learner's queue; submit completed prefetches.
+
+        Runs right after every observation: a client request, a
+        background fetch (chain prefetching, Fig. 3c) or a refresh.
+        No-op on an empty queue.  Returns the number of prefetches
+        submitted.
+        """
+        learner = self.learner
+        if not learner.learn_queue_depth:
+            return 0
+        span = trace.start_span("learn_drain") if trace is not None else None
+        with PERF.stage("proxy.learn_drain"):
+            ready_list = learner.drain_learn_queue()
+        if span is not None:
+            trace.end_span(span, completed=len(ready_list))
+        if trace is not None:
+            for ready in ready_list:
+                span = trace.start_span(
+                    "prefetch_issue", site=ready.instance.signature.site
+                )
+                outcome = self.submit(ready)
+                trace.end_span(span, outcome=outcome)
+        else:
+            for ready in ready_list:
+                self.submit(ready)
+        return len(ready_list)
+
     def _admitted(self, site: str) -> bool:
         """Hit-rate-aware admission: does ``site`` still earn prefetches?
 
@@ -338,25 +366,7 @@ class Prefetcher:
                 )
                 # learn now, so chain prefetches issue off this
                 # background fetch instead of waiting for client traffic
-                next_list = []
-                if self.learner.learn_queue_depth:
-                    span = (
-                        trace.start_span("learn_drain")
-                        if trace is not None
-                        else None
-                    )
-                    with PERF.stage("proxy.learn_drain"):
-                        next_list = self.learner.drain_learn_queue()
-                    if span is not None:
-                        trace.end_span(span, completed=len(next_list))
-                for next_ready in next_list:
-                    if trace is not None:
-                        span = trace.start_span(
-                            "prefetch_issue", site=next_ready.instance.signature.site
-                        )
-                        trace.end_span(span, outcome=self.submit(next_ready))
-                    else:
-                        self.submit(next_ready)
+                self.pump_learning(trace)
                 if trace is not None:
                     trace.tag("ok", True)
             else:

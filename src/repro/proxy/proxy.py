@@ -156,30 +156,13 @@ class AccelerationProxy:
 
     # ------------------------------------------------------------------
     def pump_learning(self, trace: Optional[TraceContext] = None) -> int:
-        """Drain the learner's queue; submit completed prefetches.
+        """Drain the learner's queue; submit completed prefetches
+        (:meth:`~repro.proxy.prefetcher.Prefetcher.pump_learning`).
 
         No-op on an empty queue.  Returns the number of prefetches
         submitted.
         """
-        learner = self.learner
-        if not learner.learn_queue_depth:
-            return 0
-        span = trace.start_span("learn_drain") if trace is not None else None
-        with PERF.stage("proxy.learn_drain"):
-            ready_list = learner.drain_learn_queue()
-        if span is not None:
-            trace.end_span(span, completed=len(ready_list))
-        if trace is not None:
-            for ready in ready_list:
-                span = trace.start_span(
-                    "prefetch_issue", site=ready.instance.signature.site
-                )
-                outcome = self.prefetcher.submit(ready)
-                trace.end_span(span, outcome=outcome)
-        else:
-            for ready in ready_list:
-                self.prefetcher.submit(ready)
-        return len(ready_list)
+        return self.prefetcher.pump_learning(trace)
 
     def _miss_cause(
         self,

@@ -1,9 +1,10 @@
-"""The seed's request build: re-resolve every field on every attempt.
+"""The seed's request build: walk every field's template atoms.
 
-:meth:`repro.proxy.instances.RequestInstance.build` resolves through
-the signature's shared build plan with per-instance memos.  This module
-walks each field's template atoms from scratch instead, which is what
-the plan must reproduce byte for byte.
+:meth:`repro.proxy.instances.RequestInstance.try_build` resolves each
+field once through the atom steps of the signature's shared build plan.
+This module walks each field's template atoms instead, which is what
+the plan must reproduce byte for byte; ``resolve_all`` also names the
+fields a failed plan build must report in ``RequestInstance.missing``.
 """
 
 from __future__ import annotations

@@ -132,16 +132,21 @@ def test_store_global_tags_shared():
     assert store.tag_value("u2", "env:config:api_host") == "https://a.com"
 
 
-def test_store_version_bumps_only_on_change():
+def test_store_notifies_only_on_change():
     store = ValueStore()
-    v0 = store.version
+    fired = []
+    store.add_listener(fired.append)
     store.learn_tag("u1", "env:config:x", "1")
-    v1 = store.version
     store.learn_tag("u1", "env:config:x", "1")  # unchanged
-    assert v1 > v0
-    assert store.version == v1
+    assert fired == [("tag", None, "env:config:x")]
     store.learn_tag("u1", "env:config:x", "2")
-    assert store.version > v1
+    store.learn_field("u1", "s#0", "body.k", "v", per_user=True)
+    store.learn_field("u1", "s#0", "body.k", "v", per_user=True)  # unchanged
+    assert fired == [
+        ("tag", None, "env:config:x"),
+        ("tag", None, "env:config:x"),
+        ("field", "u1", "s#0", "body.k"),
+    ]
 
 
 def test_store_field_precedence_user_over_global():
@@ -173,7 +178,7 @@ def successor_signature():
 
 def test_instance_incomplete_without_values():
     instance = RequestInstance(successor_signature(), "u1")
-    assert instance.build(ValueStore()) is None
+    assert instance.try_build(ValueStore()) is None
 
 
 def test_instance_builds_once_values_known():
@@ -183,7 +188,7 @@ def test_instance_builds_once_values_known():
     store = ValueStore()
     store.learn_tag("u1", "env:config:api_host", "https://api.wish.com")
     store.learn_tag("u1", "env:cookie", "bsid=9")
-    request = instance.build(store)
+    request = instance.try_build(store)
     assert request is not None
     assert request.uri.to_string() == "https://api.wish.com/detail"
     assert request.headers.get("Cookie") == "bsid=9"
@@ -198,18 +203,19 @@ def test_instance_uses_other_users_globals_but_not_cookies():
     store = ValueStore()
     store.learn_tag("u1", "env:config:api_host", "https://api.wish.com")
     store.learn_tag("u1", "env:cookie", "bsid=other-user")
-    assert instance.build(store) is None  # u2's cookie unknown
+    assert instance.try_build(store) is None  # u2's cookie unknown
 
 
-def test_try_build_skips_until_new_knowledge():
+def test_try_build_fails_until_values_known():
     signature = successor_signature()
     instance = RequestInstance(signature, "u1")
     instance.fill(FieldPath.parse("body.cid"), "x")
     store = ValueStore()
     assert instance.try_build(store) is None
-    # no new knowledge: returns None fast (cached failure)
-    assert instance.try_build(store) is None
+    assert instance.missing is None  # the host is unknown: no URI
     store.learn_tag("u1", "env:config:api_host", "https://a.com")
+    assert instance.try_build(store) is None
+    assert [row.path_string for row in instance.missing] == ["header.Cookie"]
     store.learn_tag("u1", "env:cookie", "bsid=1")
     assert instance.try_build(store) is not None
 
@@ -222,8 +228,8 @@ def test_fill_after_failed_try_build_allows_retry():
     store.learn_tag("u1", "env:cookie", "bsid=1")
     # only the dependency binding is missing: the attempt fails
     assert instance.try_build(store) is None
-    # the binding arrives without any store change; the failed-attempt
-    # marker must not hide the now-complete build
+    assert [row.path_string for row in instance.missing] == ["body.cid"]
+    # the binding arrives without any store change
     instance.fill(FieldPath.parse("body.cid"), "x")
     request = instance.try_build(store)
     assert request is not None
@@ -251,10 +257,10 @@ def test_variant_adaptation_prefers_observed():
     instance = RequestInstance(runtime, "u1")
     store = ValueStore()
     # default: largest resolvable variant
-    built = instance.build(store)
+    built = instance.try_build(store)
     assert built.body.get("b") == "2"
     # observed condition says the app sends only `a`
-    built = instance.build(store, preferred_variant=frozenset({"body.a"}))
+    built = instance.try_build(store, preferred_variant=frozenset({"body.a"}))
     assert built.body.get("b") is None
 
 
@@ -289,7 +295,7 @@ def test_plan_build_matches_naive_oracle_complete():
     for cid in ("09cf", "a1", "zz"):
         instance = RequestInstance(signature, "u1")
         instance.fill(FieldPath.parse("body.cid"), cid)
-        planned = instance.build(store)
+        planned = instance.try_build(store)
         naive = build_naive(instance, store)
         assert planned is not None and naive is not None
         assert serialize_request(planned) == serialize_request(naive)
@@ -300,21 +306,21 @@ def test_plan_build_matches_naive_oracle_incomplete():
     instance = RequestInstance(signature, "u1")
     instance.fill(FieldPath.parse("body.cid"), "x")
     store = ValueStore()  # host + cookie unknown: both paths must fail
-    assert instance.build(store) is None
+    assert instance.try_build(store) is None
     assert build_naive(instance, store) is None
 
 
-def test_plan_memo_tracks_store_version():
+def test_build_reads_relearned_value():
     signature = successor_signature()
     instance = RequestInstance(signature, "u1")
     instance.fill(FieldPath.parse("body.cid"), "x")
     store = ValueStore()
     store.learn_tag("u1", "env:config:api_host", "https://a.com")
     store.learn_tag("u1", "env:cookie", "bsid=1")
-    assert instance.build(store).headers.get("Cookie") == "bsid=1"
-    # a re-learned value must not be served from a stale memo
+    assert instance.try_build(store).headers.get("Cookie") == "bsid=1"
+    # a re-learned value replaces the one the last build used
     store.learn_tag("u1", "env:cookie", "bsid=2")
-    assert instance.build(store).headers.get("Cookie") == "bsid=2"
+    assert instance.try_build(store).headers.get("Cookie") == "bsid=2"
 
 
 def test_plan_variant_choice_matches_naive():
@@ -340,6 +346,6 @@ def test_plan_variant_choice_matches_naive():
     store = ValueStore()
     for preferred in (None, frozenset({"body.a"})):
         instance = RequestInstance(runtime, "u1")
-        planned = instance.build(store, preferred_variant=preferred)
+        planned = instance.try_build(store, preferred_variant=preferred)
         naive = build_naive(instance, store, preferred)
         assert serialize_request(planned) == serialize_request(naive)

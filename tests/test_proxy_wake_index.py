@@ -33,6 +33,7 @@ from repro.proxy import learning as learning_module
 from repro.proxy.instances import RequestInstance
 from repro.proxy.learning import DynamicLearner
 from tests.learn_helpers import learn_now
+from tests.oracles import naive_build
 
 
 def host():
@@ -199,6 +200,23 @@ def test_eviction_at_max_pending_drops_oldest_first(monkeypatch):
     assert [i.dep_values["body.cid"] for i in after].count("n1") == 2
     # bookkeeping stays consistent
     assert len(learner._pending_keys) == learner.pending_count
+    # the Alphas complete, leaving completed instances before B-o1 and
+    # between B-o3 and B-n1: eviction passes over them to the oldest
+    # *live* instance, and the pending view keeps enqueue order
+    learn_now(learner, teach_alpha_transaction(), "u1")
+    live = list(learner._pending)
+    assert [(i.signature.site, i.dep_values["body.cid"]) for i in live] == [
+        ("Beta#0", "o1"), ("Beta#0", "o2"), ("Beta#0", "o3"), ("Beta#0", "n1"),
+    ]
+    for index in range(6):
+        instance = RequestInstance(learner._by_site["Beta#0"], "u1")
+        instance.fill(FieldPath.parse("body.cid"), "m{}".format(index))
+        learner._enqueue(instance)
+        live.append(instance)
+        assert learner._pending == live[-6:]
+    assert learner._drain_pending() == []
+    assert learner.pending_count == 6
+    assert len(learner._pending_sites) == 1
 
 
 def test_evicted_instances_do_not_wake(monkeypatch):
@@ -268,11 +286,12 @@ def test_preferred_variant_change_wakes_instances():
     # the spawned instance honors the preferred (unbuildable) variant
     learn_now(learner, feed_transaction(item_ids=("a1",)), "u1")
     assert learner.pending_count == 1
-    version_before = learner.store.version
+    changed = []
+    learner.store.add_listener(changed.append)
     # same field values, smaller variant: no store change, only the
     # preferred variant flips — the variant wake must retry the instance
     ready = learn_now(learner, observed_succ([("cid", "zz")]), "u1")
-    assert learner.store.version == version_before
+    assert changed == []
     assert [r.instance.signature.site for r in ready] == ["Succ#0"]
     assert ready[0].request.body.get("cid") == "a1"
     assert ready[0].request.body.get("ref") is None
@@ -363,18 +382,19 @@ def test_cookie_changes_do_not_retry_instance_missing_other_field(monkeypatch):
     assert learner.pending_count == 2
     # registered under the missing vip value only, not the cookie
     for instance in learner._pending:
-        rows = instance.unresolved_rows(learner.store)
-        assert [row.path_string for row in rows] == ["body.vip"]
+        assert [row.path_string for row in instance.missing] == ["body.vip"]
         assert ("tag", "u1", "env:cookie") not in instance.wake_keys
         assert ("tag", None, "env:config:vip") in instance.wake_keys
     counts = count_try_builds(monkeypatch)
+    changed = []
+    learner.store.add_listener(changed.append)
     # env:cookie changes (new Set-Cookie on a cookie-sending signature)
-    version = learner.store.version
     assert learn_now(learner, cookie_feed("bsid=1", "bsid=2"), "u1") == []
     # header.Cookie of Detail itself changes (and env:cookie with it);
     # the request carries no vip, so nothing the instances miss arrives
     assert learn_now(learner, detail_request([("cid", "zz")], "bsid=3"), "u1") == []
-    assert learner.store.version > version
+    assert ("tag", "u1", "env:cookie") in changed
+    assert ("field", "u1", "Detail#0", "header.Cookie") in changed
     assert counts.get("Detail#0", 0) == 0
     # the value they do miss wakes and completes them
     ready = learn_now(learner, detail_request([("cid", "zz"), ("vip", "gold")]), "u1")
@@ -401,7 +421,7 @@ def test_uri_unresolved_registers_every_read_key():
     instance.fill(FieldPath.parse("body.cid"), "a1")
     learner._enqueue(instance)
     assert learner._drain_pending() == []
-    assert instance.unresolved_rows(learner.store) is None
+    assert instance.missing is None
     assert set(instance.wake_keys) == {
         ("tag", None, "env:config:api_host"),
         ("tag", "u1", "env:cookie"),
@@ -413,16 +433,12 @@ def test_uri_unresolved_registers_every_read_key():
     }
 
 
-@pytest.mark.parametrize("max_pending", [learning_module.MAX_PENDING, 8])
-def test_wake_index_holds_only_live_instances_after_five_app_replay(
-    monkeypatch, max_pending
-):
-    """Completed and evicted instances leave every bucket."""
-    monkeypatch.setattr(learning_module, "MAX_PENDING", max_pending)
+def five_app_learners():
+    """One learner per app, after three users replayed its recorded
+    session through it."""
     from repro.analysis.pipeline import AnalysisOptions, analyze_apk
     from repro.apps.registry import get_app
 
-    registered = 0
     for name in all_apps():
         analysis = analyze_apk(
             get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
@@ -432,6 +448,17 @@ def test_wake_index_holds_only_live_instances_after_five_app_replay(
         for user in ("u1", "u2", "u3"):
             for transaction in transactions:
                 learn_now(learner, transaction, user)
+        yield learner
+
+
+@pytest.mark.parametrize("max_pending", [learning_module.MAX_PENDING, 8])
+def test_wake_index_holds_only_live_instances_after_five_app_replay(
+    monkeypatch, max_pending
+):
+    """Completed and evicted instances leave every bucket."""
+    monkeypatch.setattr(learning_module, "MAX_PENDING", max_pending)
+    registered = 0
+    for learner in five_app_learners():
         indexed = indexed_instances(learner)
         registered += len(indexed)
         assert all(learner._is_live(instance) for instance in indexed)
@@ -442,3 +469,30 @@ def test_wake_index_holds_only_live_instances_after_five_app_replay(
                 assert key in instance.wake_keys
         assert learner.pending_count <= max_pending
     assert registered > 0  # the replay leaves some instances waiting
+
+
+def test_missing_rows_match_naive_oracle_after_five_app_replay():
+    """Each registered instance's ``missing`` names exactly the fields
+    the seed's atom walk cannot resolve, and is None exactly when the
+    URI does not resolve or parse."""
+    checked = 0
+    for learner in five_app_learners():
+        store = learner.store
+        for instance in indexed_instances(learner):
+            uri = naive_build.resolve_uri(instance, store)
+            try:
+                if uri is not None:
+                    Uri.parse(uri)
+            except ValueError:
+                uri = None
+            if uri is None:
+                assert instance.missing is None
+                continue
+            expected = [
+                path_string
+                for path_string, value in naive_build.resolve_all(instance, store).items()
+                if value is None
+            ]
+            assert [row.path_string for row in instance.missing] == expected
+            checked += 1
+    assert checked > 0
