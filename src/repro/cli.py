@@ -421,20 +421,21 @@ def _command_stats(args) -> int:
     if summary.get("prefetch_by_signature"):
         print("per-signature prefetch efficacy:")
         print(
-            "  {:<42} {:>7} {:>7} {:>7} {:>7}".format(
-                "signature", "issued", "hits", "wasted", "hit%"
+            "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>7}".format(
+                "signature", "issued", "hits", "used", "wasted", "used%"
             )
         )
         for signature in sorted(summary["prefetch_by_signature"]):
             row = summary["prefetch_by_signature"][signature]
             issued = row.get("issued", 0)
             print(
-                "  {:<42} {:>7} {:>7} {:>7} {:>6.0f}%".format(
+                "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>6.0f}%".format(
                     signature,
                     issued,
                     row.get("hits", 0),
+                    row.get("used", 0),
                     row.get("wasted", 0),
-                    100.0 * row.get("hits", 0) / issued if issued else 0.0,
+                    100.0 * row.get("used", 0) / issued if issued else 0.0,
                 )
             )
     if args.prom:
@@ -635,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--admission-threshold", type=float, default=None, metavar="PROB",
-        help="stop prefetching signatures whose observed hit probability "
-             "falls below PROB (hit-aware admission, §4.4)",
+        help="stop prefetching signatures whose share of used prefetches "
+             "falls below PROB (outcome-aware admission, §4.4)",
     )
     scale.add_argument(
         "--estimate-expiration", action="store_true",

@@ -633,14 +633,18 @@ def run_scale(
     requests = state["completed"]
     answered = served + forwarded
 
-    # per-signature prefetch efficacy: issued / hits / wasted, merged
-    # across apps — the audit table behind admission decisions
+    # per-signature prefetch efficacy, merged across apps — the audit
+    # table behind admission decisions: ``used`` and ``wasted`` are the
+    # outcomes of the site's stored entries, ``hits`` the cache hits of
+    # demand requests matched to the site (one entry may serve several)
     by_signature: Dict[str, Dict[str, int]] = {}
 
     def _signature_cell(site: str) -> Dict[str, int]:
         cell = by_signature.get(site)
         if cell is None:
-            cell = by_signature[site] = {"issued": 0, "hits": 0, "wasted": 0}
+            cell = by_signature[site] = {
+                "issued": 0, "hits": 0, "used": 0, "wasted": 0
+            }
         return cell
 
     for _, proxy in multi._apps:
@@ -648,6 +652,8 @@ def run_scale(
             _signature_cell(site)["issued"] += count
         for site, count in proxy.cache.hits.items():
             _signature_cell(site)["hits"] += count
+        for site, count in proxy.cache.used_by_site.items():
+            _signature_cell(site)["used"] += count
         for site, count in proxy.cache.wasted_by_site.items():
             _signature_cell(site)["wasted"] += count
     for history in deployment.history.values():
@@ -704,7 +710,9 @@ def run_scale(
         "learn_deferred_drained": sum(
             proxy.learner.deferred_drained for _, proxy in multi._apps
         ),
+        "prefetch_used": sum(c.used for c in caches),
         "prefetch_wasted": sum(c.wasted for c in caches),
+        "origin_bytes": sum(proxy.total_server_bytes() for _, proxy in multi._apps),
         "skipped_admission": sum(
             proxy.prefetcher.skipped_admission for _, proxy in multi._apps
         ),

@@ -409,7 +409,7 @@ def aggregate_records(records) -> Dict[str, object]:
             if isinstance(table, dict):
                 for site, cell in table.items():
                     merged = prefetch_by_signature.setdefault(
-                        site, {"issued": 0, "hits": 0, "wasted": 0}
+                        site, {"issued": 0, "hits": 0, "used": 0, "wasted": 0}
                     )
                     for key in merged:
                         merged[key] += int(cell.get(key, 0))

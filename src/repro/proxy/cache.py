@@ -20,34 +20,44 @@ seed's flat ``(user, exact_key)`` table with full-scan purge lives on
 as the oracle in ``tests/oracles/flat_cache.py``: unbounded, the two
 agree on every observable result (``tests/test_proxy_cache_scale.py``).
 
-Entries evicted, expired or overwritten *before their first hit* are
-counted as ``wasted`` (per-site in ``wasted_by_site``) — the signal the
-prefetcher's admission gate and offline audits run on.  Until that
-first hit an entry is *unread*; ``unread(user)`` counts the user's,
-which the prefetcher adds to its in-flight requests to stop issuing
-what the bound would evict.
+Each stored entry gets one outcome.  Its first hit (:meth:`serve`)
+makes it *used* (per-site in ``used_by_site``, credited to the entry's
+own site however often it is hit); leaving the cache — evicted, expired
+or overwritten — before that first hit makes it *wasted* (per-site in
+``wasted_by_site``).  These are the counts the prefetcher's admission
+gate and offline audits run on.  An entry stored with
+``holds_slot=True`` holds one of its user's open-prefetch slots in the
+prefetcher; deciding its outcome tells ``on_decided(user, site)``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.httpmsg.message import Request, Response
 from repro.metrics.perf import PERF
 
 
 class CacheEntry:
-    __slots__ = ("response", "site", "fetched_at", "expires_at", "served")
+    __slots__ = (
+        "response", "site", "fetched_at", "expires_at", "served", "holds_slot"
+    )
 
     def __init__(
-        self, response: Response, site: str, fetched_at: float, expires_at: float
+        self,
+        response: Response,
+        site: str,
+        fetched_at: float,
+        expires_at: float,
+        holds_slot: bool = False,
     ) -> None:
         self.response = response
         self.site = site
         self.fetched_at = fetched_at
         self.expires_at = expires_at
         self.served = False
+        self.holds_slot = holds_slot
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -79,11 +89,17 @@ class PrefetchCache:
         self.lru_evictions = 0
         self.purged = 0
         self.stored = 0
+        #: entries that served at least one hit, counted at the first
+        self.used = 0
+        self.used_by_site: Dict[str, int] = {}
         #: entries that left the cache (evicted, expired or
         #: overwritten) having never served a hit — the prefetch-waste
         #: signal
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
+        #: ``on_decided(user, site)``: a ``holds_slot`` entry was used
+        #: or wasted (the prefetcher frees that user's slot)
+        self.on_decided: Optional[Callable[[str, str], None]] = None
 
     # ------------------------------------------------------------------
     def put(
@@ -94,8 +110,9 @@ class PrefetchCache:
         site: str,
         now: float,
         ttl: float,
+        holds_slot: bool = False,
     ) -> None:
-        entry = CacheEntry(response, site, now, now + ttl)
+        entry = CacheEntry(response, site, now, now + ttl, holds_slot)
         exact = request.exact_key()
         shard = self._shards.get(user)
         if shard is None:
@@ -105,7 +122,7 @@ class PrefetchCache:
         if previous is None:
             self._count += 1
         else:
-            self._note_wasted(previous)
+            self._note_wasted(user, previous)
         heapq.heappush(
             self._expiry, (entry.expires_at, self.stored, user, exact, entry)
         )
@@ -120,22 +137,30 @@ class PrefetchCache:
         if PERF.enabled:
             PERF.incr("cache.stores")
 
-    def unread(self, user: str) -> int:
-        """``user``'s stored entries that have not served a hit yet."""
-        shard = self._shards.get(user)
-        return 0 if shard is None else sum(not e.served for e in shard.values())
+    def serve(self, user: str, entry: CacheEntry) -> None:
+        """Record a hit on ``entry``, which :meth:`lookup` just returned
+        for ``user``; its first hit decides it used."""
+        if entry.served:
+            return
+        entry.served = True
+        site = entry.site
+        self.used += 1
+        self.used_by_site[site] = self.used_by_site.get(site, 0) + 1
+        if entry.holds_slot:
+            self.on_decided(user, site)
 
-    def _note_wasted(self, entry: CacheEntry) -> None:
+    def _note_wasted(self, user: str, entry: CacheEntry) -> None:
         """Count an entry leaving the cache without ever serving a hit."""
         if entry.served:
             return
+        site = entry.site
         self.wasted += 1
-        self.wasted_by_site[entry.site] = self.wasted_by_site.get(entry.site, 0) + 1
+        self.wasted_by_site[site] = self.wasted_by_site.get(site, 0) + 1
+        if entry.holds_slot:
+            self.on_decided(user, site)
         if PERF.enabled:
             PERF.incr("prefetch.wasted")
-            PERF.registry.inc(
-                "prefetch_wasted", labels={"signature": entry.site}
-            )
+            PERF.registry.inc("prefetch_wasted", labels={"signature": site})
 
     def _evict(self, user: str, exact: str, entry: CacheEntry) -> None:
         shard = self._shards.get(user)
@@ -144,7 +169,7 @@ class PrefetchCache:
             if not shard:
                 del self._shards[user]
         self.lru_evictions += 1
-        self._note_wasted(entry)
+        self._note_wasted(user, entry)
         if PERF.enabled:
             PERF.incr("cache.lru_evictions")
 
@@ -159,7 +184,7 @@ class PrefetchCache:
         self._count -= 1
         if not shard:
             del self._shards[user]
-        self._note_wasted(entry)
+        self._note_wasted(user, entry)
 
     # ------------------------------------------------------------------
     def _lookup(self, user: str, exact: str) -> Optional[CacheEntry]:

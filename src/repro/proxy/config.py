@@ -16,10 +16,12 @@ from repro.analysis.model import AnalysisResult
 
 DEFAULT_EXPIRATION = 600.0  # seconds
 DEFAULT_CHAIN_DEPTH = 2
-#: observed-hit-probability admission defaults (§4.4 extension): a
-#: signature needs this many completed prefetches before its observed
-#: hit probability is trusted, and a below-threshold signature is
-#: still re-tried with this probability so it can recover
+#: outcome-aware admission defaults (§4.4 extension): a signature is
+#: judged by used / (used + wasted) once this many of its prefetches
+#: have a decided outcome, and until then each user may hold at most
+#: this many of its prefetches open (queued, in flight or stored
+#: unread); a below-threshold signature is still re-tried with the
+#: explore probability so it can recover
 DEFAULT_ADMISSION_MIN_ISSUED = 20
 DEFAULT_ADMISSION_EXPLORE = 0.1
 
@@ -95,7 +97,7 @@ class SignaturePolicy:
         #: §6.3 extension: restrict prefetching to the K most popular
         #: items of this signature (None = no restriction)
         self.popularity_top_k = popularity_top_k
-        #: observed-hit-probability admission floor for this signature;
+        #: admission floor on the used share of this signature's prefetches;
         #: ``None`` defers to the config-level ``admission_threshold``
         self.min_hit_probability = min_hit_probability
 
@@ -156,16 +158,19 @@ class ProxyConfig:
             raise ValueError("admission_threshold must be in [0, 1]")
         if not 0.0 <= admission_explore <= 1.0:
             raise ValueError("admission_explore must be in [0, 1]")
+        if admission_min_issued < 1:
+            # a warm-up cap of 0 would refuse every prefetch for good
+            raise ValueError("admission_min_issued must be at least 1")
         #: keyed by signature *site* (the stable analysis-time id)
         self.policies: Dict[str, SignaturePolicy] = dict(policies or {})
         self.global_probability = global_probability
         self.data_budget_bytes = data_budget_bytes
         self.max_chain_depth = max_chain_depth
         self.default_expiration = default_expiration
-        #: observed-hit-probability admission: signatures whose measured
-        #: hits/issued falls below this are no longer prefetched (None
-        #: disables the gate); per-policy ``min_hit_probability``
-        #: overrides it for one signature
+        #: outcome-aware admission: signatures whose prefetches are used
+        #: (used / (used + wasted)) below this share are no longer
+        #: prefetched (None disables the gate); per-policy
+        #: ``min_hit_probability`` overrides it for one signature
         self.admission_threshold = admission_threshold
         self.admission_min_issued = admission_min_issued
         self.admission_explore = admission_explore

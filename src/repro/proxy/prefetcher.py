@@ -5,7 +5,9 @@ Eligibility gates (§4.4): per-signature ``prefetch`` flag, probability
 bound, and the data-usage budget (C4).  A bounded cache adds one more:
 a user holds at most ``max_entries_per_user`` *open* prefetches — in
 flight, queued, or stored and not yet served — so nothing is issued
-that the per-user LRU bound would evict unread.  The flag and the
+that the per-user LRU bound would evict unread.  With an admission
+threshold, a site is judged by what its prefetches became (see
+:meth:`Prefetcher._admitted`).  The flag and the
 depth bound depend only on site and depth, so
 :meth:`Prefetcher.spawn_gate` applies them when the learner spawns a
 successor, before any instance is built; :meth:`Prefetcher.submit`
@@ -100,9 +102,10 @@ class Prefetcher:
         self._site_fifos: Dict[str, Deque[Tuple[int, ReadyPrefetch]]] = {}
         self._waiting_count = 0
         self._inflight: Set[Tuple[str, str]] = set()
-        #: user -> its prefetches queued or awaiting the origin; with
-        #: the cache's unread count, the user's open prefetches
-        self._fetching: Dict[str, int] = {}
+        #: user -> site -> its open prefetches: admitted and not yet
+        #: used or wasted (queued, awaiting the origin, or stored unread)
+        self._open: Dict[str, Dict[str, int]] = {}
+        cache.on_decided = self._close
         #: running average origin response time per signature site
         self.avg_response_time: Dict[str, float] = {}
         self._response_samples: Dict[str, int] = {}
@@ -171,6 +174,7 @@ class Prefetcher:
         if PERF.enabled:
             PERF.incr("prefetch.submitted")
         site = ready.instance.signature.site
+        user = ready.instance.user
         policy = self.config.policy(site)
         if not policy.prefetch:
             self.skipped_policy += 1
@@ -188,7 +192,7 @@ class Prefetcher:
         ):
             self.skipped_popularity += 1
             return "skipped_popularity"
-        if not self._admitted(site):
+        if not self._admitted(user, site):
             self.skipped_admission += 1
             return "skipped_admission"
         probability = self.config.effective_probability(site)
@@ -201,20 +205,22 @@ class Prefetcher:
         ):
             self.skipped_budget += 1
             return "skipped_budget"
-        user = ready.instance.user
         key = (user, ready.request.exact_key())
         if key in self._inflight or self.cache.contains_fresh(
             user, ready.request, self.sim.now
         ):
             self.skipped_duplicate += 1
             return "skipped_duplicate"
-        fetching = self._fetching.get(user, 0)
         bound = self.cache.max_entries_per_user
-        if bound is not None and fetching + self.cache.unread(user) >= bound:
+        if bound is not None and self.open_prefetches(user) >= bound:
             self.skipped_bound += 1
             return "skipped_bound"
         self._inflight.add(key)
-        self._fetching[user] = fetching + 1
+        sites = self._open.get(user)
+        if sites is None:
+            self._open[user] = {site: 1}
+        else:
+            sites[site] = sites.get(site, 0) + 1
         if self._active < self.max_concurrent:
             self._start(ready)
             return "started"
@@ -252,26 +258,53 @@ class Prefetcher:
                 self.submit(ready)
         return len(ready_list)
 
-    def _admitted(self, site: str) -> bool:
-        """Hit-rate-aware admission: does ``site`` still earn prefetches?
+    def open_prefetches(self, user: str, site: Optional[str] = None) -> int:
+        """``user``'s open prefetches of ``site``, or of every site."""
+        sites = self._open.get(user)
+        if sites is None:
+            return 0
+        return sum(sites.values()) if site is None else sites.get(site, 0)
 
-        Observed hit probability is cache hits over prefetches issued
-        for the signature.  Below the governing threshold
+    def _close(self, user: str, site: str) -> None:
+        """One open prefetch of ``user`` for ``site`` was used or wasted."""
+        sites = self._open[user]
+        left = sites[site] - 1
+        if left:
+            sites[site] = left
+        elif len(sites) > 1:
+            del sites[site]
+        else:
+            del self._open[user]
+
+    def _admitted(self, user: str, site: str) -> bool:
+        """Outcome-aware admission: does ``site`` still earn prefetches?
+
+        Each admitted prefetch gets one outcome: *used* at its cache
+        entry's first hit, *wasted* when the entry leaves the cache
+        unread or the fetch fails, *open* until then.  Once ``site`` has
+        ``admission_min_issued`` decided outcomes it is judged by
+        used / (used + wasted): below the governing threshold
         (per-policy ``min_hit_probability`` or the config-wide
-        ``admission_threshold``) the signature stops prefetching —
-        except for an ``admission_explore`` fraction kept flowing so a
-        recovered signature can re-earn admission.  Signatures with
-        fewer than ``admission_min_issued`` completed prefetches are
-        always admitted (no evidence yet).
+        ``admission_threshold``) it stops prefetching — except for an
+        ``admission_explore`` fraction kept flowing so a recovered site
+        can re-earn admission.  Until then (warm-up) each user may hold
+        at most ``admission_min_issued`` open prefetches of the site, so
+        a burst cannot pass the whole warm-up before any outcome is in.
         """
         threshold = self.config.admission_threshold_for(site)
         if threshold is None or threshold <= 0.0:
             return True
-        issued = self.issued_by_site.get(site, 0)
-        if issued < self.config.admission_min_issued:
-            return True
-        observed = self.cache.hits.get(site, 0) / issued
-        if observed >= threshold:
+        cache = self.cache
+        used = cache.used_by_site.get(site, 0)
+        decided = (
+            used
+            + cache.wasted_by_site.get(site, 0)
+            + self.error_by_site.get(site, 0)
+        )
+        warmup = self.config.admission_min_issued
+        if decided < warmup:
+            return self.open_prefetches(user, site) < warmup
+        if used / decided >= threshold:
             return True
         return self.rng.random() < self.config.admission_explore
 
@@ -317,15 +350,12 @@ class Prefetcher:
         trace = TRACER.begin(user, kind="prefetch") if TRACER.enabled else None
         if trace is not None:
             trace.tag("signature", site)
-        fetching = True
+        stored = False
         try:
             span = trace.start_span("origin_fetch") if trace is not None else None
             response, transferred = yield self.sim.spawn(
                 origin_fetch(self.sim, self.origins, wire_request, user)
             )
-            # answered: a stored response stays open as an unread entry
-            fetching = False
-            self._fetched(user)
             if span is not None:
                 trace.end_span(span, bytes=transferred, signature=site)
             self.prefetch_bytes += transferred
@@ -348,7 +378,10 @@ class Prefetcher:
                     site,
                     now=self.sim.now,
                     ttl=self.ttl_for(site, response),
+                    holds_slot=True,
                 )
+                # the entry holds the open slot until its outcome
+                stored = True
                 if span is not None:
                     trace.end_span(span, signature=site)
                 # chain prefetching (Fig. 3c): the prefetched response
@@ -375,20 +408,13 @@ class Prefetcher:
                 if trace is not None:
                     trace.tag("ok", False)
         finally:
-            if fetching:
-                self._fetched(user)
+            if not stored:
+                self._close(user, site)  # a failed fetch is wasted
             TRACER.finish(trace)
             self._inflight.discard((user, ready.request.exact_key()))
             self._active -= 1
             self._drain()
         return None
-
-    def _fetched(self, user: str) -> None:
-        left = self._fetching[user] - 1
-        if left:
-            self._fetching[user] = left
-        else:
-            del self._fetching[user]
 
     def _record_response_time(self, site: str, elapsed: float) -> None:
         samples = self._response_samples.get(site, 0)

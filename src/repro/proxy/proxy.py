@@ -99,8 +99,9 @@ class AccelerationProxy:
         if entry is not None:
             if span is not None:
                 trace.end_span(span, outcome="hit", signature=site or "", shard=user)
+            # decided at the lookup, before the entry can expire unread
+            self.cache.serve(user, entry)
             yield Delay(PROXY_PROCESSING)
-            entry.served = True
             self.served_prefetched += 1
             if site:
                 self.cache.record_hit(site)

@@ -5,7 +5,8 @@ files expiries on a min-heap.  :class:`FlatPrefetchCache` keeps the
 seed's single dict with a full-table purge and per-user scans instead;
 unbounded, the two must agree on every observable result.  It takes no
 LRU bounds: the flat table has no per-user order to evict by.  Like
-the sharded cache, it counts an entry overwritten unread as wasted.
+the sharded cache, it counts an entry overwritten unread as wasted and
+tells ``on_decided`` the user of every decided ``holds_slot`` entry.
 
 ``PrefetchCache.lookup`` answers ``miss_absent`` without digesting the
 request when the user has no shard.  The flat table keeps no shards,
@@ -46,12 +47,13 @@ class FlatPrefetchCache(PrefetchCache):
         site: str,
         now: float,
         ttl: float,
+        holds_slot: bool = False,
     ) -> None:
         key = (user, request.exact_key())
         previous = self._entries.get(key)
         if previous is not None:
-            self._note_wasted(previous)
-        self._entries[key] = CacheEntry(response, site, now, now + ttl)
+            self._note_wasted(user, previous)
+        self._entries[key] = CacheEntry(response, site, now, now + ttl, holds_slot)
         self.stored += 1
         if PERF.enabled:
             PERF.incr("cache.stores")
@@ -59,7 +61,7 @@ class FlatPrefetchCache(PrefetchCache):
     def _remove(self, user: str, exact: str) -> None:
         entry = self._entries.pop((user, exact), None)
         if entry is not None:
-            self._note_wasted(entry)
+            self._note_wasted(user, entry)
 
     def _lookup(self, user: str, exact: str) -> Optional[CacheEntry]:
         return self._entries.get((user, exact))
@@ -67,7 +69,7 @@ class FlatPrefetchCache(PrefetchCache):
     def purge_expired(self, now: float) -> int:
         stale = [key for key, entry in self._entries.items() if entry.expired(now)]
         for key in stale:
-            self._note_wasted(self._entries.pop(key))
+            self._note_wasted(key[0], self._entries.pop(key))
         self.expired_evictions += len(stale)
         return len(stale)
 

@@ -276,6 +276,24 @@ def test_admission_threshold_cuts_prefetch_volume():
     assert gated["prefetch_issued"] < open_gate["prefetch_issued"]
 
 
+def test_row_reports_prefetch_outcomes_and_origin_bytes():
+    kwargs = dict(
+        users=6, duration=10.0, rate_per_user=1.0, seed=3, apps=("wish",),
+        warm_start=True,
+    )
+    row = run_scale(strategy="appx", admission_threshold=0.2, **kwargs)
+    cells = row["prefetch_by_signature"].values()
+    assert row["prefetch_used"] == sum(cell["used"] for cell in cells) > 0
+    assert row["prefetch_wasted"] == sum(cell["wasted"] for cell in cells)
+    # an entry is used once, however often it is hit
+    assert all(cell["used"] <= cell["issued"] for cell in cells)
+    assert row["prefetch_used"] <= row["served_prefetched"]
+    baseline = run_scale(strategy="none", **kwargs)
+    assert baseline["prefetch_used"] == 0
+    # prefetching moves more origin bytes than serving on demand only
+    assert row["origin_bytes"] > baseline["origin_bytes"] > 0
+
+
 def test_run_strategy_comparison_reports_deltas():
     from repro.experiments.scale import (
         format_strategy_table,
@@ -347,7 +365,9 @@ DETERMINISTIC_KEYS = (
     "cache_expired_evictions",
     "cache_lru_evictions",
     "cache_purged",
+    "prefetch_used",
     "prefetch_wasted",
+    "origin_bytes",
     "skipped_admission",
     "skipped_bound",
     "latency_p50_ms",

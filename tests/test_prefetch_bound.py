@@ -32,12 +32,12 @@ class _Origin(Endpoint):
         return Response(status, body=JsonBody({"p": request.uri.path}))
 
 
-def make_prefetcher(bound, max_concurrent=8, ttl=300.0):
+def make_prefetcher(bound, max_concurrent=8, ttl=300.0, **config_kwargs):
     sim = Simulator()
     origins = OriginMap()
     origins.register(ORIGIN, _Origin(), Link(rtt=0.02))
     cache = PrefetchCache(max_entries_per_user=bound)
-    config = ProxyConfig()
+    config = ProxyConfig(**config_kwargs)
     config.policy(SITE).expiration_time = ttl
     prefetcher = Prefetcher(
         sim, origins, cache, config, DynamicLearner(AnalysisResult("t", [], [])),
@@ -58,7 +58,7 @@ def ready(path, user="u0"):
 def serve(cache, sim, path, user="u0"):
     entry, outcome = cache.lookup(user, request(path), sim.now)
     assert outcome == "hit"
-    entry.served = True  # what the proxy does on a hit
+    cache.serve(user, entry)  # what the proxy does on a hit
 
 
 # -- the prefetcher gate ----------------------------------------------------
@@ -84,7 +84,7 @@ def test_a_served_hit_reopens_exactly_one_slot():
     sim.run()
     serve(cache, sim, "/a")
     serve(cache, sim, "/a")  # a second hit on the same entry frees nothing
-    assert cache.unread("u0") == 1
+    assert prefetcher.open_prefetches("u0") == 1
     assert prefetcher.submit(ready("/c")) == "started"
     assert prefetcher.submit(ready("/d")) == "skipped_bound"
 
@@ -104,11 +104,11 @@ def test_an_expired_entry_frees_its_slot_on_purge_and_on_lookup():
     sim.run()
     assert prefetcher.submit(ready("/b")) == "skipped_bound"
     assert cache.purge_expired(sim.now + 1.0) == 1
-    assert cache.unread("u0") == 0 and cache.wasted == 1
+    assert prefetcher.open_prefetches("u0") == 0 and cache.wasted == 1
     assert prefetcher.submit(ready("/b")) == "started"
     sim.run()
     assert cache.lookup("u0", request("/b"), sim.now + 1.0)[1] == "miss_expired"
-    assert cache.unread("u0") == 0 and cache.wasted == 2
+    assert prefetcher.open_prefetches("u0") == 0 and cache.wasted == 2
     assert prefetcher.submit(ready("/c")) == "started"
 
 
@@ -122,7 +122,7 @@ def test_an_evicted_entry_frees_its_slot():
     sim.run()
     # "/c" took the freed slot; storing it evicted the oldest, unread "/a"
     assert cache.lru_evictions == 1 and cache.wasted == 1
-    assert cache.unread("u0") == 1
+    assert prefetcher.open_prefetches("u0") == 1
     assert prefetcher.submit(ready("/d")) == "started"
 
 
@@ -142,4 +142,4 @@ def test_an_unbounded_cache_never_refuses():
     assert outcomes == {"started", "queued"}
     assert prefetcher.skipped_bound == 0
     assert prefetcher.issued == 50
-    assert cache.unread("u0") == 50
+    assert prefetcher.open_prefetches("u0") == 50

@@ -1,8 +1,10 @@
-"""Tests for the prefetch-efficacy machinery: hit-aware admission,
+"""Tests for the prefetch-efficacy machinery: outcome-aware admission,
 the wasted-prefetch counter, and the history-based baseline strategy.
 """
 
 import random
+
+import pytest
 
 from repro.httpmsg.body import JsonBody
 from repro.httpmsg.message import Request, Response
@@ -13,11 +15,9 @@ from repro.netsim.transport import OriginMap
 from repro.proxy.cache import PrefetchCache
 from repro.proxy.config import ProxyConfig
 from repro.proxy.history import HistoryPrefetcher
-from repro.proxy.prefetcher import Prefetcher
 from repro.server.origin import OriginServer
 from tests.oracles.flat_cache import FlatPrefetchCache
-
-SITE = "Feed.load#1"
+from tests.test_prefetch_bound import SITE, make_prefetcher, ready, request, serve
 
 
 def make_request(path):
@@ -29,63 +29,191 @@ def make_response(payload):
 
 
 # ----------------------------------------------------------------------
-# hit-aware admission (§4.4 threshold on *observed* hit probability)
+# outcome-aware admission (§4.4 threshold on what prefetches became)
 # ----------------------------------------------------------------------
-def build_prefetcher(threshold=0.3, min_issued=5, explore=0.0):
-    sim = Simulator()
-    config = ProxyConfig(
+def build_prefetcher(threshold=0.3, min_issued=5, explore=0.0, bound=None, ttl=300.0):
+    return make_prefetcher(
+        bound,
+        ttl=ttl,
         admission_threshold=threshold,
         admission_min_issued=min_issued,
         admission_explore=explore,
     )
-    cache = PrefetchCache()
-    prefetcher = Prefetcher(sim, OriginMap(), cache, config, learner=None)
-    return prefetcher, cache
+
+
+def drive(sim, cache, prefetcher, used=0, wasted=0):
+    """Give ``used + wasted`` prefetches of the site their outcomes, one
+    user each: a first hit for ``used``, a failed fetch for ``wasted``."""
+    first = prefetcher.issued
+    users = ["o{}".format(first + i) for i in range(used + wasted)]
+    for index, user in enumerate(users):
+        path = "/ok" if index < used else "/err"
+        assert prefetcher.submit(ready(path, user=user)) in ("started", "queued")
+    sim.run()
+    for user in users[:used]:
+        serve(cache, sim, "/ok", user=user)
 
 
 def test_admission_allows_during_warmup():
-    prefetcher, _ = build_prefetcher(min_issued=5)
-    prefetcher.issued_by_site[SITE] = 4  # below warmup
-    assert prefetcher._admitted(SITE)
+    sim, cache, prefetcher = build_prefetcher(min_issued=5)
+    drive(sim, cache, prefetcher, wasted=4)  # below warmup
+    assert prefetcher._admitted("u0", SITE)
 
 
 def test_admission_blocks_cold_signatures():
-    prefetcher, cache = build_prefetcher(threshold=0.3, explore=0.0)
-    prefetcher.issued_by_site[SITE] = 10
-    cache.hits[SITE] = 1  # observed probability 0.1 < 0.3
-    assert not prefetcher._admitted(SITE)
+    sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.0)
+    drive(sim, cache, prefetcher, used=1, wasted=9)  # 0.1 < 0.3
+    assert not prefetcher._admitted("u0", SITE)
+    assert prefetcher.submit(ready("/next")) == "skipped_admission"
 
 
 def test_admission_passes_hot_signatures():
-    prefetcher, cache = build_prefetcher(threshold=0.3)
-    prefetcher.issued_by_site[SITE] = 10
-    cache.hits[SITE] = 4  # 0.4 >= 0.3
-    assert prefetcher._admitted(SITE)
+    sim, cache, prefetcher = build_prefetcher(threshold=0.3)
+    drive(sim, cache, prefetcher, used=4, wasted=6)  # 0.4 >= 0.3
+    assert prefetcher._admitted("u0", SITE)
 
 
 def test_admission_explores_blocked_signatures():
-    prefetcher, cache = build_prefetcher(threshold=0.3, explore=0.5)
+    sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.5)
+    drive(sim, cache, prefetcher, wasted=10)
     prefetcher.rng = random.Random(7)
-    prefetcher.issued_by_site[SITE] = 100
-    cache.hits[SITE] = 0
-    admitted = sum(prefetcher._admitted(SITE) for _ in range(400))
+    admitted = sum(prefetcher._admitted("u0", SITE) for _ in range(400))
     # the explore coin re-admits roughly its configured fraction
     assert 120 < admitted < 280
 
 
 def test_admission_per_signature_override_beats_global():
-    prefetcher, cache = build_prefetcher(threshold=0.9, explore=0.0)
+    sim, cache, prefetcher = build_prefetcher(threshold=0.9, explore=0.0)
     prefetcher.config.policy(SITE).min_hit_probability = 0.05
-    prefetcher.issued_by_site[SITE] = 10
-    cache.hits[SITE] = 1  # 0.1 >= the per-policy 0.05, < the global 0.9
-    assert prefetcher._admitted(SITE)
+    # 0.1 >= the per-policy 0.05, < the global 0.9
+    drive(sim, cache, prefetcher, used=1, wasted=9)
+    assert prefetcher._admitted("u0", SITE)
 
 
 def test_admission_disabled_when_no_threshold():
-    prefetcher, cache = build_prefetcher(threshold=None)
-    prefetcher.issued_by_site[SITE] = 1000
-    cache.hits[SITE] = 0
-    assert prefetcher._admitted(SITE)
+    sim, cache, prefetcher = build_prefetcher(threshold=None, min_issued=2)
+    drive(sim, cache, prefetcher, wasted=20)
+    assert prefetcher._admitted("u0", SITE)
+    # nor is there a warm-up cap: one user opens any number
+    outcomes = {prefetcher.submit(ready("/p{}".format(i))) for i in range(20)}
+    assert outcomes == {"started", "queued"}
+
+
+def test_admission_needs_a_warmup_of_at_least_one():
+    with pytest.raises(ValueError):
+        ProxyConfig(admission_threshold=0.3, admission_min_issued=0)
+
+
+def test_a_used_entry_counts_once_however_often_hit():
+    sim, cache, prefetcher = build_prefetcher(threshold=0.3, min_issued=5)
+    drive(sim, cache, prefetcher, used=1, wasted=4)
+    for _ in range(5):
+        serve(cache, sim, "/ok", user="o0")
+    assert cache.used == 1 and cache.used_by_site == {SITE: 1}
+    # judged 1 used of 5 decided (0.2 < 0.3), not 5 hits on 5 issues
+    assert not prefetcher._admitted("u0", SITE)
+
+
+def test_a_hit_credits_the_entry_site_not_the_request_site():
+    sim, cache, prefetcher = build_prefetcher(threshold=0.3, min_issued=2)
+    other = "b#0"
+    prefetcher.submit(ready("/a"))
+    prefetcher.submit(ready("/b"))
+    sim.run()
+    for path in ("/a", "/b"):
+        entry, _ = cache.lookup("u0", request(path), sim.now)
+        # a demand request matched to another signature hits the entry
+        cache.serve("u0", entry)
+        cache.record_hit(other)
+    assert cache.used_by_site == {SITE: 2}
+    assert cache.hits == {other: 2}
+    assert prefetcher.open_prefetches("u0") == 0
+    assert prefetcher._admitted("u0", SITE)  # 2 of 2 used
+
+
+def _wait(seconds):
+    yield Delay(seconds)
+
+
+def one_waste_frees_one_slot(cache, prefetcher, waste):
+    """u1 holds the warm-up cap (3) of open prefetches; ``waste()``
+    decides exactly one of them wasted, which frees exactly one slot."""
+    assert prefetcher.open_prefetches("u1", SITE) == 3
+    assert prefetcher.submit(ready("/d", user="u1")) == "skipped_admission"
+    wasted = cache.wasted + prefetcher.errors
+    waste()
+    assert cache.wasted + prefetcher.errors == wasted + 1
+    assert prefetcher.open_prefetches("u1", SITE) == 2
+    assert prefetcher.submit(ready("/d", user="u1")) == "started"
+
+
+def test_a_failed_fetch_decides_one_waste_and_frees_a_slot():
+    sim, cache, prefetcher = build_prefetcher(min_issued=3)
+    for path in ("/err", "/b", "/c"):
+        assert prefetcher.submit(ready(path, user="u1")) == "started"
+    one_waste_frees_one_slot(cache, prefetcher, sim.run)
+    assert prefetcher.errors == 1
+
+
+def test_an_eviction_decides_one_waste_and_frees_a_slot():
+    sim, cache, prefetcher = build_prefetcher(min_issued=3, bound=3)
+    prefetcher.submit(ready("/a", user="u1"))
+    sim.run()
+    # a served "/s" fills a cache slot but holds no open one
+    prefetcher.submit(ready("/s", user="u1"))
+    sim.run()
+    serve(cache, sim, "/s", user="u1")
+    for path in ("/b", "/c"):
+        assert prefetcher.submit(ready(path, user="u1")) == "started"
+
+    def evict():
+        sim.run()  # storing "/c" evicts the least recent entry, "/a"
+        assert cache.lru_evictions == 1
+
+    one_waste_frees_one_slot(cache, prefetcher, evict)
+
+
+def test_an_expiry_decides_one_waste_and_frees_a_slot():
+    sim, cache, prefetcher = build_prefetcher(min_issued=3, ttl=1.0)
+    prefetcher.submit(ready("/a", user="u1"))
+    sim.run()
+    prefetcher.config.policy(SITE).expiration_time = 300.0
+    for path in ("/b", "/c"):
+        prefetcher.submit(ready(path, user="u1"))
+    sim.run()
+
+    def expire():
+        sim.run_process(_wait(2.0))
+        assert cache.purge_expired(sim.now) == 1
+
+    one_waste_frees_one_slot(cache, prefetcher, expire)
+
+
+def test_an_overwrite_decides_one_waste_and_frees_a_slot():
+    sim, cache, prefetcher = build_prefetcher(min_issued=3, ttl=1.0)
+    prefetcher.submit(ready("/a", user="u1"))
+    sim.run()
+    prefetcher.config.policy(SITE).expiration_time = 300.0
+    prefetcher.submit(ready("/b", user="u1"))
+    sim.run_process(_wait(2.0))
+    # "/a" expired unread and is not purged: a new prefetch of it opens
+    # a third slot, and storing it replaces the old entry
+    assert prefetcher.submit(ready("/a", user="u1")) == "started"
+    one_waste_frees_one_slot(cache, prefetcher, sim.run)
+    assert len(cache.entries_for_user("u1")) == 2
+
+
+def test_warmup_caps_open_prefetches_per_user():
+    sim, cache, prefetcher = build_prefetcher(threshold=0.3, min_issued=2)
+    assert prefetcher.submit(ready("/a", user="A")) == "started"
+    assert prefetcher.submit(ready("/b", user="A")) == "started"
+    assert prefetcher.submit(ready("/c", user="A")) == "skipped_admission"
+    assert prefetcher.submit(ready("/a", user="B")) == "started"
+    sim.run()
+    # stored unread, A's two still hold its warm-up slots
+    assert prefetcher.submit(ready("/c", user="A")) == "skipped_admission"
+    serve(cache, sim, "/a", user="A")
+    assert prefetcher.submit(ready("/c", user="A")) == "started"
 
 
 # ----------------------------------------------------------------------

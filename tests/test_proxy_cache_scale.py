@@ -55,19 +55,29 @@ def test_overwrite_unexpired_entry_survives_stale_wheel_schedule():
 @pytest.mark.parametrize("sharded", [True, False])
 def test_overwriting_an_unread_entry_counts_it_wasted(sharded):
     cache = PrefetchCache() if sharded else FlatPrefetchCache()
-    cache.put("u1", request("a"), response(1), "s#a", now=0.0, ttl=1.0)
+    decided = []
+    cache.on_decided = lambda user, site: decided.append((user, site))
+
+    def put(value, now, ttl):
+        cache.put(
+            "u1", request("a"), response(value), "s#a",
+            now=now, ttl=ttl, holds_slot=True,
+        )
+
+    put(1, now=0.0, ttl=1.0)
     # expired but not yet purged: the store replaces it unread
-    cache.put("u1", request("a"), response(2), "s#a", now=2.0, ttl=60.0)
+    put(2, now=2.0, ttl=60.0)
     assert cache.wasted == 1 and cache.wasted_by_site == {"s#a": 1}
+    assert decided == [("u1", "s#a")]
     # a served entry that is overwritten (a refresh) was used, not wasted
-    cache.lookup("u1", request("a"), now=3.0)[0].served = True
-    cache.put("u1", request("a"), response(3), "s#a", now=4.0, ttl=60.0)
-    assert cache.wasted == 1
+    cache.serve("u1", cache.lookup("u1", request("a"), now=3.0)[0])
+    assert cache.used_by_site == {"s#a": 1} and len(decided) == 2
+    put(3, now=4.0, ttl=60.0)
+    assert cache.wasted == 1 and len(decided) == 2
     # the stale heap records of both replaced entries waste nothing more
     assert cache.purge_expired(now=100.0) == 1
     assert cache.wasted == 2
-    if sharded:
-        assert cache.unread("u1") == 0
+    assert decided == [("u1", "s#a")] * 3
 
 
 def test_refresh_same_expiry_tick_not_double_purged():
