@@ -27,8 +27,9 @@ def run_trace_scenario(static_only=False, priority=True, max_concurrent=2,
     )
     if static_only:
         learner = DynamicLearner(prepared.analysis, static_only=True)
-        # the configured depth bound and policy flags, decided at spawn
+        # the configured gates, decided at spawn
         learner.spawn_gate = scenario.proxy.prefetcher.spawn_gate
+        learner.spawn_replicas = scenario.proxy.prefetcher.spawn_replicas
         scenario.proxy.learner = learner
         scenario.proxy.prefetcher.learner = learner
     scenario.proxy.prefetcher.priority_enabled = priority

@@ -421,23 +421,25 @@ def _command_stats(args) -> int:
     if summary.get("prefetch_by_signature"):
         print("per-signature prefetch efficacy:")
         print(
-            "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>7}".format(
-                "signature", "issued", "hits", "used", "wasted", "used%"
+            "  {:<12} {:<42} {:>7} {:>7} {:>7} {:>7} {:>7}".format(
+                "app", "signature", "issued", "hits", "used", "wasted", "used%"
             )
         )
-        for signature in sorted(summary["prefetch_by_signature"]):
-            row = summary["prefetch_by_signature"][signature]
-            issued = row.get("issued", 0)
-            print(
-                "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>6.0f}%".format(
-                    signature,
-                    issued,
-                    row.get("hits", 0),
-                    row.get("used", 0),
-                    row.get("wasted", 0),
-                    100.0 * row.get("used", 0) / issued if issued else 0.0,
+        for app, cells in sorted(summary["prefetch_by_signature"].items()):
+            for signature in sorted(cells):
+                row = cells[signature]
+                issued = row.get("issued", 0)
+                print(
+                    "  {:<12} {:<42} {:>7} {:>7} {:>7} {:>7} {:>6.0f}%".format(
+                        app,
+                        signature,
+                        issued,
+                        row.get("hits", 0),
+                        row.get("used", 0),
+                        row.get("wasted", 0),
+                        100.0 * row.get("used", 0) / issued if issued else 0.0,
+                    )
                 )
-            )
     if args.prom:
         registry_from_records(records).dump_prometheus(args.prom)
         print("wrote Prometheus metrics to {}".format(args.prom))

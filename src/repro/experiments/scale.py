@@ -633,31 +633,30 @@ def run_scale(
     requests = state["completed"]
     answered = served + forwarded
 
-    # per-signature prefetch efficacy, merged across apps — the audit
-    # table behind admission decisions: ``used`` and ``wasted`` are the
-    # outcomes of the site's stored entries, ``hits`` the cache hits of
-    # demand requests matched to the site (one entry may serve several)
-    by_signature: Dict[str, Dict[str, int]] = {}
-
-    def _signature_cell(site: str) -> Dict[str, int]:
-        cell = by_signature.get(site)
-        if cell is None:
-            cell = by_signature[site] = {
-                "issued": 0, "hits": 0, "used": 0, "wasted": 0
-            }
-        return cell
-
-    for _, proxy in multi._apps:
-        for site, count in proxy.prefetcher.issued_by_site.items():
-            _signature_cell(site)["issued"] += count
-        for site, count in proxy.cache.hits.items():
-            _signature_cell(site)["hits"] += count
-        for site, count in proxy.cache.used_by_site.items():
-            _signature_cell(site)["used"] += count
-        for site, count in proxy.cache.wasted_by_site.items():
-            _signature_cell(site)["wasted"] += count
-    for history in deployment.history.values():
-        _signature_cell("(history)")["issued"] += history.issued
+    # per-signature prefetch efficacy, per app (site ids repeat across
+    # apps) — the audit table behind admission decisions: ``used`` and
+    # ``wasted`` are the outcomes of the site's stored entries, ``hits``
+    # the cache hits of demand requests matched to the site (one entry
+    # may serve several)
+    by_signature: Dict[str, Dict[str, Dict[str, int]]] = {}
+    for name, proxy in multi._apps:
+        counts = {
+            "issued": proxy.prefetcher.issued_by_site,
+            "hits": proxy.cache.hits,
+            "used": proxy.cache.used_by_site,
+            "wasted": proxy.cache.wasted_by_site,
+        }
+        cells: Dict[str, Dict[str, int]] = {}
+        for key, by_site in counts.items():
+            for site, count in by_site.items():
+                cells.setdefault(site, dict.fromkeys(counts, 0))[key] += count
+        history = deployment.history.get(name)
+        if history is not None:
+            cells.setdefault("(history)", dict.fromkeys(counts, 0))[
+                "issued"
+            ] += history.issued
+        if cells:
+            by_signature[name] = cells
 
     if tracing:
         TRACER.append_record(
@@ -712,7 +711,13 @@ def run_scale(
         ),
         "prefetch_used": sum(c.used for c in caches),
         "prefetch_wasted": sum(c.wasted for c in caches),
-        "origin_bytes": sum(proxy.total_server_bytes() for _, proxy in multi._apps),
+        # every proxy↔origin byte: demand, prefetch, history prefetch
+        # and expiration probe traffic
+        "origin_bytes": (
+            sum(proxy.total_server_bytes() for _, proxy in multi._apps)
+            + sum(h.prefetch_bytes for h in deployment.history.values())
+            + sum(e.probe_bytes for e in estimators)
+        ),
         "skipped_admission": sum(
             proxy.prefetcher.skipped_admission for _, proxy in multi._apps
         ),
@@ -730,6 +735,7 @@ def run_scale(
                     if est.converged
                 ),
                 "probes_issued": sum(e.probes_issued for e in estimators),
+                "probe_bytes": sum(e.probe_bytes for e in estimators),
                 "disabled": sum(len(e.disabled_sites) for e in estimators),
             }
             if estimators

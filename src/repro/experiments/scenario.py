@@ -198,7 +198,10 @@ class Scenario:
         return total
 
     def server_bytes(self) -> int:
-        """Origin-side bytes actually moved (incl. prefetch traffic)."""
+        """Origin-side bytes actually moved (incl. prefetch traffic and
+        the expiration estimator's probes)."""
         if self.proxy is not None:
-            return self.proxy.total_server_bytes()
+            expiration = self.proxy.prefetcher.expiration
+            probes = expiration.probe_bytes if expiration is not None else 0
+            return self.proxy.total_server_bytes() + probes
         return self.demand_bytes()

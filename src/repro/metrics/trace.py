@@ -60,6 +60,10 @@ LOOKUP_OUTCOMES = catalog.LOOKUP_OUTCOMES
 #: the miss causes reported per request class (everything but a hit)
 MISS_CAUSES = catalog.MISS_CAUSES
 
+#: the app a summary's per-signature cells are filed under when the
+#: trace holds a flat site -> cell table, with no app named
+UNNAMED_APP = "-"
+
 #: trace kinds: client requests, background prefetches, §5 refreshes,
 #: plus run-level "summary" records (spanless, tags-only — e.g. the
 #: scale harness's per-signature issued/hit/wasted table)
@@ -401,18 +405,28 @@ def aggregate_records(records) -> Dict[str, object]:
     outcome_counts: Dict[str, Dict[str, int]] = {}
     kinds: Dict[str, int] = {}
     by_signature: Dict[str, Dict[str, int]] = {}
-    prefetch_by_signature: Dict[str, Dict[str, int]] = {}
+    prefetch_by_signature: Dict[str, Dict[str, Dict[str, int]]] = {}
     for record in records:
         kinds[record["kind"]] = kinds.get(record["kind"], 0) + 1
         if record["kind"] == "summary":
             table = record.get("tags", {}).get("prefetch_by_signature")
             if isinstance(table, dict):
-                for site, cell in table.items():
-                    merged = prefetch_by_signature.setdefault(
-                        site, {"issued": 0, "hits": 0, "used": 0, "wasted": 0}
-                    )
-                    for key in merged:
-                        merged[key] += int(cell.get(key, 0))
+                for key, value in table.items():
+                    if not isinstance(value, dict):
+                        continue
+                    if all(isinstance(cell, dict) for cell in value.values()):
+                        app, cells = key, value
+                    else:
+                        # a flat site -> cell table, exported before
+                        # cells were keyed by app
+                        app, cells = UNNAMED_APP, {key: value}
+                    app_cells = prefetch_by_signature.setdefault(app, {})
+                    for site, cell in cells.items():
+                        merged = app_cells.setdefault(
+                            site, {"issued": 0, "hits": 0, "used": 0, "wasted": 0}
+                        )
+                        for key in merged:
+                            merged[key] += int(cell.get(key, 0))
         for span in record["spans"]:
             name = span["name"]
             wall_by_stage.setdefault(name, []).append(span["wall_us"])

@@ -153,6 +153,8 @@ class ExpirationEstimator:
         self.probe_user = probe_user
         self.estimates: Dict[str, SiteEstimate] = {}
         self.probes_issued = 0
+        #: proxy↔origin bytes of its probes
+        self.probe_bytes = 0
         self.disabled_sites: Dict[str, str] = {}
         self._probing: Dict[str, bool] = {}
 
@@ -201,9 +203,10 @@ class ExpirationEstimator:
         self.probes_issued += 1
         if PERF.enabled:
             PERF.incr("expiration.probes")
-        response, _ = yield self.sim.spawn(
+        response, transferred = yield self.sim.spawn(
             origin_fetch(self.sim, self.origins, request, self.probe_user)
         )
+        self.probe_bytes += transferred
         return response
 
     def _note_error(self, site: str, estimate: SiteEstimate) -> bool:
@@ -314,6 +317,7 @@ class ExpirationEstimator:
             "sites": len(self.estimates),
             "converged": converged,
             "probes_issued": self.probes_issued,
+            "probe_bytes": self.probe_bytes,
             "disabled": dict(self.disabled_sites),
             "estimates": {
                 site: estimate.to_dict()

@@ -61,6 +61,8 @@ class HistoryPrefetcher:
         self._requests: Dict[str, Request] = {}
         self._inflight = 0
         self.issued = 0
+        #: proxy↔origin bytes of its prefetches
+        self.prefetch_bytes = 0
         self.skipped_concurrency = 0
         self.skipped_duplicate = 0
         self.errors = 0
@@ -108,9 +110,10 @@ class HistoryPrefetcher:
 
     def _fetch(self, user: str, request: Request) -> Generator:
         try:
-            response, _ = yield self.sim.spawn(
+            response, transferred = yield self.sim.spawn(
                 origin_fetch(self.sim, self.origins, request, user)
             )
+            self.prefetch_bytes += transferred
             self.issued += 1
             if PERF.enabled:
                 PERF.incr("history.issued")
@@ -133,6 +136,7 @@ class HistoryPrefetcher:
         return {
             "issued": self.issued,
             "errors": self.errors,
+            "prefetch_bytes": self.prefetch_bytes,
             "tracked_users": len(self._last_key),
             "transitions": len(self._transitions),
             "skipped_duplicate": self.skipped_duplicate,

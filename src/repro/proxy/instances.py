@@ -449,6 +449,9 @@ class RequestInstance:
         #: scalar fields of the predecessor response, for Fig. 9
         #: ``condition`` policies
         self.pred_context: Dict[str, object] = {}
+        #: the explore coin of a below-threshold site was drawn, and won,
+        #: when this replica was spawned (admission draws no second one)
+        self.explored = False
         #: learner bookkeeping: enqueue order, frozen dedupe key
         #: (``dep_values`` never change once the instance is queued),
         #: and the wake-index keys it is registered under (None: none)

@@ -34,15 +34,22 @@ once per signature in its :class:`~repro.proxy.instances.SignatureBuildPlan`.
 
 Spawn gate
 ----------
-Whether a site may be prefetched at all (its ``prefetch`` flag) and how
-deep a chain may go are fixed by the configuration, not by what an
-instance turns out to hold.  A proxy hands the learner its
-:attr:`DynamicLearner.spawn_gate`, which is asked once per successor
-group of a predecessor observation, before any value is extracted or
-any instance created.  A refused successor costs nothing further: no
-instance, pending slot, build, wake registration or submit.  Value
-learning, cookie tracking and preferred variants still run for every
-site.
+Whether a site may be prefetched at all (its ``prefetch`` flag), how
+deep a chain may go, how many more open prefetches the user's cache
+bound can hold and how many the site's admission warm-up still allows
+are known before an instance turns out to hold anything.  A proxy hands
+the learner two hooks.  :attr:`DynamicLearner.spawn_gate` is asked once
+per successor group of a predecessor observation, before any value is
+extracted, and refuses the group outright (the flag, the depth bound,
+or a user or warm-up with no room left).  Once the group's replicas are
+counted, :attr:`DynamicLearner.spawn_replicas` picks which of them to
+spawn (the first ones in list order, up to the room left, less those
+that lose a below-threshold site's explore coin) and says whether they
+won that coin, which the instance carries so that submit does not draw
+it again.  Without a picker every replica is spawned.  A replica left
+out costs nothing further: no instance, pending slot, build, wake
+registration or submit.  Value learning, cookie tracking and preferred
+variants still run for every site.
 
 Cookie state is tracked per user (the §2 "user context"): responses'
 ``Set-Cookie`` headers update a per-user jar, and the ``env:cookie``
@@ -74,7 +81,7 @@ differential oracle in ``tests/oracles/inline_learner.py``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.model import AnalysisResult
 from repro.httpmsg.cookies import CookieJar
@@ -94,7 +101,6 @@ MAX_PENDING = 10_000
 
 #: default bound of the learn queue (observations, not bytes)
 DEFAULT_LEARN_QUEUE_CAPACITY = 4096
-
 
 class _QueuedObservation:
     """One observation parked for :meth:`DynamicLearner.drain_learn_queue`."""
@@ -154,11 +160,20 @@ class DynamicLearner:
         self.deferred_enqueued = 0
         self.deferred_drained = 0
         self.store = store if store is not None else ValueStore()
-        #: ``gate(site, depth) -> bool``, consulted once per successor
-        #: group before any instance of it is created; a proxy installs
+        #: ``gate(site, depth, user) -> bool``, consulted once per
+        #: successor group before any of its values is extracted; a
+        #: proxy installs
         #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_gate` (None:
         #: spawn every successor)
-        self.spawn_gate: Optional[Callable[[str, int], bool]] = None
+        self.spawn_gate: Optional[Callable[[str, int, str], bool]] = None
+        #: ``spawn_replicas(site, user, replicas) -> (indices, explored)``:
+        #: which replicas of a group the gate let through to spawn; a
+        #: proxy installs
+        #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_replicas`
+        #: (None: every replica)
+        self.spawn_replicas: Optional[
+            Callable[[str, str, int], Tuple[Sequence[int], bool]]
+        ] = None
         #: ablation: a PALOMA-style proxy that uses only what static
         #: analysis provides — no run-time value learning.  Requests
         #: whose formats are fully determined at run time can then
@@ -391,6 +406,7 @@ class DynamicLearner:
     ) -> List[RequestInstance]:
         succ_depth = depth + 1
         gate = self.spawn_gate
+        pick = self.spawn_replicas
         instances: List[RequestInstance] = []
         # predecessor response parsing is shared across edges/successors:
         # each distinct pred_path is extracted once per transaction (two
@@ -402,8 +418,9 @@ class DynamicLearner:
             successor = self._by_site.get(succ_site)
             if successor is None:
                 continue
-            if gate is not None and not gate(succ_site, succ_depth):
-                # never sent: no instance, pending slot, build or submit
+            if gate is not None and not gate(succ_site, succ_depth, user):
+                # never sent: no value extracted, no instance, pending
+                # slot, build or submit
                 if PERF.enabled:
                     PERF.incr("learner.spawn_skipped")
                 continue
@@ -419,6 +436,12 @@ class DynamicLearner:
             if not extracted:
                 continue
             replica_count = max(len(values) for _, values in extracted)
+            spawn: Sequence[int] = range(replica_count)
+            explored = False
+            if pick is not None:
+                spawn, explored = pick(succ_site, user, replica_count)
+                if not spawn:
+                    continue
             if context is None:
                 context = _scalar_fields(response)
             # split the context once per successor group: keys whose
@@ -431,7 +454,7 @@ class DynamicLearner:
                     aligned.append((key, values))
                 else:
                     shared[key] = values[0]
-            for index in range(replica_count):
+            for index in spawn:
                 instance = RequestInstance(
                     successor, user, depth=succ_depth, trigger_site=signature.site
                 )
@@ -444,6 +467,7 @@ class DynamicLearner:
                 for key, values in aligned:
                     pred_context[key] = values[index]
                 instance.pred_context = pred_context
+                instance.explored = explored
                 instances.append(instance)
         return instances
 

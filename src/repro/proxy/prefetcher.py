@@ -7,11 +7,18 @@ a user holds at most ``max_entries_per_user`` *open* prefetches — in
 flight, queued, or stored and not yet served — so nothing is issued
 that the per-user LRU bound would evict unread.  With an admission
 threshold, a site is judged by what its prefetches became (see
-:meth:`Prefetcher._admitted`).  The flag and the
-depth bound depend only on site and depth, so
-:meth:`Prefetcher.spawn_gate` applies them when the learner spawns a
-successor, before any instance is built; :meth:`Prefetcher.submit`
-repeats them for sites disabled after spawn.
+:meth:`Prefetcher._admitted`).
+
+The gates that need no built request are applied when the learner
+spawns a successor group, before anything is extracted or built:
+:meth:`Prefetcher.spawn_gate` refuses a group by the depth bound, the
+flag, or a user with no room left under the per-user bound or the
+site's warm-up cap; :meth:`Prefetcher.spawn_replicas` then picks the
+replicas to spawn, the first ones up to the room left, drawing a
+below-threshold site's explore coin once per replica.  :meth:`Prefetcher.submit` repeats every check as the
+backstop for what changed after spawn (a site disabled, a user whose
+open count grew while an instance waited for a value), but draws no
+second coin for a replica that won one at spawn.
 When more requests are ready than the concurrency limit allows, the
 waiting queue is drained in priority order — a linear combination of
 the signature's running-average origin response time and its cache hit
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, Generator, Optional, Set, Tuple
+from typing import Deque, Dict, Generator, Optional, Sequence, Set, Tuple
 
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.metrics.perf import PERF
@@ -53,6 +60,9 @@ from repro.proxy.popularity import PopularityTracker, item_key_for_instance
 #: §5 priority weights: seconds of origin RTT vs hit-rate fraction
 TIME_WEIGHT = 1.0
 HIT_RATE_WEIGHT = 0.5
+
+#: what admission makes of a site (see :meth:`Prefetcher._standing`)
+PASSING, WARMUP, BELOW = "passing", "warmup", "below"
 
 
 def origin_fetch(
@@ -137,32 +147,93 @@ class Prefetcher:
         return self._waiting_count
 
     # ------------------------------------------------------------------
-    def spawn_gate(self, site: str, depth: int) -> bool:
-        """May the learner spawn instances of ``site`` at chain ``depth``?
+    def spawn_gate(self, site: str, depth: int, user: str) -> bool:
+        """May the learner spawn a ``site`` successor group at chain
+        ``depth`` for ``user``?
 
-        The two gates that depend only on site and depth, decided before
-        anything is built: the chain-depth bound, then the signature's
-        ``prefetch`` flag.  Both read the live config.  A policy refusal
-        counts once in :attr:`skipped_policy` per refused successor
-        group; a depth refusal counts nowhere, as the depth bound never
-        let such an instance be spawned.  :meth:`submit` keeps both
-        checks as the backstop for sites disabled after spawn.
+        Asked before anything of the group is extracted or built.  The
+        chain-depth bound and the signature's ``prefetch`` flag refuse
+        the site; a user with no room left under the per-user bound, or
+        under the site's admission warm-up cap, refuses it too.  Reads
+        the live config.  A refused group counts once: in
+        :attr:`skipped_policy` for the flag, in :attr:`skipped_admission`
+        or :attr:`skipped_bound` for no room, nowhere for the depth
+        bound, which never let such an instance be spawned.  How many of
+        an admitted group's replicas are spawned is
+        :meth:`spawn_replicas`'s to decide.
         """
         if depth > self.config.max_chain_depth:
             return False
         if not self.config.policy(site).prefetch:
             self.skipped_policy += 1
             return False
+        bound_left, warmup_left, _ = self._spawn_caps(site, user)
+        if warmup_left == 0:
+            self.skipped_admission += 1
+            return False
+        if bound_left == 0:
+            self.skipped_bound += 1
+            return False
         return True
+
+    def spawn_replicas(
+        self, site: str, user: str, replicas: int
+    ) -> Tuple[Sequence[int], bool]:
+        """Which of a group's ``replicas`` (list order) may be spawned.
+
+        Asked after :meth:`spawn_gate` let the group through and the
+        learner counted its replicas.  Admission acts first, as in
+        :meth:`submit`: warm-up keeps the first replicas its cap can
+        take, and a site judged below its threshold draws the explore
+        coin once per replica and keeps the winners.  The per-user bound
+        then keeps the first of those it can take.  Every replica left
+        out counts once, in :attr:`skipped_admission` or
+        :attr:`skipped_bound`.  Returns the indices to spawn and whether
+        they won the coin, so that :meth:`submit` does not draw it again.
+        """
+        bound_left, warmup_left, below = self._spawn_caps(site, user)
+        spawn: Sequence[int] = range(
+            replicas if warmup_left is None else min(replicas, warmup_left)
+        )
+        if below:
+            explore = self.config.admission_explore
+            spawn = [index for index in spawn if self.rng.random() < explore]
+        self.skipped_admission += replicas - len(spawn)
+        if bound_left is not None and len(spawn) > bound_left:
+            self.skipped_bound += len(spawn) - bound_left
+            spawn = spawn[:bound_left]
+        return spawn, below
+
+    def _spawn_caps(
+        self, site: str, user: str
+    ) -> Tuple[Optional[int], Optional[int], bool]:
+        """``user``'s room left under the per-user bound and under
+        ``site``'s warm-up cap (None where no such cap applies), and
+        whether ``site`` is judged below its admission threshold."""
+        bound = self.cache.max_entries_per_user
+        bound_left = (
+            None if bound is None else max(0, bound - self.open_prefetches(user))
+        )
+        standing = self._standing(site)
+        warmup_left = None
+        if standing == WARMUP:
+            warmup_left = max(
+                0,
+                self.config.admission_min_issued - self.open_prefetches(user, site),
+            )
+        return bound_left, warmup_left, standing == BELOW
 
     def submit(self, ready: ReadyPrefetch) -> str:
         """Apply the policy gates, then schedule (or queue) the fetch.
 
-        The policy and depth checks are backstops here: a proxy's
-        learner already applied them at spawn through
-        :meth:`spawn_gate`, so they only reject instances whose site was
-        disabled after they were spawned (§4.3 verification, the
-        expiration estimator) or that a learner without the gate built.
+        The policy, depth, admission and bound checks are backstops
+        here: a proxy's learner already applied them at spawn through
+        :meth:`spawn_gate` and :meth:`spawn_replicas`, so they reject
+        only what changed after spawn (a site disabled by §4.3
+        verification or the expiration estimator, a user whose open
+        prefetches grew while the instance waited for a value) or what
+        a learner without the gate built.  A replica that won the
+        explore coin at spawn draws no second coin here.
 
         Returns the outcome — ``"started"``, ``"queued"`` (behind the
         concurrency limit), or the ``"skipped_*"`` gate that rejected
@@ -192,7 +263,7 @@ class Prefetcher:
         ):
             self.skipped_popularity += 1
             return "skipped_popularity"
-        if not self._admitted(user, site):
+        if not self._admitted(user, site, ready.instance.explored):
             self.skipped_admission += 1
             return "skipped_admission"
         probability = self.config.effective_probability(site)
@@ -276,24 +347,22 @@ class Prefetcher:
         else:
             del self._open[user]
 
-    def _admitted(self, user: str, site: str) -> bool:
-        """Outcome-aware admission: does ``site`` still earn prefetches?
+    def _standing(self, site: str) -> str:
+        """Outcome-aware admission: what does ``site`` still earn?
 
         Each admitted prefetch gets one outcome: *used* at its cache
         entry's first hit, *wasted* when the entry leaves the cache
-        unread or the fetch fails, *open* until then.  Once ``site`` has
-        ``admission_min_issued`` decided outcomes it is judged by
-        used / (used + wasted): below the governing threshold
-        (per-policy ``min_hit_probability`` or the config-wide
-        ``admission_threshold``) it stops prefetching — except for an
-        ``admission_explore`` fraction kept flowing so a recovered site
-        can re-earn admission.  Until then (warm-up) each user may hold
-        at most ``admission_min_issued`` open prefetches of the site, so
-        a burst cannot pass the whole warm-up before any outcome is in.
+        unread or the fetch fails, *open* until then.  Until ``site``
+        has ``admission_min_issued`` decided outcomes it is in
+        :data:`WARMUP`; then it is judged by used / (used + wasted)
+        against the governing threshold (per-policy
+        ``min_hit_probability`` or the config-wide
+        ``admission_threshold``): :data:`PASSING` at or above it,
+        :data:`BELOW` under it.  Without a threshold every site passes.
         """
         threshold = self.config.admission_threshold_for(site)
         if threshold is None or threshold <= 0.0:
-            return True
+            return PASSING
         cache = self.cache
         used = cache.used_by_site.get(site, 0)
         decided = (
@@ -301,10 +370,25 @@ class Prefetcher:
             + cache.wasted_by_site.get(site, 0)
             + self.error_by_site.get(site, 0)
         )
-        warmup = self.config.admission_min_issued
-        if decided < warmup:
-            return self.open_prefetches(user, site) < warmup
-        if used / decided >= threshold:
+        if decided < self.config.admission_min_issued:
+            return WARMUP
+        return PASSING if used / decided >= threshold else BELOW
+
+    def _admitted(self, user: str, site: str, explored: bool = False) -> bool:
+        """Does ``site`` still earn a prefetch for ``user``?
+
+        A passing site does.  During warm-up each user may hold at most
+        ``admission_min_issued`` open prefetches of the site, so a burst
+        cannot pass the whole warm-up before any outcome is in.  A site
+        below its threshold stops prefetching, except for an
+        ``admission_explore`` fraction kept flowing so a recovered site
+        can re-earn admission; ``explored`` says the coin was already
+        drawn, and won, when the replica was spawned.
+        """
+        standing = self._standing(site)
+        if standing == WARMUP:
+            return self.open_prefetches(user, site) < self.config.admission_min_issued
+        if standing == PASSING or explored:
             return True
         return self.rng.random() < self.config.admission_explore
 

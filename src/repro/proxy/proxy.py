@@ -55,9 +55,11 @@ class AccelerationProxy:
         self.prefetcher = Prefetcher(
             sim, origins, self.cache, self.config, self.learner, seed=seed
         )
-        #: the policy flag and chain-depth bound are decided at spawn:
-        #: a successor the configuration will never send is not built
+        #: the policy flag, chain-depth bound, per-user bound and
+        #: admission are decided at spawn: a replica that would not be
+        #: sent is not built
         self.learner.spawn_gate = self.prefetcher.spawn_gate
+        self.learner.spawn_replicas = self.prefetcher.spawn_replicas
         #: optional §4.3 online ExpirationEstimator; stores then use its
         #: learned per-signature TTLs instead of the configured default
         self.prefetcher.expiration = expiration

@@ -2,8 +2,9 @@
 
 :class:`repro.proxy.learning.DynamicLearner` asks the proxy's spawn gate
 before it creates the instances of a successor, so a site whose policy
-is off, or a chain past the configured depth, is never built.  This
-learner ignores the gate: it spawns, builds and hands over every
+is off, a chain past the configured depth, or a replica that the
+user's bound or the site's admission would refuse, is never built.
+This learner ignores the gate: it spawns, builds and hands over every
 instance, and leaves every gate to
 :meth:`repro.proxy.prefetcher.Prefetcher.submit`.  That is what the
 gate must reproduce prefetch for prefetch.
@@ -24,3 +25,11 @@ class SpawnEverythingLearner(DynamicLearner):
     @spawn_gate.setter
     def spawn_gate(self, gate) -> None:
         """Drop the proxy's gate: the submit gates alone decide."""
+
+    @property
+    def spawn_replicas(self):
+        return None
+
+    @spawn_replicas.setter
+    def spawn_replicas(self, pick) -> None:
+        """Drop the proxy's replica pick with the gate."""

@@ -14,7 +14,7 @@ from repro.experiments.scale import (
     run_scale,
 )
 from repro.metrics.perf import PERF
-from repro.metrics.trace import aggregate_records, read_jsonl
+from repro.metrics.trace import UNNAMED_APP, aggregate_records, read_jsonl
 
 
 def test_record_session_template_yields_replayable_requests():
@@ -195,7 +195,7 @@ BOUNDED_FIVE_APP_GOLDEN = {
     "served_prefetched": 46,
     "peak_cache_entries": 148,
     "sim_events": 3279,
-    "skipped_bound": 2323,
+    "skipped_bound": 2347,
 }
 
 
@@ -282,7 +282,11 @@ def test_row_reports_prefetch_outcomes_and_origin_bytes():
         warm_start=True,
     )
     row = run_scale(strategy="appx", admission_threshold=0.2, **kwargs)
-    cells = row["prefetch_by_signature"].values()
+    cells = [
+        cell
+        for app_cells in row["prefetch_by_signature"].values()
+        for cell in app_cells.values()
+    ]
     assert row["prefetch_used"] == sum(cell["used"] for cell in cells) > 0
     assert row["prefetch_wasted"] == sum(cell["wasted"] for cell in cells)
     # an entry is used once, however often it is hit
@@ -292,6 +296,81 @@ def test_row_reports_prefetch_outcomes_and_origin_bytes():
     assert baseline["prefetch_used"] == 0
     # prefetching moves more origin bytes than serving on demand only
     assert row["origin_bytes"] > baseline["origin_bytes"] > 0
+
+
+def test_prefetch_cells_are_keyed_by_app_and_site(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    row = run_scale(
+        users=10, duration=10.0, rate_per_user=1.0, seed=3,
+        apps=("wish", "geek"), warm_start=True, trace_path=str(path),
+    )
+    table = row["prefetch_by_signature"]
+    assert set(table) == {"wish", "geek"}
+    # a site id both apps use keeps one cell per app
+    assert "FeedActivity.loadFeed#1" in set(table["wish"]) & set(table["geek"])
+    issued = sum(cell["issued"] for cells in table.values() for cell in cells.values())
+    assert issued == row["prefetch_issued"]
+    # the trace summary merge and `repro stats` keep the split
+    assert aggregate_records(read_jsonl(str(path)))["prefetch_by_signature"] == table
+    capsys.readouterr()
+    assert main(["stats", str(path)]) == 0
+    printed = capsys.readouterr().out
+    for app in ("wish", "geek"):
+        issued = table[app]["FeedActivity.loadFeed#1"]["issued"]
+        assert any(
+            line.split()[:3] == [app, "FeedActivity.loadFeed#1", str(issued)]
+            for line in printed.splitlines()
+        ), app
+
+
+def test_stats_reads_a_flat_prefetch_table(tmp_path, capsys):
+    # a trace exported before the cells were keyed by app holds one flat
+    # site -> cell table; its cells are filed under an unnamed app
+    cell = {"issued": 5, "hits": 3, "used": 2, "wasted": 1}
+    record = {
+        "trace_id": "summary",
+        "user": "-",
+        "kind": "summary",
+        "spans": [],
+        "tags": {"prefetch_by_signature": {"FeedActivity.loadFeed#1": cell}},
+    }
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    summary = aggregate_records(read_jsonl(str(path)))
+    assert summary["prefetch_by_signature"] == {
+        UNNAMED_APP: {"FeedActivity.loadFeed#1": cell}
+    }
+    capsys.readouterr()
+    assert main(["stats", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert any(
+        line.split()[:4] == [UNNAMED_APP, "FeedActivity.loadFeed#1", "5", "3"]
+        for line in printed.splitlines()
+    )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        # history needs a few visits per user before it predicts
+        {"strategy": "history", "duration": 40.0},
+        {"strategy": "appx", "estimate_expiration": True, "duration": 10.0},
+    ],
+    ids=["history", "probes"],
+)
+def test_origin_bytes_count_history_prefetches_and_probes(options):
+    deployment = _ScaleDeployment(("wish",), strategy=options["strategy"])
+    row = run_scale(
+        users=6, rate_per_user=1.0, seed=3, apps=("wish",), warm_start=True,
+        _deployment=deployment, **options,
+    )
+    proxy_bytes = sum(p.total_server_bytes() for _, p in deployment.multi._apps)
+    if options["strategy"] == "history":
+        extra = row["history"]["wish"]["prefetch_bytes"]
+    else:
+        extra = row["expiration"]["probe_bytes"]
+    assert extra > 0
+    assert row["origin_bytes"] == proxy_bytes + extra
 
 
 def test_run_strategy_comparison_reports_deltas():

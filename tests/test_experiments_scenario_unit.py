@@ -35,8 +35,8 @@ def test_max_chain_depth_flows_to_learner(wish):
         s.site for s in wish.analysis.prefetchable()
         if scenario.proxy.config.policy(s.site).prefetch
     )
-    assert gate(site, 1)
-    assert not gate(site, 2)
+    assert gate(site, 1, "u1")
+    assert not gate(site, 2, "u1")
 
 
 def test_scenario_config_copy_isolated(wish):

@@ -177,7 +177,7 @@ def test_error_responses_do_not_spawn_instances():
 
 def test_depth_bound_blocks_spawning():
     learner = DynamicLearner(make_analysis())
-    learner.spawn_gate = lambda site, depth: depth <= 1  # max_chain_depth=1
+    learner.spawn_gate = lambda site, depth, user: depth <= 1  # max_chain_depth=1
     learn_now(learner, feed_transaction(), "u1", depth=1)  # would create depth 2
     assert learner.pending_count == 0
 
