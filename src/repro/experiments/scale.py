@@ -709,6 +709,10 @@ def run_scale(
         "learn_deferred_drained": sum(
             proxy.learner.deferred_drained for _, proxy in multi._apps
         ),
+        # instances still waiting for a value when the serving ends
+        "learn_pending": sum(
+            proxy.learner.pending_count for _, proxy in multi._apps
+        ),
         "prefetch_used": sum(c.used for c in caches),
         "prefetch_wasted": sum(c.wasted for c in caches),
         # every proxy↔origin byte: demand, prefetch, history prefetch

@@ -37,7 +37,9 @@ Spawn gate
 Whether a site may be prefetched at all (its ``prefetch`` flag), how
 deep a chain may go, how many more open prefetches the user's cache
 bound can hold and how many the site's admission warm-up still allows
-are known before an instance turns out to hold anything.  A proxy hands
+(less the user's instances of the site still pending here, see
+:meth:`DynamicLearner.pending_for`) are known before an instance turns
+out to hold anything.  A proxy hands
 the learner two hooks.  :attr:`DynamicLearner.spawn_gate` is asked once
 per successor group of a predecessor observation, before any value is
 extracted, and refuses the group outright (the flag, the depth bound,
@@ -187,7 +189,8 @@ class DynamicLearner:
         # a value retries only the instances it can complete
         self._pending_keys: Dict[Tuple, RequestInstance] = {}
         #: live pending instances per (user, site) — backs the proxy's
-        #: ``wildcard_pending`` miss-cause attribution in O(1)
+        #: ``wildcard_pending`` miss-cause attribution and the spawn
+        #: gate's warm-up room in O(1) (see :meth:`pending_for`)
         self._pending_sites: Dict[Tuple[str, str], int] = {}
         self._wake_index: Dict[Tuple, Dict[int, RequestInstance]] = {}
         self._woken: Dict[Tuple, None] = {}  # ordered set of fired keys
@@ -482,9 +485,9 @@ class DynamicLearner:
     def _is_live(self, instance: RequestInstance) -> bool:
         return self._pending_keys.get(instance.pending_key) is instance
 
-    def has_pending(self, user: str, site: str) -> bool:
-        """Is some instance of ``site`` for ``user`` still incomplete?"""
-        return (user, site) in self._pending_sites
+    def pending_for(self, user: str, site: str) -> int:
+        """``user``'s live instances of ``site`` still waiting for a value."""
+        return self._pending_sites.get((user, site), 0)
 
     def _forget_pending(self, instance: RequestInstance) -> None:
         """Drop ``instance`` from the per-(user, site) pending index."""

@@ -15,10 +15,14 @@ spawns a successor group, before anything is extracted or built:
 flag, or a user with no room left under the per-user bound or the
 site's warm-up cap; :meth:`Prefetcher.spawn_replicas` then picks the
 replicas to spawn, the first ones up to the room left, drawing a
-below-threshold site's explore coin once per replica.  :meth:`Prefetcher.submit` repeats every check as the
-backstop for what changed after spawn (a site disabled, a user whose
-open count grew while an instance waited for a value), but draws no
-second coin for a replica that won one at spawn.
+below-threshold site's explore coin once per replica.  The warm-up
+room counts the user's instances of the site that the learner still
+holds pending as well as the open prefetches, so instances waiting for
+the same value cannot all complete into a full warm-up cap.
+:meth:`Prefetcher.submit` repeats every check as the backstop for what
+changed after spawn (a site disabled, a user whose open count grew
+while an instance waited for a value), but draws no second coin for a
+replica that won one at spawn.
 When more requests are ready than the concurrency limit allows, the
 waiting queue is drained in priority order — a linear combination of
 the signature's running-average origin response time and its cache hit
@@ -154,7 +158,8 @@ class Prefetcher:
         Asked before anything of the group is extracted or built.  The
         chain-depth bound and the signature's ``prefetch`` flag refuse
         the site; a user with no room left under the per-user bound, or
-        under the site's admission warm-up cap, refuses it too.  Reads
+        under the site's admission warm-up cap (see :meth:`_spawn_caps`),
+        refuses it too.  Reads
         the live config.  A refused group counts once: in
         :attr:`skipped_policy` for the flag, in :attr:`skipped_admission`
         or :attr:`skipped_bound` for no room, nowhere for the depth
@@ -209,7 +214,15 @@ class Prefetcher:
     ) -> Tuple[Optional[int], Optional[int], bool]:
         """``user``'s room left under the per-user bound and under
         ``site``'s warm-up cap (None where no such cap applies), and
-        whether ``site`` is judged below its admission threshold."""
+        whether ``site`` is judged below its admission threshold.
+
+        The bound's room is what the user's open prefetches leave.  The
+        warm-up room is what the user's open prefetches of ``site`` and
+        the learner's pending instances of it leave: an instance still
+        waiting for a value is spawned and not yet decided, and would
+        be refused at :meth:`submit` once it completes into a full
+        warm-up.  An instance that completes leaves the pending count
+        before it is submitted, so it is never charged twice."""
         bound = self.cache.max_entries_per_user
         bound_left = (
             None if bound is None else max(0, bound - self.open_prefetches(user))
@@ -219,7 +232,9 @@ class Prefetcher:
         if standing == WARMUP:
             warmup_left = max(
                 0,
-                self.config.admission_min_issued - self.open_prefetches(user, site),
+                self.config.admission_min_issued
+                - self.open_prefetches(user, site)
+                - self.learner.pending_for(user, site),
             )
         return bound_left, warmup_left, standing == BELOW
 
@@ -379,7 +394,11 @@ class Prefetcher:
 
         A passing site does.  During warm-up each user may hold at most
         ``admission_min_issued`` open prefetches of the site, so a burst
-        cannot pass the whole warm-up before any outcome is in.  A site
+        cannot pass the whole warm-up before any outcome is in.  Only
+        open ones count here: the spawn gate already charged the
+        learner's pending instances, so behind a gated learner this is
+        a backstop (it refused none on warm-5app shard 0), and it
+        refuses what a learner without the gate built.  A site
         below its threshold stops prefetching, except for an
         ``admission_explore`` fraction kept flowing so a recovered site
         can re-earn admission; ``explored`` says the coin was already

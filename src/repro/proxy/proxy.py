@@ -192,7 +192,7 @@ class AccelerationProxy:
             return "disabled"
         if lookup_outcome == "miss_expired":
             return "miss_expired"
-        if self.learner.has_pending(user, signature.site):
+        if self.learner.pending_for(user, signature.site) > 0:
             return "wildcard_pending"
         return "miss_absent"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 _ADJECTIVES = [
     "silk", "coral", "amber", "ivory", "cobalt", "crimson", "olive",
@@ -53,16 +53,28 @@ class Catalog:
 
     def __init__(self, seed: int = 7) -> None:
         self.seed = seed
-        #: records of ``product``, ``related_product_ids`` and
-        #: ``image_size`` by (method, args): each is a pure function of
+        #: flat records and id lists (``product``,
+        #: ``related_product_ids``, ``restaurant``, ``restaurant_ids``,
+        #: ``advisor``, ``advisor_ids``) and ``image_size`` by (generator
+        #: name, args), see :meth:`_memoised`: each is a pure function of
         #: (seed, args) over a bounded id space, so the memo needs no
-        #: eviction.  Records handlers embed by reference (merchant,
-        #: menu, ...) are not memoised: one response body's mutation
-        #: must not leak into another.
+        #: eviction, and each call gets a fresh copy.  Nested records (merchant, menu, ...) are not
+        #: memoised: a shallow copy would share their inner lists, so
+        #: one response body's mutation could leak into another.  Nor
+        #: is the per-user ``product_ids`` feed, whose key space grows
+        #: with the users.
         self._memo: Dict[Tuple[Any, ...], Any] = {}
 
     def _rng_for(self, *parts: Any) -> random.Random:
         return random.Random("{}|{}".format(self.seed, "|".join(str(p) for p in parts)))
+
+    def _memoised(self, make: Callable[..., Any], *args: Any) -> Any:
+        """``make(*args)``, generated once per (``make``, args)."""
+        key = (make.__name__,) + args
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make(*args)
+        return value
 
     # ------------------------------------------------------------------
     # shopping (Wish / Geek)
@@ -73,11 +85,7 @@ class Catalog:
         return [stable_id(app, "product", rng.randrange(10_000)) for _ in range(count)]
 
     def product(self, app: str, product_id: str) -> Dict[str, Any]:
-        key = ("product", app, product_id)
-        record = self._memo.get(key)
-        if record is None:
-            record = self._memo[key] = self._product(app, product_id)
-        return dict(record)
+        return dict(self._memoised(self._product, app, product_id))
 
     def _product(self, app: str, product_id: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "product", product_id)
@@ -94,14 +102,11 @@ class Catalog:
         }
 
     def related_product_ids(self, app: str, product_id: str, count: int = 6) -> List[str]:
-        key = ("related", app, product_id, count)
-        ids = self._memo.get(key)
-        if ids is None:
-            rng = self._rng_for(app, "related", product_id)
-            ids = self._memo[key] = tuple(
-                stable_id(app, "product", rng.randrange(10_000)) for _ in range(count)
-            )
-        return list(ids)
+        return list(self._memoised(self._related_product_ids, app, product_id, count))
+
+    def _related_product_ids(self, app: str, product_id: str, count: int) -> Tuple[str, ...]:
+        rng = self._rng_for(app, "related", product_id)
+        return tuple(stable_id(app, "product", rng.randrange(10_000)) for _ in range(count))
 
     def merchant(self, app: str, merchant_name: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "merchant", merchant_name)
@@ -140,10 +145,16 @@ class Catalog:
     # food delivery (DoorDash / Postmates)
     # ------------------------------------------------------------------
     def restaurant_ids(self, app: str, region: str, count: int = 12) -> List[str]:
+        return list(self._memoised(self._restaurant_ids, app, region, count))
+
+    def _restaurant_ids(self, app: str, region: str, count: int) -> Tuple[str, ...]:
         rng = self._rng_for(app, "restaurants", region)
-        return [stable_id(app, "store", rng.randrange(5_000)) for _ in range(count)]
+        return tuple(stable_id(app, "store", rng.randrange(5_000)) for _ in range(count))
 
     def restaurant(self, app: str, store_id: str) -> Dict[str, Any]:
+        return dict(self._memoised(self._restaurant, app, store_id))
+
+    def _restaurant(self, app: str, store_id: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "store", store_id)
         return {
             "id": store_id,
@@ -219,10 +230,16 @@ class Catalog:
     # psychic reading (Purple Ocean)
     # ------------------------------------------------------------------
     def advisor_ids(self, app: str, count: int = 15) -> List[str]:
+        return list(self._memoised(self._advisor_ids, app, count))
+
+    def _advisor_ids(self, app: str, count: int) -> Tuple[str, ...]:
         rng = self._rng_for(app, "advisors")
-        return [stable_id(app, "advisor", rng.randrange(2_000)) for _ in range(count)]
+        return tuple(stable_id(app, "advisor", rng.randrange(2_000)) for _ in range(count))
 
     def advisor(self, app: str, advisor_id: str) -> Dict[str, Any]:
+        return dict(self._memoised(self._advisor, app, advisor_id))
+
+    def _advisor(self, app: str, advisor_id: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "advisor", advisor_id)
         return {
             "id": advisor_id,
@@ -241,11 +258,10 @@ class Catalog:
     # binary content sizes (bytes)
     # ------------------------------------------------------------------
     def image_size(self, app: str, label: str, mean: int, spread: float = 0.25) -> int:
-        key = ("imgsize", app, label, mean, spread)
-        size = self._memo.get(key)
-        if size is None:
-            rng = self._rng_for(app, "imgsize", label)
-            low = int(mean * (1 - spread))
-            high = int(mean * (1 + spread))
-            size = self._memo[key] = rng.randrange(low, max(high, low + 1))
-        return size
+        return self._memoised(self._image_size, app, label, mean, spread)
+
+    def _image_size(self, app: str, label: str, mean: int, spread: float) -> int:
+        rng = self._rng_for(app, "imgsize", label)
+        low = int(mean * (1 - spread))
+        high = int(mean * (1 + spread))
+        return rng.randrange(low, max(high, low + 1))

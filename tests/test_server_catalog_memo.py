@@ -1,6 +1,7 @@
 """The simulated origin's per-record memo in ``Catalog``.
 
-``product``, ``related_product_ids`` and ``image_size`` are memoised per
+``product``, ``related_product_ids``, ``restaurant``, ``restaurant_ids``,
+``advisor``, ``advisor_ids`` and ``image_size`` are memoised per
 ``Catalog`` instance.  The memo must be invisible: every call returns
 what a fresh catalog of the same seed generates, two catalogs never
 share records, and a caller that mutates a returned record cannot change
@@ -15,7 +16,10 @@ from repro.httpmsg.body import FormBody
 from repro.httpmsg.message import Request
 from repro.httpmsg.uri import Uri
 from repro.netsim.sim import Simulator
+from repro.server.backends.doordash import build_doordash_api
 from repro.server.backends.geek import build_geek_api
+from repro.server.backends.postmates import build_postmates_api
+from repro.server.backends.purpleocean import build_purpleocean_api
 from repro.server.backends.wish import build_wish_api
 from repro.server.content import Catalog, stable_id
 
@@ -30,11 +34,20 @@ def calls(seed=3, count=400):
     for _ in range(count):
         app = rng.choice(APPS)
         pid = rng.choice(ids)
-        kind = rng.randrange(3)
+        kind = rng.randrange(7)
         if kind == 0:
             made.append(("product", (app, pid)))
         elif kind == 1:
             made.append(("related_product_ids", (app, pid, rng.choice((3, 6)))))
+        elif kind == 2:
+            made.append(("restaurant", (app, pid)))
+        elif kind == 3:
+            region = rng.choice(("sf", "nyc"))
+            made.append(("restaurant_ids", (app, region, rng.choice((8, 12)))))
+        elif kind == 4:
+            made.append(("advisor", (app, pid)))
+        elif kind == 5:
+            made.append(("advisor_ids", (app, rng.choice((4, 15)))))
         else:
             label = rng.choice(("thumb-", "product-", "merchant-")) + pid
             mean = rng.choice((24_000, 42_000, 315_000))
@@ -60,6 +73,8 @@ def test_catalogs_do_not_share_a_memo():
     first.product("wish", "09cf")
     first.related_product_ids("wish", "09cf")
     first.image_size("wish", "thumb-09cf", 42_000)
+    first.restaurant("doordash", "09cf")
+    first.advisor_ids("purpleocean")
     assert first._memo
     assert not second._memo
     assert Catalog(1).product("wish", "09cf") != first.product("wish", "09cf")
@@ -101,3 +116,35 @@ def test_mutating_a_returned_record_does_not_leak(build, origin, feed, related, 
         assert got.status == expected.status == 200
         assert got.body.to_wire() == expected.body.to_wire()
     assert "tampered" not in serve(server, post(origin, feed)).body.to_wire()
+
+
+@pytest.mark.parametrize(
+    "build,app,listing",
+    [
+        (build_doordash_api, "doordash", "https://api.doordash.com/v2/stores?region=sf"),
+        (build_postmates_api, "postmates", "https://api.postmates.com/v1/feed?market=sf"),
+        (build_purpleocean_api, "purpleocean", "https://api.purpleocean.com/api/advisors"),
+    ],
+    ids=["doordash", "postmates", "purpleocean"],
+)
+def test_mutating_a_flat_record_does_not_leak(build, app, listing):
+    server = build(Simulator(), Catalog(0))
+    pristine = build(Simulator(), Catalog(0))
+    catalog = server.catalog
+    if app == "purpleocean":
+        ids, record = catalog.advisor_ids(app), catalog.advisor
+    else:
+        ids = catalog.restaurant_ids(app, "sf") + catalog.restaurant_ids(app, "sf", 8)
+        record = catalog.restaurant
+    for item_id in ids:
+        tampered = record(app, item_id)
+        tampered["name"] = "tampered"
+        tampered.clear()
+    catalog.advisor_ids(app).clear()
+    catalog.restaurant_ids(app, "sf").clear()
+
+    request = Request("GET", Uri.parse(listing))
+    got = serve(server, request.copy())
+    assert got.status == 200
+    assert got.body.to_wire() == serve(pristine, request.copy()).body.to_wire()
+    assert "tampered" not in got.body.to_wire()

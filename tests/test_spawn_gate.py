@@ -5,7 +5,9 @@ built.
 ``Prefetcher.spawn_gate`` refuses a successor whose site has
 prefetching off, whose chain would pass ``max_chain_depth``, or whose
 user has no room left under the per-user bound or the site's admission
-warm-up cap; ``Prefetcher.spawn_replicas`` then picks the replicas, the
+warm-up cap (which counts the user's pending instances of the site as
+well as the open prefetches); ``Prefetcher.spawn_replicas`` then picks
+the replicas, the
 first ones up to the room left, drawing a below-threshold site's
 explore coin once per replica.  The learner never creates, builds or submits the rest.
 The differential tests run the same workloads with
@@ -50,13 +52,16 @@ from tests.test_prefetch_efficacy import build_prefetcher, drive
 
 
 class Recording:
-    """Issued prefetches, served responses and enqueued instances of one run."""
+    """Issued prefetches, served responses, enqueued instances and
+    submit outcomes of one run."""
 
     def __init__(self, mp) -> None:
         self.issued = []
         self.served = []
         self.enqueued = []
+        self.submitted = collections.Counter()
         start = Prefetcher._start
+        submit = Prefetcher.submit
         enqueue = DynamicLearner._enqueue
         handle = AccelerationProxy.handle_request
         recording = self
@@ -70,6 +75,11 @@ class Recording:
                 )
             )
             start(prefetcher, ready)
+
+        def recording_submit(prefetcher, ready):
+            outcome = submit(prefetcher, ready)
+            recording.submitted[outcome] += 1
+            return outcome
 
         def recording_enqueue(learner, instance):
             recording.enqueued.append(instance)
@@ -91,6 +101,7 @@ class Recording:
             return response
 
         mp.setattr(Prefetcher, "_start", recording_start)
+        mp.setattr(Prefetcher, "submit", recording_submit)
         mp.setattr(DynamicLearner, "_enqueue", recording_enqueue)
         mp.setattr(AccelerationProxy, "handle_request", recording_handle)
 
@@ -227,6 +238,10 @@ def test_scale_shard_matches_spawn_everything(strategy, options):
         oracle_issued = collections.Counter(entry[:2] for entry in oracle_run.issued)
         moved = sum(((issued - oracle_issued) + (oracle_issued - issued)).values())
         assert moved <= len(oracle_run.issued) // 100
+        # warm-up room counts pending instances, so nothing the gate let
+        # through fills a warm-up cap before it is submitted
+        assert gated_run.submitted["skipped_admission"] == 0
+        assert oracle_run.submitted["skipped_admission"] > 0
         return
     assert gated_run.issued == oracle_run.issued
     for key in ("prefetch_issued", "skipped_admission", "cache_stored", "origin_bytes"):
@@ -258,7 +273,7 @@ def test_site_disabled_after_spawn_is_dropped_at_submit():
     # a later predecessor spawns no Alpha instance: one refusal counted
     # for the successor group, however many items the feed lists
     learn_now(learner, feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
-    assert not learner.has_pending("u1", "Alpha#0")
+    assert learner.pending_for("u1", "Alpha#0") == 0
     assert prefetcher.skipped_policy == 3
     assert learner.pending_count == 5  # the two older Beta plus three new
 
@@ -462,12 +477,98 @@ def test_submit_backstops_refuse_what_filled_up_after_spawn():
     outcomes = [proxy.prefetcher.submit(r) for r in ready_list]
     assert outcomes == ["started", "started", "skipped_bound", "skipped_bound"]
 
-    # admission warm-up: the same, per (user, site)
+    # admission warm-up counts the pending instances too, so the second
+    # feed is refused at spawn and submit has nothing left to refuse
     proxy = bounded_proxy(None, admission_threshold=0.3, admission_min_issued=2)
     learner = proxy.learner
     learn_now(learner, feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
     assert proxy.prefetcher.skipped_admission == 2  # c3 of Alpha and Beta
     learn_now(learner, feed_transaction(item_ids=("d4",)), "u1")
+    # d4's Alpha and Beta groups, one refusal each
+    assert proxy.prefetcher.skipped_admission == 4
+    assert learner.pending_count == 4
     ready_list = learn_now(learner, teach_alpha_transaction(), "u1")
     outcomes = [proxy.prefetcher.submit(r) for r in ready_list]
-    assert outcomes == ["started", "started", "skipped_admission"]
+    assert outcomes == ["started", "started"]
+    assert proxy.prefetcher.skipped_admission == 4
+
+
+# -- warm-up room: open prefetches plus pending instances ------------------------
+def warmup_room(proxy, site="Alpha#0", user="u1"):
+    _, warmup_left, _ = proxy.prefetcher._spawn_caps(site, user)
+    return warmup_left
+
+
+def test_pending_instances_shrink_the_warmup_room():
+    proxy = bounded_proxy(None, admission_threshold=0.3, admission_min_issued=3)
+    learner = proxy.learner
+    assert warmup_room(proxy) == 3
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
+    assert learner.pending_for("u1", "Alpha#0") == 2
+    assert warmup_room(proxy) == 1
+    # another user's pending instances take none of u1's room
+    assert warmup_room(proxy, user="u2") == 3
+    learn_now(learner, feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
+    assert pending_items(learner) == [
+        ("Alpha#0", "a1"), ("Alpha#0", "b2"), ("Alpha#0", "c3"),
+        ("Beta#0", "a1"), ("Beta#0", "b2"), ("Beta#0", "c3"),
+    ]
+    assert proxy.prefetcher.skipped_admission == 4  # d4 and e5, twice
+    assert warmup_room(proxy) == 0
+
+
+def test_a_completed_instance_is_charged_once():
+    proxy = bounded_proxy(None, admission_threshold=0.3, admission_min_issued=3)
+    learner, prefetcher = proxy.learner, proxy.prefetcher
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
+    ready_list = learn_now(learner, teach_alpha_transaction(), "u1")
+    # completed: no longer pending, not yet open
+    assert learner.pending_for("u1", "Alpha#0") == 0
+    assert warmup_room(proxy) == 3
+    assert [prefetcher.submit(r) for r in ready_list] == ["started", "started"]
+    assert prefetcher.open_prefetches("u1", "Alpha#0") == 2
+    assert warmup_room(proxy) == 1
+    # the token is known now: the one replica with room builds at once
+    ready_list = learn_now(learner, feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
+    assert [r.instance.dep_values["body.cid"] for r in ready_list] == ["c3"]
+    assert learner.pending_for("u1", "Alpha#0") == 0
+    assert [prefetcher.submit(r) for r in ready_list] == ["started"]
+    assert prefetcher.open_prefetches("u1", "Alpha#0") == 3
+    assert warmup_room(proxy) == 0
+
+
+def test_eviction_at_max_pending_frees_its_room(monkeypatch):
+    monkeypatch.setattr(learning_module, "MAX_PENDING", 2)
+    proxy = bounded_proxy(None, admission_threshold=0.3, admission_min_issued=2)
+    learner = proxy.learner
+    # Alpha a1, b2 then Beta a1, b2: Beta's evict both Alpha instances
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
+    assert pending_items(learner) == [("Beta#0", "a1"), ("Beta#0", "b2")]
+    assert warmup_room(proxy) == 2
+    assert warmup_room(proxy, site="Beta#0") == 0
+    learn_now(learner, feed_transaction(item_ids=("c3", "d4")), "u1")
+    # Alpha spawns into the room eviction freed; Beta's group is refused
+    assert pending_items(learner) == [("Alpha#0", "c3"), ("Alpha#0", "d4")]
+    assert proxy.prefetcher.skipped_admission == 1
+    assert warmup_room(proxy, site="Beta#0") == 2
+
+
+@pytest.mark.parametrize(
+    "used, wasted, explore", [(2, 0, 0.0), (0, 2, 1.0)], ids=["passing", "below"]
+)
+def test_pending_instances_do_not_cap_a_site_past_warmup(used, wasted, explore):
+    proxy = bounded_proxy(
+        None,
+        admission_threshold=0.3,
+        admission_min_issued=2,
+        admission_explore=explore,
+    )
+    learner = proxy.learner
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
+    assert warmup_room(proxy) == 0
+    proxy.cache.used_by_site["Alpha#0"] = used
+    proxy.cache.wasted_by_site["Alpha#0"] = wasted
+    assert warmup_room(proxy) is None
+    learn_now(learner, feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
+    assert learner.pending_for("u1", "Alpha#0") == 5
+    assert learner.pending_for("u1", "Beta#0") == 2  # still in warm-up
