@@ -683,6 +683,9 @@ def run_scale(
         "per_request_wall_us": (1e6 * wall_s / requests) if requests else 0.0,
         "requests_per_wall_s": (requests / wall_s) if wall_s else 0.0,
         "sim_events": sim_events,
+        # the sim clock when the event loop ran dry: only in-flight
+        # work and the periodic loops' last tick run past ``duration``
+        "sim_end_s": sim.now,
         "sim_events_per_wall_s": (sim_events / wall_s) if wall_s else 0.0,
         "latency_p50_ms": 1000 * percentile(latencies, 50) if latencies else 0.0,
         "latency_p95_ms": 1000 * percentile(latencies, 95) if latencies else 0.0,
@@ -738,6 +741,12 @@ def run_scale(
                     for est in e.estimates.values()
                     if est.converged
                 ),
+                # a floor proven within the run (lo > 0), and the
+                # stores that took their TTL from one
+                "proven": sum(
+                    1 for e in estimators for est in e.estimates.values() if est.lo > 0.0
+                ),
+                "proven_stores": sum(e.proven_stores for e in estimators),
                 "probes_issued": sum(e.probes_issued for e in estimators),
                 "probe_bytes": sum(e.probe_bytes for e in estimators),
                 "disabled": sum(len(e.disabled_sites) for e in estimators),

@@ -18,7 +18,7 @@ them into prefetch request instances.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.httpmsg.body import BlobBody, FormBody, JsonBody
 
@@ -36,9 +36,12 @@ class FieldPath:
     ``occurrence`` selects the n-th value when a header, query key, or
     form key repeats (Wish sends several ``_cap[]`` form fields; each
     is a distinct signature field).  Rendered as a ``~n`` suffix.
+
+    A path never changes after construction, so its textual form is
+    formatted once, on the first :meth:`to_string`, and kept.
     """
 
-    __slots__ = ("root", "parts", "occurrence")
+    __slots__ = ("root", "parts", "occurrence", "_text")
 
     def __init__(
         self, root: str, parts: Sequence[PathPart] = (), occurrence: int = 0
@@ -48,6 +51,7 @@ class FieldPath:
         self.root = root
         self.parts: Tuple[PathPart, ...] = tuple(parts)
         self.occurrence = occurrence
+        self._text: Optional[str] = None
 
     # ------------------------------------------------------------------
     # parsing / formatting
@@ -80,6 +84,12 @@ class FieldPath:
         return cls(root, parts, occurrence)
 
     def to_string(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._text = self._format()
+        return text
+
+    def _format(self) -> str:
         out = [self.root]
         for part in self.parts:
             if part == ALL:

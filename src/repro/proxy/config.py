@@ -174,6 +174,10 @@ class ProxyConfig:
         self.admission_threshold = admission_threshold
         self.admission_min_issued = admission_min_issued
         self.admission_explore = admission_explore
+        #: how many times :meth:`disable` ran: an answer derived from
+        #: the ``prefetch`` flags holds while this is unchanged, since
+        #: nothing else in the program turns a flag off
+        self.disables = 0
 
     def policy(self, site: str) -> SignaturePolicy:
         if site not in self.policies:
@@ -186,6 +190,7 @@ class ProxyConfig:
         policy = self.policy(site)
         policy.prefetch = False
         policy.disabled_reason = reason
+        self.disables += 1
 
     def effective_probability(self, site: str) -> float:
         return self.policy(site).probability * self.global_probability

@@ -155,6 +155,8 @@ class ExpirationEstimator:
         self.probes_issued = 0
         #: proxy↔origin bytes of its probes
         self.probe_bytes = 0
+        #: stores whose TTL came from a proven lifetime floor (lo > 0)
+        self.proven_stores = 0
         self.disabled_sites: Dict[str, str] = {}
         self._probing: Dict[str, bool] = {}
 
@@ -187,7 +189,11 @@ class ExpirationEstimator:
         if found is None or found.disabled:
             return None
         value = found.value
-        return self._clamp(value) if value is not None else None
+        if value is None:
+            return None
+        if found.lo > 0.0:
+            self.proven_stores += 1
+        return self._clamp(value)
 
     def _clamp(self, ttl: float) -> float:
         return min(self.max_ttl, max(self.min_ttl, ttl))
@@ -225,15 +231,23 @@ class ExpirationEstimator:
             return True
         return False
 
-    def probe_site(self, site: str, request: Request) -> Generator:
+    def probe_site(
+        self, site: str, request: Request, deadline: Optional[float] = None
+    ) -> Generator:
         """Simulator process: refine ``site``'s bracket to convergence.
 
         Terminates when the bracket is tight, the estimate saturates at
         ``max_ttl``, the probe budget runs out, or the site is disabled
-        (by repeated errors here, or by the operator elsewhere).
+        (by repeated errors here, or by the operator elsewhere).  With a
+        ``deadline`` (sim time) it also stops there: no probe fetch
+        starts at or after it, and a pair whose second fetch would
+        start at or after it is cut, leaving the bracket as it was.  A
+        lifetime learned after the deadline would only reach entries
+        nobody reads.
         """
         estimate = self.estimate(site)
         request = request.copy()
+        sim = self.sim
         while not estimate.converged and not estimate.disabled:
             if not self.config.policy(site).prefetch:
                 return estimate.value
@@ -249,6 +263,8 @@ class ExpirationEstimator:
                     break
             else:
                 gap = (estimate.lo + estimate.hi) / 2.0
+            if deadline is not None and sim.now >= deadline:
+                break
             baseline = yield from self._fetch(request)
             if not baseline.ok:
                 if self._note_error(site, estimate):
@@ -263,6 +279,8 @@ class ExpirationEstimator:
                 estimate.converged = True
                 estimate.from_headers = True
                 break
+            if deadline is not None and sim.now + gap >= deadline:
+                break  # the second fetch would start at or after it
             yield Delay(gap)
             probe = yield from self._fetch(request)
             if not probe.ok:
@@ -295,10 +313,14 @@ class ExpirationEstimator:
 
         ``sample_requests`` is read live (the prefetcher populates it
         as traffic reveals signatures), so new sites get probers while
-        the loop runs.  With ``duration=None`` the loop polls forever —
-        callers let the simulator's horizon end it.
+        the loop runs.  With ``duration=None`` the loop polls forever
+        and its probers run until they converge — callers let the
+        simulator's horizon end them; with a ``duration``, the loop and
+        every prober stop at ``started_at + duration`` (see
+        :meth:`probe_site`).
         """
         started_at = self.sim.now
+        deadline = None if duration is None else started_at + duration
         while duration is None or self.sim.now - started_at < duration:
             for site in sorted(sample_requests):
                 if self._probing.get(site):
@@ -306,7 +328,9 @@ class ExpirationEstimator:
                 if not self.config.policy(site).prefetch:
                     continue
                 self._probing[site] = True
-                self.sim.spawn(self.probe_site(site, sample_requests[site]))
+                self.sim.spawn(
+                    self.probe_site(site, sample_requests[site], deadline)
+                )
             yield Delay(poll_interval)
         return None
 
@@ -316,6 +340,8 @@ class ExpirationEstimator:
         return {
             "sites": len(self.estimates),
             "converged": converged,
+            "proven": sum(1 for e in self.estimates.values() if e.lo > 0.0),
+            "proven_stores": self.proven_stores,
             "probes_issued": self.probes_issued,
             "probe_bytes": self.probe_bytes,
             "disabled": dict(self.disabled_sites),

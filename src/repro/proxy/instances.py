@@ -30,9 +30,10 @@ from repro.analysis.model import (
     UnknownAtom,
     ValueTemplate,
 )
+from repro.httpmsg.body import JsonBody
 from repro.httpmsg.fieldpath import FieldPath
 from repro.httpmsg.headers import Headers
-from repro.httpmsg.message import Request
+from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri
 from repro.metrics.perf import PERF
 
@@ -426,6 +427,68 @@ class ValueStore:
         return self._global_fields.get((site, path))
 
 
+class SpawnedGroup:
+    """The predecessor response one successor group was spawned from.
+
+    Only a Fig. 9 ``condition`` policy reads a predecessor's fields, so
+    the response is flattened and split (:meth:`context`) on the first
+    read of one of the group's contexts, and once for the whole group.
+    """
+
+    __slots__ = ("response", "replicas", "_split")
+
+    def __init__(self, response: Response, replicas: int) -> None:
+        self.response = response
+        #: replicas the group's extracted value lists were counted at
+        self.replicas = replicas
+        self._split: Optional[Tuple[Dict[str, object], List[Tuple[str, List]]]] = None
+
+    def context(self, index: int) -> Dict[str, object]:
+        """Replica ``index``'s context: the predecessor's scalar fields,
+        aligned with the replica where their value list has one value
+        per replica, else the first value."""
+        split = self._split
+        if split is None:
+            shared: Dict[str, object] = {}
+            aligned: List[Tuple[str, List]] = []
+            for key, values in scalar_fields(self.response).items():
+                if len(values) == self.replicas:
+                    aligned.append((key, values))
+                else:
+                    shared[key] = values[0]
+            split = self._split = (shared, aligned)
+        shared, aligned = split
+        context = dict(shared)
+        for key, values in aligned:
+            context[key] = values[index]
+        return context
+
+
+def scalar_fields(response: Response) -> Dict[str, List]:
+    """Flatten a JSON response body to {leaf key: [values...]}.
+
+    Keys keep only their last path component (``price``), values
+    accumulate in document order so per-element alignment is possible.
+    """
+    fields: Dict[str, List] = {}
+    if not isinstance(response.body, JsonBody):
+        return fields
+
+    def walk(node) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if isinstance(value, (dict, list)):
+                    walk(value)
+                else:
+                    fields.setdefault(key, []).append(value)
+        elif isinstance(node, list):
+            for item in node:
+                walk(item)
+
+    walk(response.body.value)
+    return fields
+
+
 class RequestInstance:
     """One prefetch request being assembled for one user (Fig. 7).
 
@@ -446,9 +509,11 @@ class RequestInstance:
         self.depth = depth
         self.trigger_site = trigger_site
         self.dep_values: Dict[str, str] = {}
-        #: scalar fields of the predecessor response, for Fig. 9
-        #: ``condition`` policies
-        self.pred_context: Dict[str, object] = {}
+        #: the group this instance was spawned in, and its replica index
+        #: there; :attr:`pred_context` reads them
+        self.group: Optional[SpawnedGroup] = None
+        self.replica = 0
+        self._pred_context: Optional[Dict[str, object]] = None
         #: the explore coin of a below-threshold site was drawn, and won,
         #: when this replica was spawned (admission draws no second one)
         self.explored = False
@@ -462,6 +527,22 @@ class RequestInstance:
         #: None before any attempt and when the URI did not resolve or
         #: parse
         self.missing: Optional[List[_PlanField]] = None
+
+    @property
+    def pred_context(self) -> Dict[str, object]:
+        """Scalar fields of the predecessor response, for Fig. 9
+        ``condition`` policies: made from :attr:`group` on first read
+        (empty without one), or whatever was assigned."""
+        context = self._pred_context
+        if context is None:
+            group = self.group
+            context = {} if group is None else group.context(self.replica)
+            self._pred_context = context
+        return context
+
+    @pred_context.setter
+    def pred_context(self, context: Dict[str, object]) -> None:
+        self._pred_context = context
 
     def fill(self, path: FieldPath, value) -> None:
         self.dep_values[path.to_string()] = str(value)

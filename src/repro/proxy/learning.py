@@ -51,7 +51,31 @@ won that coin, which the instance carries so that submit does not draw
 it again.  Without a picker every replica is spawned.  A replica left
 out costs nothing further: no instance, pending slot, build, wake
 registration or submit.  Value learning, cookie tracking and preferred
-variants still run for every site.
+variants still run for every site, as long as some successor site can
+be prefetched.
+
+Idle learner
+------------
+Only instance builds read the value store, the cookie jars and the
+preferred variants, and the spawn gate refuses every instance of a site
+whose ``prefetch`` flag is off.  So when no successor site of the app
+can be prefetched (``strategy=none``, or every site disabled), nothing
+learned could ever be read.  A proxy hands the learner a third hook,
+:attr:`DynamicLearner.any_prefetchable`; while it answers no,
+:meth:`DynamicLearner.observe` counts the observation and returns: no
+match, no queue, no value, cookie, variant or instance.  It is asked at
+every observation, so learning resumes at the next observation after a
+flag is turned back on by hand; values seen while idle are not
+learned.
+
+Predecessor context
+-------------------
+A Fig. 9 ``condition`` policy reads the predecessor's scalar fields.
+Nothing else does, so a spawned group keeps the predecessor response
+(:class:`~repro.proxy.instances.SpawnedGroup`) and each instance splits
+it on the first read of its
+:attr:`~repro.proxy.instances.RequestInstance.pred_context`, once per
+group.
 
 Cookie state is tracked per user (the §2 "user context"): responses'
 ``Set-Cookie`` headers update a per-user jar, and the ``env:cookie``
@@ -95,6 +119,7 @@ from repro.proxy.instances import (
     RequestInstance,
     RuntimeSignature,
     SignatureMatcher,
+    SpawnedGroup,
     ValueStore,
     build_runtime_signatures,
 )
@@ -176,6 +201,12 @@ class DynamicLearner:
         self.spawn_replicas: Optional[
             Callable[[str, str, int], Tuple[Sequence[int], bool]]
         ] = None
+        #: ``any_prefetchable() -> bool``: can any successor site still be
+        #: prefetched?  While it says no, :meth:`observe` learns nothing;
+        #: a proxy installs
+        #: :meth:`~repro.proxy.prefetcher.Prefetcher.any_prefetchable`
+        #: (None: always learn)
+        self.any_prefetchable: Optional[Callable[[], bool]] = None
         #: ablation: a PALOMA-style proxy that uses only what static
         #: analysis provides — no run-time value learning.  Requests
         #: whose formats are fully determined at run time can then
@@ -205,8 +236,19 @@ class DynamicLearner:
 
     # ------------------------------------------------------------------
     def _index_signatures(self) -> None:
-        """(Re)build the site index over ``self.signatures``."""
+        """(Re)build the site index over ``self.signatures``, and the
+        sites that some predecessor can spawn (:attr:`successor_sites`)."""
         self._by_site = {s.site: s for s in self.signatures}
+        self.successor_sites = tuple(
+            sorted(
+                {
+                    site
+                    for signature in self.signatures
+                    for site in signature.out_edges
+                    if site in self._by_site
+                }
+            )
+        )
 
     def jar(self, user: str) -> CookieJar:
         if user not in self._jars:
@@ -230,9 +272,14 @@ class DynamicLearner:
         client traffic); instances it spawns get ``depth + 1``.
         ``trace`` (optional) collects a ``learn`` span around the
         enqueue.  The caller runs :meth:`drain_learn_queue` to learn
-        from it and collect the completed prefetch requests.
+        from it and collect the completed prefetch requests.  While
+        :attr:`any_prefetchable` says no successor site can be
+        prefetched, the observation is only counted.
         """
         self.observed_count += 1
+        prefetchable = self.any_prefetchable
+        if prefetchable is not None and not prefetchable():
+            return
         signature = self.matcher.match(transaction.request)
         # the matched signature rides along so the drain skips a second
         # (memoized, but still non-free) dispatch
@@ -413,10 +460,8 @@ class DynamicLearner:
         instances: List[RequestInstance] = []
         # predecessor response parsing is shared across edges/successors:
         # each distinct pred_path is extracted once per transaction (two
-        # edges sourcing body.items[].id reuse one walk) and the scalar
-        # context is flattened lazily, once, instead of per successor
+        # edges sourcing body.items[].id reuse one walk)
         extract_memo: Dict[str, List] = {}
-        context: Optional[Dict[str, List]] = None
         for succ_site, edges in signature.out_edges.items():
             successor = self._by_site.get(succ_site)
             if successor is None:
@@ -445,18 +490,9 @@ class DynamicLearner:
                 spawn, explored = pick(succ_site, user, replica_count)
                 if not spawn:
                     continue
-            if context is None:
-                context = _scalar_fields(response)
-            # split the context once per successor group: keys whose
-            # value list aligns 1:1 with the replicas index per replica,
-            # everything else shares its first value
-            aligned = []
-            shared = {}
-            for key, values in context.items():
-                if len(values) == replica_count:
-                    aligned.append((key, values))
-                else:
-                    shared[key] = values[0]
+            # the predecessor context for condition policies (Fig. 9) is
+            # split from the response on its first read, once per group
+            group = SpawnedGroup(response, replica_count)
             for index in spawn:
                 instance = RequestInstance(
                     successor, user, depth=succ_depth, trigger_site=signature.site
@@ -464,12 +500,8 @@ class DynamicLearner:
                 for succ_path, values in extracted:
                     value = values[index] if index < len(values) else values[0]
                     instance.fill(succ_path, value)
-                # predecessor context for condition policies (Fig. 9):
-                # scalar fields aligned with this replica where possible
-                pred_context = dict(shared)
-                for key, values in aligned:
-                    pred_context[key] = values[index]
-                instance.pred_context = pred_context
+                instance.group = group
+                instance.replica = index
                 instance.explored = explored
                 instances.append(instance)
         return instances
@@ -644,30 +676,3 @@ class DynamicLearner:
             data["perf"] = PERF.snapshot()
         return data
 
-
-def _scalar_fields(response: Response) -> Dict[str, List]:
-    """Flatten a JSON response body to {leaf key: [values...]}.
-
-    Used as the predecessor context for condition policies: keys keep
-    only their last path component (``price``), values accumulate in
-    document order so per-element alignment is possible.
-    """
-    from repro.httpmsg.body import JsonBody
-
-    fields: Dict[str, List] = {}
-    if not isinstance(response.body, JsonBody):
-        return fields
-
-    def walk(node) -> None:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                if isinstance(value, (dict, list)):
-                    walk(value)
-                else:
-                    fields.setdefault(key, []).append(value)
-        elif isinstance(node, list):
-            for item in node:
-                walk(item)
-
-    walk(response.body.value)
-    return fields

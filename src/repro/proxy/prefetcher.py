@@ -130,6 +130,9 @@ class Prefetcher:
         self.error_by_site: Dict[str, int] = {}
         #: one example request per site (verification probes reuse them)
         self.sample_requests: Dict[str, Request] = {}
+        #: ``config.disables`` when :meth:`any_prefetchable` last found a
+        #: prefetchable site (None: it has not)
+        self._prefetchable_at: Optional[int] = None
         #: optional §4.3 online TTL learner (see proxy/expiration.py);
         #: when set, stores use its learned per-signature TTLs
         self.expiration = None
@@ -180,6 +183,24 @@ class Prefetcher:
             self.skipped_bound += 1
             return False
         return True
+
+    def any_prefetchable(self) -> bool:
+        """Can any successor site of the learner still be prefetched?
+
+        Read from the policies' ``prefetch`` flags.  A yes is kept until
+        the next :meth:`~repro.proxy.config.ProxyConfig.disable`, the
+        only place that turns a flag off; a no is worked out afresh at
+        each ask, so a flag turned back on by hand counts at once.
+        The learner learns nothing while this says no.
+        """
+        config = self.config
+        if self._prefetchable_at == config.disables:
+            return True
+        for site in self.learner.successor_sites:
+            if config.policy(site).prefetch:
+                self._prefetchable_at = config.disables
+                return True
+        return False
 
     def spawn_replicas(
         self, site: str, user: str, replicas: int
@@ -442,9 +463,12 @@ class Prefetcher:
     def _fetch(self, ready: ReadyPrefetch) -> Generator:
         site = ready.instance.signature.site
         user = ready.instance.user
-        policy = self.config.policy(site)
-        wire_request = ready.request.copy()
-        for name, value in policy.add_header:
+        add_header = self.config.policy(site).add_header
+        # the origin only reads the request (and notes its route
+        # captures on it), so it gets the built request itself unless
+        # the policy adds headers
+        wire_request = ready.request.copy() if add_header else ready.request
+        for name, value in add_header:
             wire_request.headers.add(name, value)
         started_at = self.sim.now
         # each background fetch is its own trace (kind="prefetch") —

@@ -60,6 +60,8 @@ class AccelerationProxy:
         #: sent is not built
         self.learner.spawn_gate = self.prefetcher.spawn_gate
         self.learner.spawn_replicas = self.prefetcher.spawn_replicas
+        #: and an app with no prefetchable successor site learns nothing
+        self.learner.any_prefetchable = self.prefetcher.any_prefetchable
         #: optional §4.3 online ExpirationEstimator; stores then use its
         #: learned per-signature TTLs instead of the configured default
         self.prefetcher.expiration = expiration

@@ -55,14 +55,15 @@ class Catalog:
         self.seed = seed
         #: flat records and id lists (``product``,
         #: ``related_product_ids``, ``restaurant``, ``restaurant_ids``,
-        #: ``advisor``, ``advisor_ids``) and ``image_size`` by (generator
-        #: name, args), see :meth:`_memoised`: each is a pure function of
-        #: (seed, args) over a bounded id space, so the memo needs no
-        #: eviction, and each call gets a fresh copy.  Nested records (merchant, menu, ...) are not
-        #: memoised: a shallow copy would share their inner lists, so
-        #: one response body's mutation could leak into another.  Nor
-        #: is the per-user ``product_ids`` feed, whose key space grows
-        #: with the users.
+        #: ``menu_item``, ``advisor``, ``advisor_ids``), the nested
+        #: ``menu`` and ``image_size`` by (generator name, args), see
+        #: :meth:`_memoised`: each is a pure function of (seed, args)
+        #: over a bounded id space, so the memo needs no eviction, and
+        #: each call gets a fresh copy (``menu`` down to its items, so
+        #: one response body's mutation cannot leak into another).  The
+        #: other nested records (merchant, option_group, ...) are not
+        #: memoised.  Nor is the per-user ``product_ids`` feed, whose
+        #: key space grows with the users.
         self._memo: Dict[Tuple[Any, ...], Any] = {}
 
     def _rng_for(self, *parts: Any) -> random.Random:
@@ -169,6 +170,16 @@ class Catalog:
         }
 
     def menu(self, app: str, store_id: str) -> Dict[str, Any]:
+        menu = self._memoised(self._menu, app, store_id)
+        return dict(
+            menu,
+            categories=[
+                {"name": category["name"], "items": [dict(item) for item in category["items"]]}
+                for category in menu["categories"]
+            ],
+        )
+
+    def _menu(self, app: str, store_id: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "menu", store_id)
         categories = []
         for c in range(3):
@@ -188,6 +199,9 @@ class Catalog:
         return {"id": stable_id(app, "menu", store_id), "store_id": store_id, "categories": categories}
 
     def menu_item(self, app: str, item_id: str) -> Dict[str, Any]:
+        return dict(self._memoised(self._menu_item, app, item_id))
+
+    def _menu_item(self, app: str, item_id: str) -> Dict[str, Any]:
         rng = self._rng_for(app, "menu-item-detail", item_id)
         return {
             "id": item_id,

@@ -7,7 +7,9 @@ user's bound or the site's admission would refuse, is never built.
 This learner ignores the gate: it spawns, builds and hands over every
 instance, and leaves every gate to
 :meth:`repro.proxy.prefetcher.Prefetcher.submit`.  That is what the
-gate must reproduce prefetch for prefetch.
+gate must reproduce prefetch for prefetch.  It also ignores the
+proxy's idle hook, so it keeps learning and spawning when no successor
+site can be prefetched at all.
 """
 
 from __future__ import annotations
@@ -33,3 +35,11 @@ class SpawnEverythingLearner(DynamicLearner):
     @spawn_replicas.setter
     def spawn_replicas(self, pick) -> None:
         """Drop the proxy's replica pick with the gate."""
+
+    @property
+    def any_prefetchable(self):
+        return None
+
+    @any_prefetchable.setter
+    def any_prefetchable(self, hook) -> None:
+        """Drop the proxy's idle hook: learn whatever the flags say."""

@@ -405,6 +405,23 @@ def test_run_scale_estimator_row_fields():
     assert row["prefetch_by_signature"]
 
 
+def test_estimator_cell_ends_near_its_horizon():
+    """The probers stop at the horizon with the workload: only in-flight
+    work and the last sweep tick run past it (the probers used to bisect
+    on for hours of sim time)."""
+    duration = 12.0
+    row = run_scale(
+        users=30, duration=duration, apps=tuple(all_apps()), rate_per_user=1.0,
+        seed=3, warm_start=True, admission_threshold=0.2, estimate_expiration=True,
+    )
+    assert duration <= row["sim_end_s"] <= duration + 5.0
+    expiration = row["expiration"]
+    assert expiration["probes_issued"] > 0
+    # floors of 4 s are proven inside 12 s, and later stores take them
+    assert expiration["proven"] > 0
+    assert expiration["proven_stores"] > 0
+
+
 def test_cli_scale_compare_strategies_smoke(tmp_path, capsys):
     output = tmp_path / "compare.json"
     code = main(

@@ -167,3 +167,44 @@ def test_hashable():
 def test_child_keeps_occurrence():
     path = FieldPath("body", ("a",), occurrence=1)
     assert path.child("b").occurrence == 1
+
+
+# -- the memoised textual form ------------------------------------------------
+def plan_paths():
+    """Every path the five apps' build plans and dependency edges hold."""
+    from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+    from repro.apps.registry import all_apps, get_app
+    from repro.proxy.instances import build_runtime_signatures
+
+    for name in all_apps():
+        analysis = analyze_apk(
+            get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
+        )
+        for signature in build_runtime_signatures(analysis):
+            plan = signature.build_plan
+            for row in [plan.uri] + plan.rows:
+                yield row.path
+        for edge in analysis.dependencies:
+            yield edge.pred_path
+            yield edge.succ_path
+
+
+def test_memoised_text_equals_a_fresh_format_for_every_plan_path():
+    paths = list(plan_paths())
+    assert len(paths) > 100
+    for path in paths:
+        text = path.to_string()
+        fresh = FieldPath(path.root, path.parts, path.occurrence)
+        assert text == fresh._format() == fresh.to_string()
+        assert path.to_string() is text  # formatted once
+        assert FieldPath.parse(text) == path
+
+
+def test_memoised_text_survives_a_pickle_round_trip():
+    import pickle
+
+    path = FieldPath.parse("body.items[].id~1")
+    path.to_string()
+    copy = pickle.loads(pickle.dumps(path))
+    assert copy == path
+    assert copy.to_string() == "body.items[].id~1"

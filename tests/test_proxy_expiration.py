@@ -206,3 +206,76 @@ def test_run_spawns_probers_for_sampled_sites():
     sim.run_process(flow())
     assert estimator.estimate(SITE).converged
     assert estimator.probes_issued > 0
+
+
+# ----------------------------------------------------------------------
+# the run's horizon
+# ----------------------------------------------------------------------
+def record_fetch_starts(monkeypatch):
+    """Sim times at which the estimator starts each probe fetch."""
+    starts = []
+    fetch = ExpirationEstimator._fetch
+
+    def recording(self, request):
+        starts.append(self.sim.now)
+        return (yield from fetch(self, request))
+
+    monkeypatch.setattr(ExpirationEstimator, "_fetch", recording)
+    return starts
+
+
+def run_for(estimator, sim, request, duration, until=None):
+    """Run the poll loop with ``SITE`` sampled from the start."""
+    sim.spawn(estimator.run({SITE: request}, poll_interval=1.0, duration=duration))
+    sim.run(until=until)
+
+
+def test_no_probe_fetch_starts_at_or_after_the_horizon(monkeypatch):
+    starts = record_fetch_starts(monkeypatch)
+    # static content: the doubling bracket would run on to max_ttl
+    sim, _, _, estimator, request = build(rotation=0.0, max_ttl=7200.0)
+    run_for(estimator, sim, request, duration=30.0)
+    assert starts, "the site must be probed"
+    assert max(starts) < 30.0
+    assert estimator.probes_issued == len(starts)
+    # nothing sleeps through the horizon: the last fetch ends the run
+    assert sim.now < 31.0
+
+
+def test_a_pair_cut_at_the_horizon_leaves_the_bracket(monkeypatch):
+    starts = record_fetch_starts(monkeypatch)
+    sim, _, config, estimator, request = build(rotation=0.0, max_ttl=7200.0)
+    run_for(estimator, sim, request, duration=30.0)
+    estimate = estimator.estimate(SITE)
+    # pairs of 4, 8 and 16 s fit before t = 30; the 32 s pair's
+    # baseline starts at about t = 28 and its second fetch is cut
+    assert estimate.probes == 3
+    assert len(starts) == 2 * 3 + 1
+    assert estimate.lo == 16.0
+    assert estimate.hi is None
+    assert not estimate.converged
+    # what was proven still reaches stores and the config
+    assert estimator.ttl_for(SITE) == 16.0
+    assert config.policy(SITE).expiration_time == 16.0
+
+
+def test_without_a_duration_probers_run_past_any_horizon():
+    sim, _, _, estimator, request = build(rotation=0.0, max_ttl=64.0)
+    run_for(estimator, sim, request, duration=None, until=500.0)
+    estimate = estimator.estimate(SITE)
+    assert estimate.converged
+    assert estimate.lo == 64.0
+    # the same bracket a bare prober reaches, fetch for fetch
+    sim2, _, _, bare, request2 = build(rotation=0.0, max_ttl=64.0)
+    assert sim2.run_process(bare.probe_site(SITE, request2)) == 64.0
+    assert bare.probes_issued == estimator.probes_issued
+    assert bare.estimate(SITE).to_dict() == estimate.to_dict()
+
+
+def test_a_deadline_past_convergence_changes_nothing():
+    sim, _, _, estimator, request = build(rotation=16.0)
+    value = sim.run_process(estimator.probe_site(SITE, request, deadline=1e6))
+    sim2, _, _, bare, request2 = build(rotation=16.0)
+    assert sim2.run_process(bare.probe_site(SITE, request2)) == value
+    assert bare.probes_issued == estimator.probes_issued
+    assert bare.estimate(SITE).to_dict() == estimator.estimate(SITE).to_dict()

@@ -1,8 +1,8 @@
 """The simulated origin's per-record memo in ``Catalog``.
 
 ``product``, ``related_product_ids``, ``restaurant``, ``restaurant_ids``,
-``advisor``, ``advisor_ids`` and ``image_size`` are memoised per
-``Catalog`` instance.  The memo must be invisible: every call returns
+``menu``, ``menu_item``, ``advisor``, ``advisor_ids`` and ``image_size``
+are memoised per ``Catalog`` instance.  The memo must be invisible: every call returns
 what a fresh catalog of the same seed generates, two catalogs never
 share records, and a caller that mutates a returned record cannot change
 what the origin serves afterwards.
@@ -34,7 +34,7 @@ def calls(seed=3, count=400):
     for _ in range(count):
         app = rng.choice(APPS)
         pid = rng.choice(ids)
-        kind = rng.randrange(7)
+        kind = rng.randrange(9)
         if kind == 0:
             made.append(("product", (app, pid)))
         elif kind == 1:
@@ -48,6 +48,10 @@ def calls(seed=3, count=400):
             made.append(("advisor", (app, pid)))
         elif kind == 5:
             made.append(("advisor_ids", (app, rng.choice((4, 15)))))
+        elif kind == 6:
+            made.append(("menu", (app, pid)))
+        elif kind == 7:
+            made.append(("menu_item", (app, pid)))
         else:
             label = rng.choice(("thumb-", "product-", "merchant-")) + pid
             mean = rng.choice((24_000, 42_000, 315_000))
@@ -148,3 +152,54 @@ def test_mutating_a_flat_record_does_not_leak(build, app, listing):
     assert got.status == 200
     assert got.body.to_wire() == serve(pristine, request.copy()).body.to_wire()
     assert "tampered" not in got.body.to_wire()
+
+
+@pytest.mark.parametrize(
+    "build,app,menu_request,item_request",
+    [
+        (
+            build_doordash_api,
+            "doordash",
+            lambda sid: Request("GET", Uri.parse(
+                "https://api.doordash.com/v2/store/{}/menu".format(sid))),
+            lambda iid: post("https://api.doordash.com", "/v2/menu-item", item_id=iid),
+        ),
+        (
+            build_postmates_api,
+            "postmates",
+            lambda sid: Request("GET", Uri.parse(
+                "https://api.postmates.com/v1/restaurant?rid={}".format(sid))),
+            lambda iid: Request("GET", Uri.parse(
+                "https://api.postmates.com/v1/item?iid={}".format(iid))),
+        ),
+    ],
+    ids=["doordash", "postmates"],
+)
+def test_mutating_a_menu_or_menu_item_does_not_leak(build, app, menu_request, item_request):
+    server = build(Simulator(), Catalog(0))
+    pristine = build(Simulator(), Catalog(0))
+    catalog = server.catalog
+    store_id = catalog.restaurant_ids(app, "sf")[0]
+    menu = catalog.menu(app, store_id)
+    item_id = menu["categories"][0]["items"][0]["id"]
+    requests = (menu_request(store_id), item_request(item_id))
+    for request in requests:  # fill the memo through the origin first
+        assert serve(server, request.copy()).status == 200
+
+    # every level of the nested menu, and the flat menu item
+    for tampered in (catalog.menu(app, store_id), menu):
+        tampered["categories"][0]["items"][0]["name"] = "tampered"
+        tampered["categories"][0]["items"].append({"id": "tampered"})
+        tampered["categories"][1]["name"] = "tampered"
+        tampered["categories"].clear()
+        tampered["id"] = "tampered"
+    item = catalog.menu_item(app, item_id)
+    item["name"] = "tampered"
+    item.clear()
+
+    for request in requests:
+        got = serve(server, request.copy())
+        assert got.status == 200
+        assert got.body.to_wire() == serve(pristine, request.copy()).body.to_wire()
+        assert "tampered" not in got.body.to_wire()
+    assert catalog.menu(app, store_id) == Catalog(0).menu(app, store_id)
