@@ -81,9 +81,9 @@ LOOKUP_OUTCOMES: Tuple[str, ...] = (
 #: the miss causes reported per request class (everything but a hit)
 MISS_CAUSES: Tuple[str, ...] = tuple(o for o in LOOKUP_OUTCOMES if o != "hit")
 
-#: trace record kinds (client requests, background prefetches, §5
-#: refreshes, run-level spanless summaries, SLO burn-rate alerts)
-TRACE_KINDS: Tuple[str, ...] = ("request", "prefetch", "refresh", "summary", "alert")
+#: trace record kinds (client requests, background prefetches,
+#: run-level spanless summaries, SLO burn-rate alerts)
+TRACE_KINDS: Tuple[str, ...] = ("request", "prefetch", "summary", "alert")
 
 #: wall-clock stages accumulated by ``PERF.stage`` on the serving path
 PERF_STAGES: Tuple[str, ...] = (

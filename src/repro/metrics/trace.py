@@ -7,7 +7,7 @@ say *which stage* of *which signature* a given request spent its time
 in, and *why* a cache lookup missed.  One :class:`TraceContext` is
 threaded through ``MultiAppProxy.handle_request`` →
 ``AccelerationProxy.handle_request`` → ``DynamicLearner`` →
-``Prefetcher``/``Refresher``, collecting one :class:`Span` per stage:
+``Prefetcher``, collecting one :class:`Span` per stage:
 
 ========================  ====================================================
 stage                     meaning
@@ -64,7 +64,7 @@ MISS_CAUSES = catalog.MISS_CAUSES
 #: trace holds a flat site -> cell table, with no app named
 UNNAMED_APP = "-"
 
-#: trace kinds: client requests, background prefetches, §5 refreshes,
+#: trace kinds: client requests, background prefetches, SLO alerts,
 #: plus run-level "summary" records (spanless, tags-only — e.g. the
 #: scale harness's per-signature issued/hit/wasted table)
 KINDS = catalog.TRACE_KINDS

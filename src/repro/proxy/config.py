@@ -78,14 +78,11 @@ class SignaturePolicy:
         condition: Optional[Condition] = None,
         disabled_reason: str = "",
         popularity_top_k: Optional[int] = None,
-        min_hit_probability: Optional[float] = None,
     ) -> None:
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
         if popularity_top_k is not None and popularity_top_k < 1:
             raise ValueError("popularity_top_k must be >= 1")
-        if min_hit_probability is not None and not 0.0 <= min_hit_probability <= 1.0:
-            raise ValueError("min_hit_probability must be in [0, 1]")
         self.hash = hash
         self.uri = uri
         self.expiration_time = expiration_time
@@ -97,9 +94,6 @@ class SignaturePolicy:
         #: §6.3 extension: restrict prefetching to the K most popular
         #: items of this signature (None = no restriction)
         self.popularity_top_k = popularity_top_k
-        #: admission floor on the used share of this signature's prefetches;
-        #: ``None`` defers to the config-level ``admission_threshold``
-        self.min_hit_probability = min_hit_probability
 
     def to_dict(self) -> Dict:
         data: Dict = {
@@ -117,8 +111,6 @@ class SignaturePolicy:
             data["disabled_reason"] = self.disabled_reason
         if self.popularity_top_k is not None:
             data["popularity_top_k"] = self.popularity_top_k
-        if self.min_hit_probability is not None:
-            data["min_hit_probability"] = self.min_hit_probability
         return data
 
     @classmethod
@@ -136,7 +128,6 @@ class SignaturePolicy:
             condition=condition,
             disabled_reason=data.get("disabled_reason", ""),
             popularity_top_k=data.get("popularity_top_k"),
-            min_hit_probability=data.get("min_hit_probability"),
         )
 
 
@@ -169,8 +160,7 @@ class ProxyConfig:
         self.default_expiration = default_expiration
         #: outcome-aware admission: signatures whose prefetches are used
         #: (used / (used + wasted)) below this share are no longer
-        #: prefetched (None disables the gate); per-policy
-        #: ``min_hit_probability`` overrides it for one signature
+        #: prefetched (None disables the gate)
         self.admission_threshold = admission_threshold
         self.admission_min_issued = admission_min_issued
         self.admission_explore = admission_explore
@@ -194,11 +184,6 @@ class ProxyConfig:
 
     def effective_probability(self, site: str) -> float:
         return self.policy(site).probability * self.global_probability
-
-    def admission_threshold_for(self, site: str) -> Optional[float]:
-        """The hit-probability floor governing ``site`` (None = no gate)."""
-        override = self.policy(site).min_hit_probability
-        return override if override is not None else self.admission_threshold
 
     # -- (de)serialization -------------------------------------------------
     def to_json(self) -> str:

@@ -16,8 +16,8 @@ seconds (``lo = gap``); a changed pair caps the lifetime estimate
 (``hi = gap``).  While ``hi`` is unknown the gap doubles (bracket
 phase); once bracketed, each probe bisects ``[lo, hi]`` until the
 bracket is within ``precision`` of ``lo`` or the probe budget runs
-out.  The published estimate is ``lo`` — conservative: an entry is
-refreshed early rather than served stale.
+out.  The published estimate is ``lo`` — conservative: an entry
+expires early, and is fetched again, rather than served stale.
 
 Origin cache headers are honored without probing: a response carrying
 ``Cache-Control: max-age=N`` pins the signature's TTL to ``N``
@@ -147,8 +147,8 @@ class ExpirationEstimator:
         self.error_limit = error_limit
         self.max_probes = max_probes
         #: when True, converged estimates are written back into the
-        #: policy's ``expiration_time`` so the §5 refresher interval
-        #: follows the learned TTL too
+        #: policy's ``expiration_time``, so the configured TTL, and
+        #: everything that reads it, follows the learned one too
         self.apply_to_config = apply_to_config
         self.probe_user = probe_user
         self.estimates: Dict[str, SiteEstimate] = {}

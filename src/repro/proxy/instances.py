@@ -514,9 +514,6 @@ class RequestInstance:
         self.group: Optional[SpawnedGroup] = None
         self.replica = 0
         self._pred_context: Optional[Dict[str, object]] = None
-        #: the explore coin of a below-threshold site was drawn, and won,
-        #: when this replica was spawned (admission draws no second one)
-        self.explored = False
         #: learner bookkeeping: enqueue order, frozen dedupe key
         #: (``dep_values`` never change once the instance is queued),
         #: and the wake-index keys it is registered under (None: none)

@@ -46,13 +46,12 @@ extracted, and refuses the group outright (the flag, the depth bound,
 or a user or warm-up with no room left).  Once the group's replicas are
 counted, :attr:`DynamicLearner.spawn_replicas` picks which of them to
 spawn (the first ones in list order, up to the room left, less those
-that lose a below-threshold site's explore coin) and says whether they
-won that coin, which the instance carries so that submit does not draw
-it again.  Without a picker every replica is spawned.  A replica left
-out costs nothing further: no instance, pending slot, build, wake
-registration or submit.  Value learning, cookie tracking and preferred
-variants still run for every site, as long as some successor site can
-be prefetched.
+that lose a below-threshold site's explore coin).  That is the one
+admission decision a prefetch gets.  Without a picker every replica is
+spawned.  A replica left out costs nothing further: no instance,
+pending slot, build, wake registration or submit.  Value learning,
+cookie tracking and preferred variants still run for every site, as
+long as some successor site can be prefetched.
 
 Idle learner
 ------------
@@ -91,13 +90,12 @@ a bounded learn queue; the full pipeline — value learning, cookie
 tracking, successor spawning, the pending-instance drain — runs inside
 :meth:`drain_learn_queue`.  Every caller drains before it yields: the
 proxy before :meth:`~repro.proxy.proxy.AccelerationProxy.handle_request`
-returns its response, the prefetcher after each background fetch, the
-refresher after each refresh — all at the sim instant of the
-observation.  So the queue holds at most the one observation just
-parked (measured depth 1 across every benchmark workload) and the
-drain runs on the response path.  What the split buys is a
-``proxy.learn`` stage that times only match + enqueue, with the learn
-work timed apart as ``proxy.learn_drain``.  A full queue drops the
+returns its response and the prefetcher after each background fetch,
+both at the sim instant of the observation.  So the queue holds at
+most the one observation just parked (measured depth 1 across every
+benchmark workload) and the drain runs on the response path.  What the
+split buys is a ``proxy.learn`` stage that times only match + enqueue,
+with the learn work timed apart as ``proxy.learn_drain``.  A full queue drops the
 observation (counted under ``learn.queue_overflow``) rather than ever
 blocking; :attr:`DynamicLearner.learn_queue_capacity` is a safety bound
 that no workload reaches.  The seed's learn-on-observe pipeline is the
@@ -193,14 +191,12 @@ class DynamicLearner:
         #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_gate` (None:
         #: spawn every successor)
         self.spawn_gate: Optional[Callable[[str, int, str], bool]] = None
-        #: ``spawn_replicas(site, user, replicas) -> (indices, explored)``:
+        #: ``spawn_replicas(site, user, replicas) -> indices``:
         #: which replicas of a group the gate let through to spawn; a
         #: proxy installs
         #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_replicas`
         #: (None: every replica)
-        self.spawn_replicas: Optional[
-            Callable[[str, str, int], Tuple[Sequence[int], bool]]
-        ] = None
+        self.spawn_replicas: Optional[Callable[[str, str, int], Sequence[int]]] = None
         #: ``any_prefetchable() -> bool``: can any successor site still be
         #: prefetched?  While it says no, :meth:`observe` learns nothing;
         #: a proxy installs
@@ -485,9 +481,8 @@ class DynamicLearner:
                 continue
             replica_count = max(len(values) for _, values in extracted)
             spawn: Sequence[int] = range(replica_count)
-            explored = False
             if pick is not None:
-                spawn, explored = pick(succ_site, user, replica_count)
+                spawn = pick(succ_site, user, replica_count)
                 if not spawn:
                     continue
             # the predecessor context for condition policies (Fig. 9) is
@@ -502,7 +497,6 @@ class DynamicLearner:
                     instance.fill(succ_path, value)
                 instance.group = group
                 instance.replica = index
-                instance.explored = explored
                 instances.append(instance)
         return instances
 

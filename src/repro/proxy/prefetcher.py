@@ -7,10 +7,10 @@ a user holds at most ``max_entries_per_user`` *open* prefetches — in
 flight, queued, or stored and not yet served — so nothing is issued
 that the per-user LRU bound would evict unread.  With an admission
 threshold, a site is judged by what its prefetches became (see
-:meth:`Prefetcher._admitted`).
+:meth:`Prefetcher._standing`).
 
-The gates that need no built request are applied when the learner
-spawns a successor group, before anything is extracted or built:
+Each prefetch gets one admission decision, made when the learner
+spawns its successor group, before anything is extracted or built:
 :meth:`Prefetcher.spawn_gate` refuses a group by the depth bound, the
 flag, or a user with no room left under the per-user bound or the
 site's warm-up cap; :meth:`Prefetcher.spawn_replicas` then picks the
@@ -19,10 +19,8 @@ below-threshold site's explore coin once per replica.  The warm-up
 room counts the user's instances of the site that the learner still
 holds pending as well as the open prefetches, so instances waiting for
 the same value cannot all complete into a full warm-up cap.
-:meth:`Prefetcher.submit` repeats every check as the backstop for what
-changed after spawn (a site disabled, a user whose open count grew
-while an instance waited for a value), but draws no second coin for a
-replica that won one at spawn.
+:meth:`Prefetcher.submit` applies only the gates that can change after
+spawn or that need the built request.
 When more requests are ready than the concurrency limit allows, the
 waiting queue is drained in priority order — a linear combination of
 the signature's running-average origin response time and its cache hit
@@ -139,7 +137,6 @@ class Prefetcher:
         self.skipped_policy = 0
         self.skipped_probability = 0
         self.skipped_budget = 0
-        self.skipped_depth = 0
         self.skipped_duplicate = 0
         self.skipped_condition = 0
         self.skipped_popularity = 0
@@ -202,20 +199,16 @@ class Prefetcher:
                 return True
         return False
 
-    def spawn_replicas(
-        self, site: str, user: str, replicas: int
-    ) -> Tuple[Sequence[int], bool]:
+    def spawn_replicas(self, site: str, user: str, replicas: int) -> Sequence[int]:
         """Which of a group's ``replicas`` (list order) may be spawned.
 
         Asked after :meth:`spawn_gate` let the group through and the
-        learner counted its replicas.  Admission acts first, as in
-        :meth:`submit`: warm-up keeps the first replicas its cap can
-        take, and a site judged below its threshold draws the explore
-        coin once per replica and keeps the winners.  The per-user bound
-        then keeps the first of those it can take.  Every replica left
-        out counts once, in :attr:`skipped_admission` or
-        :attr:`skipped_bound`.  Returns the indices to spawn and whether
-        they won the coin, so that :meth:`submit` does not draw it again.
+        learner counted its replicas.  Admission acts first: warm-up
+        keeps the first replicas its cap can take, and a site judged
+        below its threshold draws the explore coin once per replica and
+        keeps the winners.  The per-user bound then keeps the first of
+        those it can take.  Every replica left out counts once, in
+        :attr:`skipped_admission` or :attr:`skipped_bound`.
         """
         bound_left, warmup_left, below = self._spawn_caps(site, user)
         spawn: Sequence[int] = range(
@@ -228,7 +221,7 @@ class Prefetcher:
         if bound_left is not None and len(spawn) > bound_left:
             self.skipped_bound += len(spawn) - bound_left
             spawn = spawn[:bound_left]
-        return spawn, below
+        return spawn
 
     def _spawn_caps(
         self, site: str, user: str
@@ -241,9 +234,9 @@ class Prefetcher:
         warm-up room is what the user's open prefetches of ``site`` and
         the learner's pending instances of it leave: an instance still
         waiting for a value is spawned and not yet decided, and would
-        be refused at :meth:`submit` once it completes into a full
-        warm-up.  An instance that completes leaves the pending count
-        before it is submitted, so it is never charged twice."""
+        overfill the warm-up cap once it completes.  An instance that
+        completes leaves the pending count before it is submitted, so it
+        is never charged twice."""
         bound = self.cache.max_entries_per_user
         bound_left = (
             None if bound is None else max(0, bound - self.open_prefetches(user))
@@ -260,16 +253,17 @@ class Prefetcher:
         return bound_left, warmup_left, standing == BELOW
 
     def submit(self, ready: ReadyPrefetch) -> str:
-        """Apply the policy gates, then schedule (or queue) the fetch.
+        """Apply the gates left after spawn, then schedule (or queue)
+        the fetch.
 
-        The policy, depth, admission and bound checks are backstops
-        here: a proxy's learner already applied them at spawn through
-        :meth:`spawn_gate` and :meth:`spawn_replicas`, so they reject
-        only what changed after spawn (a site disabled by §4.3
-        verification or the expiration estimator, a user whose open
-        prefetches grew while the instance waited for a value) or what
-        a learner without the gate built.  A replica that won the
-        explore coin at spawn draws no second coin here.
+        Admission, the depth bound and the warm-up cap were decided when
+        the instance was spawned (:meth:`spawn_gate`,
+        :meth:`spawn_replicas`) and are not decided again.  What is
+        checked here can change after spawn or needs the built request:
+        the ``prefetch`` flag (§4.3 verification or the expiration
+        estimator may turn it off while the instance waits for a
+        value), the predecessor condition, popularity, the probability
+        coin, the data budget, duplicates, and the per-user bound.
 
         Returns the outcome — ``"started"``, ``"queued"`` (behind the
         concurrency limit), or the ``"skipped_*"`` gate that rejected
@@ -286,9 +280,6 @@ class Prefetcher:
         if not policy.prefetch:
             self.skipped_policy += 1
             return "skipped_policy"
-        if ready.instance.depth > self.config.max_chain_depth:
-            self.skipped_depth += 1
-            return "skipped_depth"
         if policy.condition is not None and not policy.condition.evaluate(
             getattr(ready.instance, "pred_context", {})
         ):
@@ -299,9 +290,6 @@ class Prefetcher:
         ):
             self.skipped_popularity += 1
             return "skipped_popularity"
-        if not self._admitted(user, site, ready.instance.explored):
-            self.skipped_admission += 1
-            return "skipped_admission"
         probability = self.config.effective_probability(site)
         if probability < 1.0 and self.rng.random() >= probability:
             self.skipped_probability += 1
@@ -340,8 +328,8 @@ class Prefetcher:
     def pump_learning(self, trace: Optional[TraceContext] = None) -> int:
         """Drain the learner's queue; submit completed prefetches.
 
-        Runs right after every observation: a client request, a
-        background fetch (chain prefetching, Fig. 3c) or a refresh.
+        Runs right after every observation: a client request or a
+        background fetch (chain prefetching, Fig. 3c).
         No-op on an empty queue.  Returns the number of prefetches
         submitted.
         """
@@ -391,12 +379,10 @@ class Prefetcher:
         unread or the fetch fails, *open* until then.  Until ``site``
         has ``admission_min_issued`` decided outcomes it is in
         :data:`WARMUP`; then it is judged by used / (used + wasted)
-        against the governing threshold (per-policy
-        ``min_hit_probability`` or the config-wide
-        ``admission_threshold``): :data:`PASSING` at or above it,
+        against ``admission_threshold``: :data:`PASSING` at or above it,
         :data:`BELOW` under it.  Without a threshold every site passes.
         """
-        threshold = self.config.admission_threshold_for(site)
+        threshold = self.config.admission_threshold
         if threshold is None or threshold <= 0.0:
             return PASSING
         cache = self.cache
@@ -409,28 +395,6 @@ class Prefetcher:
         if decided < self.config.admission_min_issued:
             return WARMUP
         return PASSING if used / decided >= threshold else BELOW
-
-    def _admitted(self, user: str, site: str, explored: bool = False) -> bool:
-        """Does ``site`` still earn a prefetch for ``user``?
-
-        A passing site does.  During warm-up each user may hold at most
-        ``admission_min_issued`` open prefetches of the site, so a burst
-        cannot pass the whole warm-up before any outcome is in.  Only
-        open ones count here: the spawn gate already charged the
-        learner's pending instances, so behind a gated learner this is
-        a backstop (it refused none on warm-5app shard 0), and it
-        refuses what a learner without the gate built.  A site
-        below its threshold stops prefetching, except for an
-        ``admission_explore`` fraction kept flowing so a recovered site
-        can re-earn admission; ``explored`` says the coin was already
-        drawn, and won, when the replica was spawned.
-        """
-        standing = self._standing(site)
-        if standing == WARMUP:
-            return self.open_prefetches(user, site) < self.config.admission_min_issued
-        if standing == PASSING or explored:
-            return True
-        return self.rng.random() < self.config.admission_explore
 
     def ttl_for(self, site: str, response: Optional[Response] = None) -> float:
         """TTL for storing a ``site`` response: learned, else configured."""
@@ -570,7 +534,6 @@ class Prefetcher:
             "skipped_policy": self.skipped_policy,
             "skipped_probability": self.skipped_probability,
             "skipped_budget": self.skipped_budget,
-            "skipped_depth": self.skipped_depth,
             "skipped_duplicate": self.skipped_duplicate,
             "skipped_condition": self.skipped_condition,
             "skipped_popularity": self.skipped_popularity,

@@ -69,9 +69,6 @@ class AccelerationProxy:
         self.forwarded = 0
         self.client_bytes = 0
         self.server_bytes = 0  # demand (non-prefetch) proxy↔server bytes
-        #: optional hook fired on every cache hit: (user, site, request)
-        #: — used by the §5 refresher to track consumed prefetches
-        self.on_cache_hit = None
 
     # ------------------------------------------------------------------
     def handle_request(
@@ -109,8 +106,6 @@ class AccelerationProxy:
             self.served_prefetched += 1
             if site:
                 self.cache.record_hit(site)
-                if self.on_cache_hit is not None:
-                    self.on_cache_hit(user, site, request)
             response = entry.response
             prefetched = True
         else:

@@ -64,9 +64,8 @@ class EagerContextLearner(DynamicLearner):
                 continue
             replica_count = max(len(values) for _, values in extracted)
             spawn: Sequence[int] = range(replica_count)
-            explored = False
             if pick is not None:
-                spawn, explored = pick(succ_site, user, replica_count)
+                spawn = pick(succ_site, user, replica_count)
                 if not spawn:
                     continue
             if context is None:
@@ -94,7 +93,6 @@ class EagerContextLearner(DynamicLearner):
                 for key, values in aligned:
                     pred_context[key] = values[index]
                 instance.pred_context = pred_context
-                instance.explored = explored
                 instances.append(instance)
         return instances
 

@@ -49,9 +49,9 @@ def test_per_request_stages_time_every_request():
 
 
 def test_every_observation_is_drained_before_the_next():
-    """The proxy, the prefetcher and the refresher each drain the learn
-    queue right after they park an observation, so it never holds two;
-    an ``observe`` left without its drain shows up as a deeper peak."""
+    """The proxy and the prefetcher each drain the learn queue right
+    after they park an observation, so it never holds two; an
+    ``observe`` left without its drain shows up as a deeper peak."""
     row = run_scale(
         users=40, duration=4.0, apps=tuple(all_apps()), seed=0,
         rate_per_user=1.0, warm_start=True,

@@ -102,12 +102,11 @@ def test_top_level_imports():
         AccelerationProxy,
         MultiAppProxy,
         PopularityTracker,
-        Refresher,
     )
 
     assert repro.__version__
     assert callable(analyze_apk)
     assert callable(dump_signatures) and callable(load_signatures)
     assert callable(render_report)
-    for symbol in (AccelerationProxy, MultiAppProxy, PopularityTracker, Refresher):
+    for symbol in (AccelerationProxy, MultiAppProxy, PopularityTracker):
         assert symbol is not None

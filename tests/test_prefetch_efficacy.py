@@ -17,6 +17,7 @@ from repro.proxy.config import ProxyConfig
 from repro.proxy.history import HistoryPrefetcher
 from repro.server.origin import OriginServer
 from tests.oracles.flat_cache import FlatPrefetchCache
+from repro.proxy.prefetcher import BELOW, PASSING, WARMUP
 from tests.test_prefetch_bound import SITE, make_prefetcher, ready, request, serve
 
 
@@ -54,49 +55,54 @@ def drive(sim, cache, prefetcher, used=0, wasted=0):
         serve(cache, sim, "/ok", user=user)
 
 
+def spawned(prefetcher, user, replicas=1):
+    """How many replicas of one ``SITE`` group admission lets ``user``
+    spawn: none if the gate refuses the group."""
+    if not prefetcher.spawn_gate(SITE, 1, user):
+        return 0
+    return len(prefetcher.spawn_replicas(SITE, user, replicas))
+
+
 def test_admission_allows_during_warmup():
     sim, cache, prefetcher = build_prefetcher(min_issued=5)
     drive(sim, cache, prefetcher, wasted=4)  # below warmup
-    assert prefetcher._admitted("u0", SITE)
+    assert prefetcher._standing(SITE) == WARMUP
+    assert spawned(prefetcher, "u0") == 1
 
 
 def test_admission_blocks_cold_signatures():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.0)
     drive(sim, cache, prefetcher, used=1, wasted=9)  # 0.1 < 0.3
-    assert not prefetcher._admitted("u0", SITE)
-    assert prefetcher.submit(ready("/next")) == "skipped_admission"
+    assert prefetcher._standing(SITE) == BELOW
+    assert spawned(prefetcher, "u0", 5) == 0
+    assert prefetcher.skipped_admission == 5
 
 
 def test_admission_passes_hot_signatures():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3)
     drive(sim, cache, prefetcher, used=4, wasted=6)  # 0.4 >= 0.3
-    assert prefetcher._admitted("u0", SITE)
+    assert prefetcher._standing(SITE) == PASSING
+    assert spawned(prefetcher, "u0", 5) == 5
 
 
 def test_admission_explores_blocked_signatures():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.5)
     drive(sim, cache, prefetcher, wasted=10)
     prefetcher.rng = random.Random(7)
-    admitted = sum(prefetcher._admitted("u0", SITE) for _ in range(400))
+    admitted = spawned(prefetcher, "u0", 400)
     # the explore coin re-admits roughly its configured fraction
     assert 120 < admitted < 280
-
-
-def test_admission_per_signature_override_beats_global():
-    sim, cache, prefetcher = build_prefetcher(threshold=0.9, explore=0.0)
-    prefetcher.config.policy(SITE).min_hit_probability = 0.05
-    # 0.1 >= the per-policy 0.05, < the global 0.9
-    drive(sim, cache, prefetcher, used=1, wasted=9)
-    assert prefetcher._admitted("u0", SITE)
+    assert prefetcher.skipped_admission == 400 - admitted
 
 
 def test_admission_disabled_when_no_threshold():
     sim, cache, prefetcher = build_prefetcher(threshold=None, min_issued=2)
     drive(sim, cache, prefetcher, wasted=20)
-    assert prefetcher._admitted("u0", SITE)
+    assert prefetcher._standing(SITE) == PASSING
     # nor is there a warm-up cap: one user opens any number
     outcomes = {prefetcher.submit(ready("/p{}".format(i))) for i in range(20)}
     assert outcomes == {"started", "queued"}
+    assert spawned(prefetcher, "u0", 20) == 20
 
 
 def test_admission_needs_a_warmup_of_at_least_one():
@@ -111,7 +117,7 @@ def test_a_used_entry_counts_once_however_often_hit():
         serve(cache, sim, "/ok", user="o0")
     assert cache.used == 1 and cache.used_by_site == {SITE: 1}
     # judged 1 used of 5 decided (0.2 < 0.3), not 5 hits on 5 issues
-    assert not prefetcher._admitted("u0", SITE)
+    assert prefetcher._standing(SITE) == BELOW
 
 
 def test_a_hit_credits_the_entry_site_not_the_request_site():
@@ -128,7 +134,7 @@ def test_a_hit_credits_the_entry_site_not_the_request_site():
     assert cache.used_by_site == {SITE: 2}
     assert cache.hits == {other: 2}
     assert prefetcher.open_prefetches("u0") == 0
-    assert prefetcher._admitted("u0", SITE)  # 2 of 2 used
+    assert prefetcher._standing(SITE) == PASSING  # 2 of 2 used
 
 
 def _wait(seconds):
@@ -139,11 +145,12 @@ def one_waste_frees_one_slot(cache, prefetcher, waste):
     """u1 holds the warm-up cap (3) of open prefetches; ``waste()``
     decides exactly one of them wasted, which frees exactly one slot."""
     assert prefetcher.open_prefetches("u1", SITE) == 3
-    assert prefetcher.submit(ready("/d", user="u1")) == "skipped_admission"
+    assert spawned(prefetcher, "u1", 2) == 0
     wasted = cache.wasted + prefetcher.errors
     waste()
     assert cache.wasted + prefetcher.errors == wasted + 1
     assert prefetcher.open_prefetches("u1", SITE) == 2
+    assert spawned(prefetcher, "u1", 2) == 1
     assert prefetcher.submit(ready("/d", user="u1")) == "started"
 
 
@@ -207,13 +214,13 @@ def test_warmup_caps_open_prefetches_per_user():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3, min_issued=2)
     assert prefetcher.submit(ready("/a", user="A")) == "started"
     assert prefetcher.submit(ready("/b", user="A")) == "started"
-    assert prefetcher.submit(ready("/c", user="A")) == "skipped_admission"
-    assert prefetcher.submit(ready("/a", user="B")) == "started"
+    assert spawned(prefetcher, "A") == 0
+    assert spawned(prefetcher, "B", 3) == 2
     sim.run()
     # stored unread, A's two still hold its warm-up slots
-    assert prefetcher.submit(ready("/c", user="A")) == "skipped_admission"
+    assert spawned(prefetcher, "A") == 0
     serve(cache, sim, "/a", user="A")
-    assert prefetcher.submit(ready("/c", user="A")) == "started"
+    assert spawned(prefetcher, "A", 3) == 1
 
 
 # ----------------------------------------------------------------------

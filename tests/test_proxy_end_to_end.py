@@ -144,6 +144,28 @@ def test_expired_prefetch_not_served(analysis):
     assert select.transactions[0].response.status == 200
 
 
+def test_an_entry_nothing_refreshes_expires_unread(analysis):
+    config = default_config(analysis)
+    for site in config.policies:
+        config.policies[site].expiration_time = 6.0
+    sim, proxy, runtime, _ = build(analysis, config=config)
+
+    def flow():
+        yield sim.spawn(runtime.launch())
+        yield Delay(5.0)
+        yield sim.spawn(runtime.dispatch("select_item", 1))
+        # idle well past every entry's expiry, then browse again
+        yield Delay(31.0)
+        yield sim.spawn(runtime.launch())
+        yield Delay(1.0)
+        yield sim.spawn(runtime.dispatch("select_item", 1))
+
+    sim.run_process(flow())
+    assert proxy.cache.expired_evictions > 0
+    # nothing re-fetches a stored entry: the unread ones expire wasted
+    assert proxy.cache.wasted > 0
+
+
 def test_add_header_marks_prefetch_requests(analysis, origin_requests):
     config = default_config(analysis)
     for site in config.policies:

@@ -88,10 +88,10 @@ def test_disabled_policy_skipped():
 def test_depth_gate():
     sim, endpoint, cache, config, prefetcher = make_environment()
     config.max_chain_depth = 1
-    prefetcher.submit(ready_for("a#0", "/a", depth=2))
-    sim.run()
-    assert prefetcher.skipped_depth == 1
-    assert prefetcher.issued == 0
+    assert prefetcher.spawn_gate("a#0", 1, "u1")
+    # a chain past the bound is never spawned, and no refusal is counted
+    assert not prefetcher.spawn_gate("a#0", 2, "u1")
+    assert prefetcher.skipped_policy == 0
 
 
 def test_duplicate_and_inflight_gate():

@@ -11,13 +11,13 @@ the replicas, the
 first ones up to the room left, drawing a below-threshold site's
 explore coin once per replica.  The learner never creates, builds or submits the rest.
 The differential tests run the same workloads with
-:class:`SpawnEverythingLearner`, which builds every instance and leaves
-every gate to ``Prefetcher.submit``, and assert the same issued
-prefetches, served bytes and miss causes wherever no admission
-threshold is set.  With one, a replica cut at spawn can no longer stand
-in for an earlier replica that submit refuses as a duplicate, and the
-explore coin moves from submit to spawn, so only the demand side stays
-exact there.
+:class:`SpawnEverythingLearner`, which builds every instance, behind
+:class:`SpawnEverythingPrefetcher`, which decides the depth bound and
+admission at submit, and assert the same issued prefetches, served
+bytes and miss causes wherever no admission threshold is set.  With
+one, a replica cut at spawn can no longer stand in for an earlier
+replica that submit refuses as a duplicate, and the explore coin moves
+from submit to spawn, so only the demand side stays exact there.
 
 The gate changes one more behaviour on purpose.  Instances of disabled
 sites no longer take pending slots, so at ``MAX_PENDING`` they cannot
@@ -40,7 +40,10 @@ from repro.proxy.cache import PrefetchCache
 from repro.proxy.learning import DynamicLearner
 from repro.proxy.prefetcher import Prefetcher
 from repro.proxy.proxy import AccelerationProxy
-from tests.oracles.spawn_everything import SpawnEverythingLearner
+from tests.oracles.spawn_everything import (
+    SpawnEverythingLearner,
+    SpawnEverythingPrefetcher,
+)
 from tests.test_proxy_wake_index import (
     feed_transaction,
     teach_alpha_transaction,
@@ -52,16 +55,14 @@ from tests.test_prefetch_efficacy import build_prefetcher, drive
 
 
 class Recording:
-    """Issued prefetches, served responses, enqueued instances and
-    submit outcomes of one run."""
+    """Issued prefetches, served responses and enqueued instances of one
+    run."""
 
     def __init__(self, mp) -> None:
         self.issued = []
         self.served = []
         self.enqueued = []
-        self.submitted = collections.Counter()
         start = Prefetcher._start
-        submit = Prefetcher.submit
         enqueue = DynamicLearner._enqueue
         handle = AccelerationProxy.handle_request
         recording = self
@@ -75,11 +76,6 @@ class Recording:
                 )
             )
             start(prefetcher, ready)
-
-        def recording_submit(prefetcher, ready):
-            outcome = submit(prefetcher, ready)
-            recording.submitted[outcome] += 1
-            return outcome
 
         def recording_enqueue(learner, instance):
             recording.enqueued.append(instance)
@@ -101,21 +97,27 @@ class Recording:
             return response
 
         mp.setattr(Prefetcher, "_start", recording_start)
-        mp.setattr(Prefetcher, "submit", recording_submit)
         mp.setattr(DynamicLearner, "_enqueue", recording_enqueue)
         mp.setattr(AccelerationProxy, "handle_request", recording_handle)
 
 
 # -- differential: gated vs spawn-everything ---------------------------------
+#: the gated proxy's learner and prefetcher, and the oracle's
+GATED = (DynamicLearner, Prefetcher)
+ORACLE = (SpawnEverythingLearner, SpawnEverythingPrefetcher)
+
+
 @pytest.fixture(scope="module")
 def wish():
     return prepare_app("wish")
 
 
-def run_wish(wish, learner_cls):
+def run_wish(wish, classes):
     """Launch, open an item, buy it; only the main sites prefetch."""
+    learner_cls, prefetcher_cls = classes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.experiments.scenario.DynamicLearner", learner_cls)
+        mp.setattr("repro.proxy.proxy.Prefetcher", prefetcher_cls)
         recording = Recording(mp)
         scenario = Scenario(
             wish, proxied=True, enabled_classes=wish.spec.main_site_classes
@@ -137,8 +139,8 @@ def run_wish(wish, learner_cls):
 
 
 def test_wish_scenario_matches_spawn_everything(wish):
-    gated, gated_run, gated_causes = run_wish(wish, DynamicLearner)
-    oracle, oracle_run, oracle_causes = run_wish(wish, SpawnEverythingLearner)
+    gated, gated_run, gated_causes = run_wish(wish, GATED)
+    oracle, oracle_run, oracle_causes = run_wish(wish, ORACLE)
 
     assert gated_run.issued, "the scenario must prefetch something"
     assert gated_run.issued == oracle_run.issued
@@ -175,11 +177,13 @@ def run_scale_both_ways(options):
     """One seeded warm shard, gated and spawn-everything."""
     rows = {}
     recordings = {}
-    for learner_cls in (DynamicLearner, SpawnEverythingLearner):
+    for classes in (GATED, ORACLE):
+        learner_cls, prefetcher_cls = classes
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("repro.proxy.proxy.DynamicLearner", learner_cls)
-            recordings[learner_cls] = Recording(mp)
-            rows[learner_cls] = run_scale(
+            mp.setattr("repro.proxy.proxy.Prefetcher", prefetcher_cls)
+            recordings[classes] = Recording(mp)
+            rows[classes] = run_scale(
                 users=40,
                 duration=4.0,
                 rate_per_user=1.0,
@@ -188,12 +192,7 @@ def run_scale_both_ways(options):
                 collect_latencies=True,
                 **options,
             )
-    return (
-        rows[DynamicLearner],
-        rows[SpawnEverythingLearner],
-        recordings[DynamicLearner],
-        recordings[SpawnEverythingLearner],
-    )
+    return rows[GATED], rows[ORACLE], recordings[GATED], recordings[ORACLE]
 
 
 #: row keys that depend only on what the demand requests were served
@@ -238,10 +237,10 @@ def test_scale_shard_matches_spawn_everything(strategy, options):
         oracle_issued = collections.Counter(entry[:2] for entry in oracle_run.issued)
         moved = sum(((issued - oracle_issued) + (oracle_issued - issued)).values())
         assert moved <= len(oracle_run.issued) // 100
-        # warm-up room counts pending instances, so nothing the gate let
-        # through fills a warm-up cap before it is submitted
-        assert gated_run.submitted["skipped_admission"] == 0
-        assert oracle_run.submitted["skipped_admission"] > 0
+        # both refuse for admission: the gate at spawn, the oracle at
+        # submit
+        assert gated["skipped_admission"] > 0
+        assert oracle["skipped_admission"] > 0
         return
     assert gated_run.issued == oracle_run.issued
     for key in ("prefetch_issued", "skipped_admission", "cache_stored", "origin_bytes"):
@@ -340,8 +339,7 @@ def spawned(prefetcher, user, replicas, site=SITE):
     """The replica indices one group spawns: none if the gate refuses."""
     if not prefetcher.spawn_gate(site, 1, user):
         return []
-    spawn, _ = prefetcher.spawn_replicas(site, user, replicas)
-    return list(spawn)
+    return list(prefetcher.spawn_replicas(site, user, replicas))
 
 
 def test_cap_is_the_room_left_under_the_per_user_bound():
@@ -357,8 +355,7 @@ def test_cap_is_the_room_left_under_the_per_user_bound():
     assert prefetcher.skipped_bound == 1
     # another user is not capped by u0's prefetches; each replica cut
     # from a group counts once
-    spawn, explored = prefetcher.spawn_replicas(SITE, "u1", 5)
-    assert list(spawn) == [0, 1, 2] and not explored
+    assert list(prefetcher.spawn_replicas(SITE, "u1", 5)) == [0, 1, 2]
     assert prefetcher.skipped_bound == 3
 
 
@@ -379,8 +376,7 @@ def test_warmup_cap_is_per_user_and_site():
     prefetcher.skipped_admission = 0
     assert not prefetcher.spawn_gate(SITE, 1, "A")
     assert prefetcher.skipped_admission == 1
-    spawn, explored = prefetcher.spawn_replicas(SITE, "B", 5)
-    assert list(spawn) == [0, 1] and not explored
+    assert list(prefetcher.spawn_replicas(SITE, "B", 5)) == [0, 1]
     assert prefetcher.skipped_admission == 4
 
 
@@ -396,8 +392,7 @@ def test_a_passing_site_is_uncapped():
     drive(sim, cache, prefetcher, used=4, wasted=6)
     prefetcher.rng = CountingRandom(7)
     assert prefetcher.spawn_gate(SITE, 1, "u0")
-    spawn, explored = prefetcher.spawn_replicas(SITE, "u0", 50)
-    assert list(spawn) == list(range(50)) and not explored
+    assert list(prefetcher.spawn_replicas(SITE, "u0", 50)) == list(range(50))
     assert prefetcher.rng.draws == 0
 
 
@@ -407,29 +402,22 @@ def test_a_below_threshold_site_draws_one_coin_per_replica_at_spawn():
     prefetcher.rng = rng = CountingRandom(7)
     assert prefetcher.spawn_gate(SITE, 1, "u0")
     assert rng.draws == 0
-    spawn, explored = prefetcher.spawn_replicas(SITE, "u0", 40)
-    assert rng.draws == 40 and explored
+    spawn = prefetcher.spawn_replicas(SITE, "u0", 40)
+    assert rng.draws == 40
     assert 0 < len(spawn) < 40
     assert prefetcher.skipped_admission == 40 - len(spawn)
-    outcomes = set()
-    for index in spawn:
-        replica = ready("/r{}".format(index))
-        replica.instance.explored = explored
-        outcomes.add(prefetcher.submit(replica))
+    outcomes = {prefetcher.submit(ready("/r{}".format(i))) for i in spawn}
     assert outcomes <= {"started", "queued"}
     assert rng.draws == 40, "submit drew a second coin"
-    # an instance spawned before the site fell below draws it at submit
-    prefetcher.submit(ready("/late"))
-    assert rng.draws == 41
 
 
 def test_below_threshold_coins_come_before_the_bound():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.5, bound=2)
     drive(sim, cache, prefetcher, wasted=10)
     prefetcher.rng = rng = CountingRandom(7)
-    spawn, explored = prefetcher.spawn_replicas(SITE, "u0", 40)
+    spawn = prefetcher.spawn_replicas(SITE, "u0", 40)
     # every replica draws; the bound keeps the first two winners
-    assert rng.draws == 40 and explored and len(spawn) == 2
+    assert rng.draws == 40 and len(spawn) == 2
     assert prefetcher.skipped_bound + prefetcher.skipped_admission == 38
 
 
@@ -572,3 +560,25 @@ def test_pending_instances_do_not_cap_a_site_past_warmup(used, wasted, explore):
     learn_now(learner, feed_transaction(item_ids=("c3", "d4", "e5")), "u1")
     assert learner.pending_for("u1", "Alpha#0") == 5
     assert learner.pending_for("u1", "Beta#0") == 2  # still in warm-up
+
+
+def test_an_instance_admitted_in_warmup_is_issued_after_its_site_falls_below():
+    """Admission is decided once, at spawn: an instance spawned while
+    its site was in warm-up is not judged again when it completes,
+    though the site has fallen below its threshold by then."""
+    proxy = bounded_proxy(
+        None,
+        admission_threshold=0.3,
+        admission_min_issued=2,
+        admission_explore=0.0,
+    )
+    learner, prefetcher = proxy.learner, proxy.prefetcher
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
+    assert learner.pending_for("u1", "Alpha#0") == 2
+    proxy.cache.wasted_by_site["Alpha#0"] = 2
+    assert prefetcher._standing("Alpha#0") == "below"
+    prefetcher.rng = rng = CountingRandom(7)
+    ready_list = learn_now(learner, teach_alpha_transaction(), "u1")
+    assert [prefetcher.submit(r) for r in ready_list] == ["started", "started"]
+    assert rng.draws == 0
+    assert prefetcher.skipped_admission == 0
