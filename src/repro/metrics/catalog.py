@@ -61,6 +61,7 @@ SPAN_STAGES: Tuple[str, ...] = (
     "origin_fetch",
     "learn",
     "learn_drain",
+    "learn_values",
     "instantiate",
     "prefetch_issue",
     "store",

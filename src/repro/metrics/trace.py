@@ -15,7 +15,9 @@ stage                     meaning
 ``match``                 signature dispatch (indexed matcher)
 ``cache_lookup``          per-user exact-match cache probe
 ``origin_fetch``          proxy → origin round trip (misses, passthrough)
-``learn``                 run-time value learning from the transaction
+``learn``                 matching an observed transaction onto the learn queue
+``learn_drain``           one drain of the learn queue
+``learn_values``          run-time value learning from a drained transaction
 ``instantiate``           successor spawning + pending-instance drain
 ``prefetch_issue``        prefetcher policy gates for one ready request
 ``store``                 cache insert of a fetched response

@@ -36,22 +36,26 @@ Spawn gate
 ----------
 Whether a site may be prefetched at all (its ``prefetch`` flag), how
 deep a chain may go, how many more open prefetches the user's cache
-bound can hold and how many the site's admission warm-up still allows
-(less the user's instances of the site still pending here, see
+bound can hold (less the replicas that earlier groups of the same
+observation spawned) and how many the site's admission warm-up still
+allows (less the user's instances of the site still pending here, see
 :meth:`DynamicLearner.pending_for`) are known before an instance turns
-out to hold anything.  A proxy hands
-the learner two hooks.  :attr:`DynamicLearner.spawn_gate` is asked once
-per successor group of a predecessor observation, before any value is
-extracted, and refuses the group outright (the flag, the depth bound,
-or a user or warm-up with no room left).  Once the group's replicas are
-counted, :attr:`DynamicLearner.spawn_replicas` picks which of them to
-spawn (the first ones in list order, up to the room left, less those
-that lose a below-threshold site's explore coin).  That is the one
-admission decision a prefetch gets.  Without a picker every replica is
-spawned.  A replica left out costs nothing further: no instance,
-pending slot, build, wake registration or submit.  Value learning,
-cookie tracking and preferred variants still run for every site, as
-long as some successor site can be prefetched.
+out to hold anything.  A proxy hands the learner two hooks.
+:attr:`DynamicLearner.spawn_gate` is asked once per successor group of
+a predecessor observation, before any value is extracted, with the
+count of replicas the observation has spawned so far.  It refuses the
+group outright (the flag, the depth bound, or a user or warm-up with no
+room left), or answers with the group's room.  Once the group's
+replicas are counted, :attr:`DynamicLearner.spawn_replicas` picks from
+that room which of them to spawn (the first ones in list order, up to
+the room left, less those that lose a below-threshold site's explore
+coin).  That is the one admission decision a prefetch gets.  Without a
+picker every replica is spawned.  A replica left out costs nothing
+further: no instance, pending slot, build, wake registration or
+submit.  The ``instantiate`` trace span counts the refused groups and
+the replicas left out as ``refused``.  Value learning, cookie tracking
+and preferred variants still run for every site, as long as some
+successor site can be prefetched.
 
 Idle learner
 ------------
@@ -105,7 +109,16 @@ differential oracle in ``tests/oracles/inline_learner.py``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.model import AnalysisResult
 from repro.httpmsg.cookies import CookieJar
@@ -121,6 +134,9 @@ from repro.proxy.instances import (
     ValueStore,
     build_runtime_signatures,
 )
+
+if TYPE_CHECKING:
+    from repro.proxy.prefetcher import SpawnRoom
 
 MAX_PENDING = 10_000
 
@@ -185,18 +201,23 @@ class DynamicLearner:
         self.deferred_enqueued = 0
         self.deferred_drained = 0
         self.store = store if store is not None else ValueStore()
-        #: ``gate(site, depth, user) -> bool``, consulted once per
-        #: successor group before any of its values is extracted; a
-        #: proxy installs
+        #: ``gate(site, depth, user, spawned) -> room``, consulted once
+        #: per successor group before any of its values is extracted,
+        #: with the replicas earlier groups of the same observation
+        #: spawned; a None room refuses the group.  A proxy installs
         #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_gate` (None:
         #: spawn every successor)
-        self.spawn_gate: Optional[Callable[[str, int, str], bool]] = None
-        #: ``spawn_replicas(site, user, replicas) -> indices``:
-        #: which replicas of a group the gate let through to spawn; a
-        #: proxy installs
+        self.spawn_gate: Optional[
+            Callable[[str, int, str, int], Optional[SpawnRoom]]
+        ] = None
+        #: ``spawn_replicas(room, replicas) -> indices``: which replicas
+        #: of a group to spawn, from the room :attr:`spawn_gate`
+        #: answered, so it requires the gate; a proxy installs
         #: :meth:`~repro.proxy.prefetcher.Prefetcher.spawn_replicas`
-        #: (None: every replica)
-        self.spawn_replicas: Optional[Callable[[str, str, int], Sequence[int]]] = None
+        #: with the gate (None: every replica)
+        self.spawn_replicas: Optional[
+            Callable[[SpawnRoom, int], Sequence[int]]
+        ] = None
         #: ``any_prefetchable() -> bool``: can any successor site still be
         #: prefetched?  While it says no, :meth:`observe` learns nothing;
         #: a proxy installs
@@ -313,7 +334,7 @@ class DynamicLearner:
             self._track_cookies(transaction, user, signature)
             return []
         span = (
-            trace.start_span("learn", signature=signature.site)
+            trace.start_span("learn_values", signature=signature.site)
             if trace is not None
             else None
         )
@@ -328,19 +349,21 @@ class DynamicLearner:
         if span is not None:
             trace.end_span(span)
             span = trace.start_span("instantiate", signature=signature.site)
-        ready: List[ReadyPrefetch] = []
-        spawned = 0
+        spawned = refused = 0
         # case 1: predecessor — spawn successor instances
         if signature.is_predecessor and transaction.response.ok:
-            for instance in self._spawn_successors(
+            instances, refused = self._spawn_successors(
                 signature, transaction.response, user, depth
-            ):
+            )
+            for instance in instances:
                 self._enqueue(instance)
-                spawned += 1
+            spawned = len(instances)
         # drain anything now resolvable (including older pending work)
-        ready.extend(self._drain_pending())
+        ready = self._drain_pending()
         if span is not None:
-            trace.end_span(span, spawned=spawned, completed=len(ready))
+            trace.end_span(
+                span, spawned=spawned, refused=refused, completed=len(ready)
+            )
         return ready
 
     # ------------------------------------------------------------------
@@ -359,7 +382,7 @@ class DynamicLearner:
         Observations process in arrival order.  Returns the completed
         prefetch requests, in completion order, for the caller to hand
         to the prefetcher.  ``trace`` (optional) collects each
-        observation's ``learn`` and ``instantiate`` spans.
+        observation's ``learn_values`` and ``instantiate`` spans.
         """
         queue = self._learn_queue
         if not queue:
@@ -449,11 +472,16 @@ class DynamicLearner:
         response: Response,
         user: str,
         depth: int,
-    ) -> List[RequestInstance]:
+    ) -> Tuple[List[RequestInstance], int]:
+        """The successor instances one predecessor response spawns, and
+        how many the gate refused: each refused group and each replica
+        the picker left out counts once."""
         succ_depth = depth + 1
         gate = self.spawn_gate
         pick = self.spawn_replicas
         instances: List[RequestInstance] = []
+        refused = 0
+        room: Optional[SpawnRoom] = None
         # predecessor response parsing is shared across edges/successors:
         # each distinct pred_path is extracted once per transaction (two
         # edges sourcing body.items[].id reuse one walk)
@@ -462,12 +490,17 @@ class DynamicLearner:
             successor = self._by_site.get(succ_site)
             if successor is None:
                 continue
-            if gate is not None and not gate(succ_site, succ_depth, user):
-                # never sent: no value extracted, no instance, pending
-                # slot, build or submit
-                if PERF.enabled:
-                    PERF.incr("learner.spawn_skipped")
-                continue
+            if gate is not None:
+                # the groups of one observation share the user's room:
+                # earlier groups' replicas are not open yet
+                room = gate(succ_site, succ_depth, user, len(instances))
+                if room is None:
+                    # never sent: no value extracted, no instance,
+                    # pending slot, build or submit
+                    refused += 1
+                    if PERF.enabled:
+                        PERF.incr("learner.spawn_skipped")
+                    continue
             extracted: List[Tuple[FieldPath, List]] = []
             for edge in edges:
                 pred_key = edge.pred_path.to_string()
@@ -482,7 +515,8 @@ class DynamicLearner:
             replica_count = max(len(values) for _, values in extracted)
             spawn: Sequence[int] = range(replica_count)
             if pick is not None:
-                spawn = pick(succ_site, user, replica_count)
+                spawn = pick(room, replica_count)
+                refused += replica_count - len(spawn)
                 if not spawn:
                     continue
             # the predecessor context for condition policies (Fig. 9) is
@@ -498,7 +532,7 @@ class DynamicLearner:
                 instance.group = group
                 instance.replica = index
                 instances.append(instance)
-        return instances
+        return instances, refused
 
     # ------------------------------------------------------------------
     # pending-instance management (wake index)

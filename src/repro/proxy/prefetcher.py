@@ -13,14 +13,19 @@ Each prefetch gets one admission decision, made when the learner
 spawns its successor group, before anything is extracted or built:
 :meth:`Prefetcher.spawn_gate` refuses a group by the depth bound, the
 flag, or a user with no room left under the per-user bound or the
-site's warm-up cap; :meth:`Prefetcher.spawn_replicas` then picks the
-replicas to spawn, the first ones up to the room left, drawing a
-below-threshold site's explore coin once per replica.  The warm-up
-room counts the user's instances of the site that the learner still
-holds pending as well as the open prefetches, so instances waiting for
-the same value cannot all complete into a full warm-up cap.
-:meth:`Prefetcher.submit` applies only the gates that can change after
-spawn or that need the built request.
+site's warm-up cap, and otherwise hands the learner the group's
+:class:`SpawnRoom`; :meth:`Prefetcher.spawn_replicas` then picks the
+replicas to spawn from that room, the first ones up to the room left,
+drawing a below-threshold site's explore coin once per replica.  The
+bound's room is what the user's open prefetches and the replicas that
+earlier groups of the same observation spawned leave, so the groups of
+one observation share one room.  The warm-up room counts the user's
+instances of the site that the learner still holds pending as well as
+the open prefetches, so instances waiting for the same value cannot
+all complete into a full warm-up cap.  :meth:`Prefetcher.submit`
+applies only the gates that can change after spawn or that need the
+built request; its bound check refuses what instances pending from
+earlier observations complete into a full room.
 When more requests are ready than the concurrency limit allows, the
 waiting queue is drained in priority order — a linear combination of
 the signature's running-average origin response time and its cache hit
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, Generator, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Generator, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.metrics.perf import PERF
@@ -65,6 +70,18 @@ HIT_RATE_WEIGHT = 0.5
 
 #: what admission makes of a site (see :meth:`Prefetcher._standing`)
 PASSING, WARMUP, BELOW = "passing", "warmup", "below"
+
+
+class SpawnRoom(NamedTuple):
+    """What one successor group may still spawn (see
+    :meth:`Prefetcher.spawn_gate`)."""
+
+    #: room left under the per-user bound (None: unbounded)
+    bound_left: Optional[int]
+    #: room left under the site's warm-up cap (None: not in warm-up)
+    warmup_left: Optional[int]
+    #: the site is judged below its admission threshold
+    below: bool
 
 
 def origin_fetch(
@@ -151,35 +168,39 @@ class Prefetcher:
         return self._waiting_count
 
     # ------------------------------------------------------------------
-    def spawn_gate(self, site: str, depth: int, user: str) -> bool:
+    def spawn_gate(
+        self, site: str, depth: int, user: str, spawned: int
+    ) -> Optional[SpawnRoom]:
         """May the learner spawn a ``site`` successor group at chain
-        ``depth`` for ``user``?
+        ``depth`` for ``user``?  Its room if so, None if not.
 
-        Asked before anything of the group is extracted or built.  The
-        chain-depth bound and the signature's ``prefetch`` flag refuse
-        the site; a user with no room left under the per-user bound, or
-        under the site's admission warm-up cap (see :meth:`_spawn_caps`),
-        refuses it too.  Reads
-        the live config.  A refused group counts once: in
-        :attr:`skipped_policy` for the flag, in :attr:`skipped_admission`
-        or :attr:`skipped_bound` for no room, nowhere for the depth
-        bound, which never let such an instance be spawned.  How many of
-        an admitted group's replicas are spawned is
-        :meth:`spawn_replicas`'s to decide.
+        Asked before anything of the group is extracted or built.
+        ``spawned`` is the number of replicas that earlier groups of the
+        same observation spawned; they are not open yet, so the room
+        charges them here (see :meth:`_spawn_caps`).  The chain-depth
+        bound and the signature's ``prefetch`` flag refuse the site; a
+        user with no room left under the per-user bound, or under the
+        site's admission warm-up cap, refuses it too.  Reads the live
+        config.  A refused group counts once: in :attr:`skipped_policy`
+        for the flag, in :attr:`skipped_admission` or
+        :attr:`skipped_bound` for no room, nowhere for the depth bound,
+        which never let such an instance be spawned.  How many of an
+        admitted group's replicas are spawned is
+        :meth:`spawn_replicas`'s to decide, from the room returned here.
         """
         if depth > self.config.max_chain_depth:
-            return False
+            return None
         if not self.config.policy(site).prefetch:
             self.skipped_policy += 1
-            return False
-        bound_left, warmup_left, _ = self._spawn_caps(site, user)
-        if warmup_left == 0:
+            return None
+        room = self._spawn_caps(site, user, spawned)
+        if room.warmup_left == 0:
             self.skipped_admission += 1
-            return False
-        if bound_left == 0:
+            return None
+        if room.bound_left == 0:
             self.skipped_bound += 1
-            return False
-        return True
+            return None
+        return room
 
     def any_prefetchable(self) -> bool:
         """Can any successor site of the learner still be prefetched?
@@ -199,18 +220,18 @@ class Prefetcher:
                 return True
         return False
 
-    def spawn_replicas(self, site: str, user: str, replicas: int) -> Sequence[int]:
+    def spawn_replicas(self, room: SpawnRoom, replicas: int) -> Sequence[int]:
         """Which of a group's ``replicas`` (list order) may be spawned.
 
-        Asked after :meth:`spawn_gate` let the group through and the
-        learner counted its replicas.  Admission acts first: warm-up
-        keeps the first replicas its cap can take, and a site judged
-        below its threshold draws the explore coin once per replica and
-        keeps the winners.  The per-user bound then keeps the first of
-        those it can take.  Every replica left out counts once, in
-        :attr:`skipped_admission` or :attr:`skipped_bound`.
+        Asked after :meth:`spawn_gate` let the group through with its
+        ``room`` and the learner counted its replicas.  Admission acts
+        first: warm-up keeps the first replicas its cap can take, and a
+        site judged below its threshold draws the explore coin once per
+        replica and keeps the winners.  The per-user bound then keeps
+        the first of those it can take.  Every replica left out counts
+        once, in :attr:`skipped_admission` or :attr:`skipped_bound`.
         """
-        bound_left, warmup_left, below = self._spawn_caps(site, user)
+        bound_left, warmup_left, below = room
         spawn: Sequence[int] = range(
             replicas if warmup_left is None else min(replicas, warmup_left)
         )
@@ -223,23 +244,27 @@ class Prefetcher:
             spawn = spawn[:bound_left]
         return spawn
 
-    def _spawn_caps(
-        self, site: str, user: str
-    ) -> Tuple[Optional[int], Optional[int], bool]:
-        """``user``'s room left under the per-user bound and under
-        ``site``'s warm-up cap (None where no such cap applies), and
-        whether ``site`` is judged below its admission threshold.
+    def _spawn_caps(self, site: str, user: str, spawned: int) -> SpawnRoom:
+        """``user``'s room for a ``site`` group, read once per group.
 
-        The bound's room is what the user's open prefetches leave.  The
-        warm-up room is what the user's open prefetches of ``site`` and
-        the learner's pending instances of it leave: an instance still
-        waiting for a value is spawned and not yet decided, and would
-        overfill the warm-up cap once it completes.  An instance that
-        completes leaves the pending count before it is submitted, so it
-        is never charged twice."""
+        The bound's room is what the user's open prefetches and the
+        ``spawned`` replicas of earlier groups of the same observation
+        leave.  Instances still pending from earlier observations are
+        not charged: one that never builds would hold its room for
+        good; :meth:`submit` refuses those that complete into a full
+        room.  The warm-up room is what the user's open prefetches of
+        ``site`` and the learner's pending instances of it leave: an
+        instance still waiting for a value is spawned and not yet
+        decided, and would overfill the warm-up cap once it completes.
+        An instance that completes leaves the pending count before it
+        is submitted, so it is never charged twice.  Each site is one
+        group of an observation, so no replica of the same observation
+        counts against its warm-up room."""
         bound = self.cache.max_entries_per_user
         bound_left = (
-            None if bound is None else max(0, bound - self.open_prefetches(user))
+            None
+            if bound is None
+            else max(0, bound - self.open_prefetches(user) - spawned)
         )
         standing = self._standing(site)
         warmup_left = None
@@ -250,7 +275,7 @@ class Prefetcher:
                 - self.open_prefetches(user, site)
                 - self.learner.pending_for(user, site),
             )
-        return bound_left, warmup_left, standing == BELOW
+        return SpawnRoom(bound_left, warmup_left, standing == BELOW)
 
     def submit(self, ready: ReadyPrefetch) -> str:
         """Apply the gates left after spawn, then schedule (or queue)
@@ -270,7 +295,9 @@ class Prefetcher:
         the request — so callers (and trace spans) can attribute what
         happened to each ready prefetch.  ``"skipped_bound"`` refuses a
         user of a bounded cache who already holds
-        ``max_entries_per_user`` open prefetches.
+        ``max_entries_per_user`` open prefetches: an instance pending
+        from an earlier observation whose room was taken while it
+        waited.
         """
         if PERF.enabled:
             PERF.incr("prefetch.submitted")
@@ -338,7 +365,7 @@ class Prefetcher:
             return 0
         span = trace.start_span("learn_drain") if trace is not None else None
         with PERF.stage("proxy.learn_drain"):
-            ready_list = learner.drain_learn_queue()
+            ready_list = learner.drain_learn_queue(trace)
         if span is not None:
             trace.end_span(span, completed=len(ready_list))
         if trace is not None:

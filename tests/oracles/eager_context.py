@@ -30,11 +30,13 @@ class EagerContextLearner(DynamicLearner):
         response: Response,
         user: str,
         depth: int,
-    ) -> List[RequestInstance]:
+    ) -> Tuple[List[RequestInstance], int]:
         succ_depth = depth + 1
         gate = self.spawn_gate
         pick = self.spawn_replicas
         instances: List[RequestInstance] = []
+        refused = 0
+        room = None
         # predecessor response parsing is shared across edges/successors:
         # each distinct pred_path is extracted once per transaction (two
         # edges sourcing body.items[].id reuse one walk) and the scalar
@@ -45,12 +47,15 @@ class EagerContextLearner(DynamicLearner):
             successor = self._by_site.get(succ_site)
             if successor is None:
                 continue
-            if gate is not None and not gate(succ_site, succ_depth, user):
-                # never sent: no value extracted, no instance, pending
-                # slot, build or submit
-                if PERF.enabled:
-                    PERF.incr("learner.spawn_skipped")
-                continue
+            if gate is not None:
+                room = gate(succ_site, succ_depth, user, len(instances))
+                if room is None:
+                    # never sent: no value extracted, no instance,
+                    # pending slot, build or submit
+                    refused += 1
+                    if PERF.enabled:
+                        PERF.incr("learner.spawn_skipped")
+                    continue
             extracted: List[Tuple[FieldPath, List]] = []
             for edge in edges:
                 pred_key = edge.pred_path.to_string()
@@ -65,7 +70,8 @@ class EagerContextLearner(DynamicLearner):
             replica_count = max(len(values) for _, values in extracted)
             spawn: Sequence[int] = range(replica_count)
             if pick is not None:
-                spawn = pick(succ_site, user, replica_count)
+                spawn = pick(room, replica_count)
+                refused += replica_count - len(spawn)
                 if not spawn:
                     continue
             if context is None:
@@ -94,7 +100,7 @@ class EagerContextLearner(DynamicLearner):
                     pred_context[key] = values[index]
                 instance.pred_context = pred_context
                 instances.append(instance)
-        return instances
+        return instances, refused
 
 
 def scalar_fields(response: Response) -> Dict[str, List]:

@@ -58,9 +58,10 @@ def drive(sim, cache, prefetcher, used=0, wasted=0):
 def spawned(prefetcher, user, replicas=1):
     """How many replicas of one ``SITE`` group admission lets ``user``
     spawn: none if the gate refuses the group."""
-    if not prefetcher.spawn_gate(SITE, 1, user):
+    room = prefetcher.spawn_gate(SITE, 1, user, 0)
+    if not room:
         return 0
-    return len(prefetcher.spawn_replicas(SITE, user, replicas))
+    return len(prefetcher.spawn_replicas(room, replicas))
 
 
 def test_admission_allows_during_warmup():

@@ -19,6 +19,7 @@ from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.httpmsg.uri import Uri
 from repro.proxy.learning import DynamicLearner
+from repro.proxy.prefetcher import SpawnRoom
 from tests.learn_helpers import learn_now
 
 
@@ -177,7 +178,10 @@ def test_error_responses_do_not_spawn_instances():
 
 def test_depth_bound_blocks_spawning():
     learner = DynamicLearner(make_analysis())
-    learner.spawn_gate = lambda site, depth, user: depth <= 1  # max_chain_depth=1
+    # max_chain_depth=1: a room at depth 1, none deeper
+    learner.spawn_gate = lambda site, depth, user, spawned: (
+        SpawnRoom(None, None, False) if depth <= 1 else None
+    )
     learn_now(learner, feed_transaction(), "u1", depth=1)  # would create depth 2
     assert learner.pending_count == 0
 

@@ -88,9 +88,9 @@ def test_disabled_policy_skipped():
 def test_depth_gate():
     sim, endpoint, cache, config, prefetcher = make_environment()
     config.max_chain_depth = 1
-    assert prefetcher.spawn_gate("a#0", 1, "u1")
+    assert prefetcher.spawn_gate("a#0", 1, "u1", 0)
     # a chain past the bound is never spawned, and no refusal is counted
-    assert not prefetcher.spawn_gate("a#0", 2, "u1")
+    assert not prefetcher.spawn_gate("a#0", 2, "u1", 0)
     assert prefetcher.skipped_policy == 0
 
 

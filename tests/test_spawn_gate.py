@@ -7,17 +7,21 @@ prefetching off, whose chain would pass ``max_chain_depth``, or whose
 user has no room left under the per-user bound or the site's admission
 warm-up cap (which counts the user's pending instances of the site as
 well as the open prefetches); ``Prefetcher.spawn_replicas`` then picks
-the replicas, the
-first ones up to the room left, drawing a below-threshold site's
-explore coin once per replica.  The learner never creates, builds or submits the rest.
-The differential tests run the same workloads with
+the replicas from the room the gate answered, the first ones up to the
+room left, drawing a below-threshold site's explore coin once per
+replica.  The groups of one observation share the user's room under
+the per-user bound.  The learner never creates, builds or submits the
+rest.  The differential tests run the same workloads with
 :class:`SpawnEverythingLearner`, which builds every instance, behind
 :class:`SpawnEverythingPrefetcher`, which decides the depth bound and
 admission at submit, and assert the same issued prefetches, served
-bytes and miss causes wherever no admission threshold is set.  With
-one, a replica cut at spawn can no longer stand in for an earlier
-replica that submit refuses as a duplicate, and the explore coin moves
-from submit to spawn, so only the demand side stays exact there.
+bytes and miss causes wherever neither an admission threshold nor a
+bound is set.  With a bound, a later group's replica cut at spawn can
+no longer take the room of an earlier replica that never builds or
+that submit refuses as a duplicate.  With a threshold, a replica cut
+at spawn can no longer stand in for an earlier replica that submit
+refuses as a duplicate, and the explore coin moves from submit to
+spawn.  So only the demand side stays exact there.
 
 The gate changes one more behaviour on purpose.  Instances of disabled
 sites no longer take pending slots, so at ``MAX_PENDING`` they cannot
@@ -242,9 +246,19 @@ def test_scale_shard_matches_spawn_everything(strategy, options):
         assert gated["skipped_admission"] > 0
         assert oracle["skipped_admission"] > 0
         return
-    assert gated_run.issued == oracle_run.issued
-    for key in ("prefetch_issued", "skipped_admission", "cache_stored", "origin_bytes"):
-        assert gated[key] == oracle[key], key
+    # The groups of one observation share the user's room under the
+    # bound, so a later group gets only what earlier groups' replicas
+    # left, whether or not those replicas build.  The oracle checks the
+    # bound at submit, where a replica that is still pending or refused
+    # as a duplicate leaves its room to a later group's replica.  So the
+    # gate issues a subset of the oracle's prefetches: on this shard 152
+    # of its 156.  The demand side above stays exact.
+    issued = collections.Counter(entry[:2] for entry in gated_run.issued)
+    oracle_issued = collections.Counter(entry[:2] for entry in oracle_run.issued)
+    assert not issued - oracle_issued
+    moved = sum((oracle_issued - issued).values())
+    assert moved <= len(oracle_run.issued) // 25
+    assert gated["skipped_admission"] == oracle["skipped_admission"] == 0
     # the cut replicas are counted as the bound's refusals
     assert gated["skipped_bound"] > 0
 
@@ -337,9 +351,10 @@ class CountingRandom(random.Random):
 
 def spawned(prefetcher, user, replicas, site=SITE):
     """The replica indices one group spawns: none if the gate refuses."""
-    if not prefetcher.spawn_gate(site, 1, user):
+    room = prefetcher.spawn_gate(site, 1, user, 0)
+    if not room:
         return []
-    return list(prefetcher.spawn_replicas(site, user, replicas))
+    return list(prefetcher.spawn_replicas(room, replicas))
 
 
 def test_cap_is_the_room_left_under_the_per_user_bound():
@@ -351,11 +366,11 @@ def test_cap_is_the_room_left_under_the_per_user_bound():
     prefetcher.submit(ready("/c"))
     prefetcher.skipped_bound = 0
     # a full user: the group is refused whole and counts once
-    assert not prefetcher.spawn_gate(SITE, 1, "u0")
+    assert not prefetcher.spawn_gate(SITE, 1, "u0", 0)
     assert prefetcher.skipped_bound == 1
     # another user is not capped by u0's prefetches; each replica cut
     # from a group counts once
-    assert list(prefetcher.spawn_replicas(SITE, "u1", 5)) == [0, 1, 2]
+    assert spawned(prefetcher, "u1", 5) == [0, 1, 2]
     assert prefetcher.skipped_bound == 3
 
 
@@ -374,9 +389,9 @@ def test_warmup_cap_is_per_user_and_site():
     assert spawned(prefetcher, "A", 5, site="b#0") == [0, 1]
     prefetcher.submit(ready("/b", user="A"))
     prefetcher.skipped_admission = 0
-    assert not prefetcher.spawn_gate(SITE, 1, "A")
+    assert not prefetcher.spawn_gate(SITE, 1, "A", 0)
     assert prefetcher.skipped_admission == 1
-    assert list(prefetcher.spawn_replicas(SITE, "B", 5)) == [0, 1]
+    assert spawned(prefetcher, "B", 5) == [0, 1]
     assert prefetcher.skipped_admission == 4
 
 
@@ -391,8 +406,9 @@ def test_a_passing_site_is_uncapped():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3)
     drive(sim, cache, prefetcher, used=4, wasted=6)
     prefetcher.rng = CountingRandom(7)
-    assert prefetcher.spawn_gate(SITE, 1, "u0")
-    assert list(prefetcher.spawn_replicas(SITE, "u0", 50)) == list(range(50))
+    room = prefetcher.spawn_gate(SITE, 1, "u0", 0)
+    assert room
+    assert list(prefetcher.spawn_replicas(room, 50)) == list(range(50))
     assert prefetcher.rng.draws == 0
 
 
@@ -400,9 +416,10 @@ def test_a_below_threshold_site_draws_one_coin_per_replica_at_spawn():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.5)
     drive(sim, cache, prefetcher, wasted=10)
     prefetcher.rng = rng = CountingRandom(7)
-    assert prefetcher.spawn_gate(SITE, 1, "u0")
+    room = prefetcher.spawn_gate(SITE, 1, "u0", 0)
+    assert room
     assert rng.draws == 0
-    spawn = prefetcher.spawn_replicas(SITE, "u0", 40)
+    spawn = prefetcher.spawn_replicas(room, 40)
     assert rng.draws == 40
     assert 0 < len(spawn) < 40
     assert prefetcher.skipped_admission == 40 - len(spawn)
@@ -415,7 +432,7 @@ def test_below_threshold_coins_come_before_the_bound():
     sim, cache, prefetcher = build_prefetcher(threshold=0.3, explore=0.5, bound=2)
     drive(sim, cache, prefetcher, wasted=10)
     prefetcher.rng = rng = CountingRandom(7)
-    spawn = prefetcher.spawn_replicas(SITE, "u0", 40)
+    spawn = spawned(prefetcher, "u0", 40)
     # every replica draws; the bound keeps the first two winners
     assert rng.draws == 40 and len(spawn) == 2
     assert prefetcher.skipped_bound + prefetcher.skipped_admission == 38
@@ -441,26 +458,53 @@ def pending_items(learner):
 
 
 def test_learner_spawns_the_first_replicas_up_to_the_cap():
-    proxy = bounded_proxy(2)
+    proxy = bounded_proxy(4)
     learner = proxy.learner
     learn_now(learner, feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
-    # the groups of one observation are each capped at the room left
+    # the groups of one observation share one room: Alpha's three
+    # replicas leave Beta one
     assert pending_items(learner) == [
-        ("Alpha#0", "a1"), ("Alpha#0", "b2"), ("Beta#0", "a1"), ("Beta#0", "b2"),
+        ("Alpha#0", "a1"), ("Alpha#0", "b2"), ("Alpha#0", "c3"), ("Beta#0", "a1"),
     ]
     assert proxy.prefetcher.skipped_bound == 2
     # replicas are aligned with the full list, not the capped one
     assert sorted(i.pred_context["id"] for i in learner._pending) == [
-        "a1", "a1", "b2", "b2",
+        "a1", "a1", "b2", "c3",
+    ]
+
+
+def test_a_group_with_no_room_left_by_earlier_groups_is_refused_whole():
+    proxy = bounded_proxy(2)
+    learner = proxy.learner
+    with PERF.capture():
+        learn_now(learner, feed_transaction(item_ids=("a1", "b2", "c3")), "u1")
+        assert PERF.get("learner.spawn_skipped") == 1
+    assert pending_items(learner) == [("Alpha#0", "a1"), ("Alpha#0", "b2")]
+    # Alpha's c3 cut, Beta's group refused
+    assert proxy.prefetcher.skipped_bound == 2
+
+
+def test_pending_instances_of_earlier_observations_keep_no_bound_room():
+    proxy = bounded_proxy(2)
+    learner, prefetcher = proxy.learner, proxy.prefetcher
+    learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
+    assert learner.pending_count == 2
+    # pending, not open: the next observation gets the whole room
+    assert prefetcher._spawn_caps("Alpha#0", "u1", 0).bound_left == 2
+    learn_now(learner, feed_transaction(item_ids=("c3", "d4")), "u1")
+    assert pending_items(learner) == [
+        ("Alpha#0", "a1"), ("Alpha#0", "b2"), ("Alpha#0", "c3"), ("Alpha#0", "d4"),
     ]
 
 
 def test_submit_backstops_refuse_what_filled_up_after_spawn():
-    # the bound: two feeds spawn against the same empty room
+    # the bound: two feeds spawn against the same empty room, and their
+    # instances, pending across observations, complete into a full one
     proxy = bounded_proxy(2)
     learner = proxy.learner
     learn_now(learner, feed_transaction(item_ids=("a1", "b2")), "u1")
     learn_now(learner, feed_transaction(item_ids=("c3", "d4")), "u1")
+    assert learner.pending_count == 4
     ready_list = learn_now(learner, teach_alpha_transaction(), "u1")
     outcomes = [proxy.prefetcher.submit(r) for r in ready_list]
     assert outcomes == ["started", "started", "skipped_bound", "skipped_bound"]
@@ -483,8 +527,7 @@ def test_submit_backstops_refuse_what_filled_up_after_spawn():
 
 # -- warm-up room: open prefetches plus pending instances ------------------------
 def warmup_room(proxy, site="Alpha#0", user="u1"):
-    _, warmup_left, _ = proxy.prefetcher._spawn_caps(site, user)
-    return warmup_left
+    return proxy.prefetcher._spawn_caps(site, user, 0).warmup_left
 
 
 def test_pending_instances_shrink_the_warmup_room():
