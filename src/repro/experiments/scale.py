@@ -524,7 +524,7 @@ def run_scale(
         if history is not None:
             history.observe(user, request, sim.now)
         started_at = sim.now
-        response = yield sim.spawn(transport_for(user_index).send(request, user))
+        response = yield from transport_for(user_index).send(request, user)
         elapsed = sim.now - started_at
         latencies.append(elapsed)
         state["completed"] += 1

@@ -160,7 +160,8 @@ COUNTERS: Dict[str, str] = {
     "prefetch.issued": "prefetch fetches actually issued",
     "prefetch.queue_peak": "high-water mark of the waiting prefetch queue",
     "prefetch.wasted": "prefetched entries that never served a hit",
-    "sim.events": "simulator events processed",
+    "sim.events": "simulator events processed (heap entries, inline starts and resumes)",
+    "sim.inline_resumes": "waiters resumed inside their finishing child's step",
     "sim.inline_starts": "awaited child processes started inside the parent's step",
     "slo.alerts": "burn-rate alerts raised by the SLO engine",
     "slo.evaluations": "SLO evaluation passes over the live windows",

@@ -3,7 +3,14 @@
 An :class:`Endpoint` is anything that can answer a request inside the
 simulation (origin servers do, and so does the acceleration proxy).
 A :class:`Transport` is the client's view of the network: ``send`` is a
-process that yields the response.
+generator that returns the response.
+
+Both are generators, not processes of their own: a caller in the same
+layer delegates with ``response = yield from transport.send(...)``,
+and :class:`DirectTransport` runs the origin's ``handle`` the same way,
+inside the caller's process.  ``Simulator.spawn`` is kept for work
+that runs concurrently or crosses between the proxy and the harness
+(see :mod:`repro.netsim.sim`).
 
 :class:`DirectTransport` is the no-proxy baseline ("Orig" in the
 paper's figures): the client talks to each origin over its own link
@@ -21,10 +28,13 @@ from repro.netsim.sim import Delay, Simulator
 
 
 class Endpoint:
-    """Anything that answers requests (a process per request)."""
+    """Anything that answers requests (a generator per request)."""
 
     def handle(self, request: Request, user: str) -> Generator:
-        """Process yielding sim primitives; returns a :class:`Response`."""
+        """Generator yielding sim primitives; returns a :class:`Response`.
+
+        Callers delegate to it (``yield from``) inside their own process.
+        """
         raise NotImplementedError
 
 
@@ -59,7 +69,7 @@ class Transport:
     """Client-side request interface."""
 
     def send(self, request: Request, user: str) -> Generator:
-        """Process returning the :class:`Response`."""
+        """Generator returning the :class:`Response`."""
         raise NotImplementedError
 
 
@@ -95,7 +105,7 @@ class DirectTransport(Transport):
         request_size = request.wire_size()
         yield Delay(self.access_link.transfer_delay(self.sim.now, request_size))
         yield Delay(origin_link.transfer_delay(self.sim.now, request_size))
-        response = yield self.sim.spawn(endpoint.handle(request, user))
+        response = yield from endpoint.handle(request, user)
         response_size = response.wire_size()
         yield Delay(origin_link.transfer_delay(self.sim.now, response_size))
         yield Delay(self.access_link.transfer_delay(self.sim.now, response_size))

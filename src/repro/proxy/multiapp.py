@@ -5,6 +5,13 @@ routed to the per-app :class:`AccelerationProxy` whose signature set
 claims the request's origin; unknown origins pass straight through to
 the network.  Each app keeps its own learner, cache, configuration,
 and statistics — exactly as if it had a dedicated proxy.
+
+Routing is a plain call that returns the serving generator, so a
+demand request runs three simulator processes: the client's replay
+(with :meth:`MultiAppTransport.send` delegated inside it), the app
+proxy's ``handle_request`` that the transport spawns, and the
+``origin_fetch`` that the proxy spawns on a miss (with the origin's
+handler delegated inside it).
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.httpmsg.message import Request
-from repro.metrics.trace import TRACER
+from repro.metrics.trace import TRACER, TraceContext
 from repro.netsim.link import Link
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import OriginMap, Transport
@@ -56,22 +63,30 @@ class MultiAppProxy:
         return self._by_origin.get(request.uri.origin())
 
     def handle_request(self, request: Request, user: str) -> Generator:
-        # the routing boundary owns the request's trace: it is begun
-        # here (sampling decided once per request) and handed down into
-        # the per-app proxy, so one record holds the app tag plus every
-        # inner stage span
+        """Route one request; returns the generator that serves it.
+
+        A plain call, not a process: the client transport spawns what
+        it returns, so the routing lookup costs no process of its own.
+        The routing boundary begins the request's trace (sampling is
+        decided once per request here), stamps the app and hands the
+        trace to whoever serves it: the app's
+        :meth:`AccelerationProxy.handle_request`, which finishes it, or
+        the pass-through forward for origins no app claims.
+        """
         trace = TRACER.begin(user) if TRACER.enabled else None
-        proxy = self.app_for(request)
+        origin = request.uri.origin()
+        proxy = self._by_origin.get(origin)
         if proxy is not None:
             if trace is not None:
-                trace.app = self._name_by_origin.get(request.uri.origin())
-            response = yield self.sim.spawn(
-                proxy.handle_request(request, user, trace=trace)
-            )
-            TRACER.finish(trace)
-            return response
-        # unknown app traffic: plain forwarding, no acceleration
+                trace.app = self._name_by_origin.get(origin)
+            return proxy.handle_request(request, user, trace=trace)
         self.passthrough += 1
+        return self._forward(request, user, trace)
+
+    def _forward(
+        self, request: Request, user: str, trace: Optional[TraceContext]
+    ) -> Generator:
+        """Process: unknown app traffic, plain forwarding, no acceleration."""
         span = None
         if trace is not None:
             trace.app = "_passthrough"
@@ -101,7 +116,11 @@ class MultiAppProxy:
 
 
 class MultiAppTransport(Transport):
-    """Client transport through a shared multi-app proxy."""
+    """Client transport through a shared multi-app proxy.
+
+    ``send`` runs inside the caller's process; it spawns what routing
+    returns, the one crossing from the harness into the proxy.
+    """
 
     def __init__(self, sim: Simulator, access_link: Link, proxy: MultiAppProxy) -> None:
         self.sim = sim

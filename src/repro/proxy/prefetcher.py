@@ -87,14 +87,18 @@ class SpawnRoom(NamedTuple):
 def origin_fetch(
     sim: Simulator, origins: OriginMap, request: Request, user: str
 ) -> Generator:
-    """Process: proxy → origin round trip; returns (response, bytes)."""
+    """Process: proxy → origin round trip; returns (response, bytes).
+
+    The proxy spawns it (the call crosses into the simulated network);
+    the origin handler runs inside it as a plain generator call.
+    """
     endpoint = origins.endpoint_for(request)
     if endpoint is None:
         return Response(502), request.wire_size()
     link = origins.link_for(request)
     request_size = request.wire_size()
     yield Delay(link.transfer_delay(sim.now, request_size))
-    response = yield sim.spawn(endpoint.handle(request, user))
+    response = yield from endpoint.handle(request, user)
     response_size = response.wire_size()
     yield Delay(link.transfer_delay(sim.now, response_size))
     return response, request_size + response_size

@@ -77,16 +77,15 @@ class AccelerationProxy:
         """Process: Fig. 10's per-request workflow; returns Response.
 
         ``trace`` is an optional request-lifecycle trace context (one
-        span per stage); when ``None`` and the global tracer is armed,
-        this proxy begins (and finishes) its own.  Callers that begin
-        the trace — e.g. :class:`~repro.proxy.multiapp.MultiAppProxy`
-        — keep ownership and finish it themselves.
+        span per stage), begun by the routing boundary
+        (:meth:`~repro.proxy.multiapp.MultiAppProxy.handle_request`)
+        and handed over with the request; when ``None`` and the global
+        tracer is armed, this proxy begins its own.  Either way this
+        process finishes the trace it served under.
         """
         self.client_bytes += request.wire_size()
-        owns_trace = trace is None and TRACER.enabled
-        if owns_trace:
+        if trace is None and TRACER.enabled:
             trace = TRACER.begin(user)
-            owns_trace = trace is not None
         span = trace.start_span("match") if trace is not None else None
         with PERF.stage("proxy.dispatch"):
             signature = self.learner.signature_for(request)
@@ -150,8 +149,7 @@ class AccelerationProxy:
         self.pump_learning(trace)
         if trace is not None:
             trace.tag("served", "prefetched" if prefetched else "origin")
-            if owns_trace:
-                TRACER.finish(trace)
+            TRACER.finish(trace)
         return response
 
     # ------------------------------------------------------------------

@@ -205,7 +205,7 @@ BOUNDED_FIVE_APP_GOLDEN = {
     "prefetch_wasted": 0,
     "served_prefetched": 52,
     "peak_cache_entries": 148,
-    "sim_events": 3243,
+    "sim_events": 2219,
     "skipped_bound": 675,
 }
 
