@@ -12,10 +12,10 @@ from repro.analysis.pipeline import AnalysisOptions, analyze_apk
 from repro.apps import all_apps
 
 ABLATIONS = [
-    ("full", AnalysisOptions(run_slicing=False)),
-    ("no intents", AnalysisOptions(run_slicing=False, intent_support=False)),
-    ("no rx", AnalysisOptions(run_slicing=False, rx_support=False)),
-    ("no alias/heap", AnalysisOptions(run_slicing=False, precise_heap=False)),
+    ("full", AnalysisOptions()),
+    ("no intents", AnalysisOptions(intent_support=False)),
+    ("no rx", AnalysisOptions(rx_support=False)),
+    ("no alias/heap", AnalysisOptions(precise_heap=False)),
 ]
 
 

@@ -2,18 +2,17 @@
 
 Pipeline (see :func:`repro.analysis.pipeline.analyze_apk`):
 
-1. **Network-aware taint analysis** — :mod:`repro.analysis.defuse`,
-   :mod:`repro.analysis.slicing`, :mod:`repro.analysis.alias`: def-use
-   chains over the IR, backward slices from every ``Http.execute``
-   site (request side) and forward slices from response values, with
-   on-demand alias resolution through heap fields.
-2. **Signature building** — :mod:`repro.analysis.interp`: abstract
-   interpretation of every entry point over the symbolic value domain
-   (:mod:`repro.analysis.absval`), reconstructing request templates
-   (constants, run-time wildcards, response-derived fields) and
-   response access paths, forking on run-time branch conditions to
-   enumerate body variants (Fig. 8), flowing values through Intents
-   (the Intent map) and RxAndroid operators.
+1. **Network-aware taint analysis** — :mod:`repro.analysis.interp`:
+   sink-driven abstract interpretation of every entry point forward to
+   the ``Http.execute`` sites over the symbolic value domain
+   (:mod:`repro.analysis.absval`).  Values carry their origin (constant,
+   run-time wildcard, response field), so request templates and
+   response access paths come out of one pass: heap objects are shared
+   by reference (aliased stores resolve), run-time branch conditions
+   fork to enumerate body variants (Fig. 8), and values flow through
+   Intents (the Intent map) and RxAndroid operators.
+2. **Signature building** — :mod:`repro.analysis.signatures`: merges
+   each site's snapshots into one transaction signature.
 3. **Dependency analysis** — :mod:`repro.analysis.dependency`: turns
    response-derived atoms inside request templates into
    inter-transaction dependency edges, computes chains and fan-out.

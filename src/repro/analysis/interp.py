@@ -64,22 +64,24 @@ from repro.apk.program import ApkFile, Component
 from repro.httpmsg.fieldpath import ALL, FieldPath
 
 
-class InterpOptions:
-    """Analysis feature switches (the paper's three extensions)."""
+#: interpretation stops descending into calls this deep (bounds recursion)
+MAX_CALL_DEPTH = 24
+#: a ``ForEach`` over an app-built list interprets at most this many items
+MAX_LIST_ITERATIONS = 8
+
+
+class AnalysisOptions:
+    """Analysis feature switches (the paper's three §4.1 extensions)."""
 
     def __init__(
         self,
         intent_support: bool = True,
         rx_support: bool = True,
         precise_heap: bool = True,
-        max_call_depth: int = 24,
-        max_list_iterations: int = 8,
     ) -> None:
         self.intent_support = intent_support
         self.rx_support = rx_support
         self.precise_heap = precise_heap
-        self.max_call_depth = max_call_depth
-        self.max_list_iterations = max_list_iterations
 
 
 class SiteSnapshot:
@@ -131,9 +133,9 @@ class _Frame:
 class AbstractInterpreter:
     """Whole-app abstract interpretation pass."""
 
-    def __init__(self, apk: ApkFile, options: Optional[InterpOptions] = None) -> None:
+    def __init__(self, apk: ApkFile, options: Optional[AnalysisOptions] = None) -> None:
         self.apk = apk
-        self.options = options or InterpOptions()
+        self.options = options or AnalysisOptions()
         self.recorder = SiteRecorder()
         self._site_names: Dict[int, str] = {}
         self._branch_names: Dict[int, str] = {}
@@ -227,7 +229,7 @@ class AbstractInterpreter:
     # method / block interpretation
     # ------------------------------------------------------------------
     def _interp_method(self, ref: MethodRef, args: List[AVal]) -> AVal:
-        if self._call_depth >= self.options.max_call_depth:
+        if self._call_depth >= MAX_CALL_DEPTH:
             return AUnknown("depth:{}".format(ref.to_string()))
         method = self.apk.resolve(ref)
         frame = _Frame(dict(zip(method.params, args)))
@@ -315,7 +317,7 @@ class AbstractInterpreter:
             frame.env[instruction.var] = element
             self._interp_block(instruction.body, frame)
         elif isinstance(source, AList):
-            for item in source.items[: self.options.max_list_iterations]:
+            for item in source.items[:MAX_LIST_ITERATIONS]:
                 frame.env[instruction.var] = item
                 self._interp_block(instruction.body, frame)
         else:

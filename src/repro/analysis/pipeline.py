@@ -1,9 +1,9 @@
 """End-to-end static analysis entry point.
 
 ``analyze_apk`` is the one call the rest of the framework uses: it
-validates the program, runs the network-aware taint/slicing pass (for
-diagnostics and the paper's coverage accounting), abstract-interprets
-every entry point, builds signatures, and extracts dependencies.
+validates the program, abstract-interprets every entry point forward
+to the ``Http.execute`` sinks, builds signatures, and extracts
+dependencies.
 """
 
 from __future__ import annotations
@@ -11,19 +11,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.dependency import extract_dependencies
-from repro.analysis.interp import AbstractInterpreter, InterpOptions
+from repro.analysis.interp import AbstractInterpreter, AnalysisOptions
 from repro.analysis.model import AnalysisResult
 from repro.analysis.signatures import build_signatures
 from repro.apk.program import ApkFile
 from repro.apk.validate import validate_apk
-
-
-class AnalysisOptions(InterpOptions):
-    """Options for the full pipeline (superset of interpreter options)."""
-
-    def __init__(self, run_slicing: bool = True, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.run_slicing = run_slicing
 
 
 def analyze_apk(apk: ApkFile, options: Optional[AnalysisOptions] = None) -> AnalysisResult:
@@ -33,17 +25,8 @@ def analyze_apk(apk: ApkFile, options: Optional[AnalysisOptions] = None) -> Anal
     network-aware static taint analysis, signature building, dependency
     analysis).
     """
-    options = options or AnalysisOptions()
     validate_apk(apk)
-    interpreter = AbstractInterpreter(apk, options)
-    recorder = interpreter.run()
+    recorder = AbstractInterpreter(apk, options).run()
     signatures = build_signatures(recorder)
     dependencies = extract_dependencies(signatures)
-    result = AnalysisResult(apk.package, signatures, dependencies)
-    if options.run_slicing:
-        # taint/slicing diagnostics: how much of the program feeds each
-        # transaction (reported, and exercised by the test suite)
-        from repro.analysis.slicing import slice_report
-
-        result.slices = slice_report(apk)
-    return result
+    return AnalysisResult(apk.package, signatures, dependencies)

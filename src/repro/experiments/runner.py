@@ -418,10 +418,10 @@ def ablation_analysis_rows() -> List[Dict[str, object]]:
     from repro.analysis.pipeline import AnalysisOptions, analyze_apk
 
     variants = [
-        ("full", AnalysisOptions(run_slicing=False)),
-        ("no_intents", AnalysisOptions(run_slicing=False, intent_support=False)),
-        ("no_rx", AnalysisOptions(run_slicing=False, rx_support=False)),
-        ("no_alias", AnalysisOptions(run_slicing=False, precise_heap=False)),
+        ("full", AnalysisOptions()),
+        ("no_intents", AnalysisOptions(intent_support=False)),
+        ("no_rx", AnalysisOptions(rx_support=False)),
+        ("no_alias", AnalysisOptions(precise_heap=False)),
     ]
     rows: List[Dict[str, object]] = []
     for name, spec in all_apps().items():

@@ -49,7 +49,7 @@ import time
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.analysis.model import AnalysisResult
-from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+from repro.analysis.pipeline import analyze_apk
 from repro.apps.registry import get_app
 from repro.device.runtime import AppRuntime
 from repro.httpmsg.cookies import CookieJar
@@ -290,7 +290,7 @@ class _ScaleDeployment:
                     endpoint,
                     app_origins.link_for(Request("GET", _origin_uri(origin))),
                 )
-            analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
+            analysis = analyze_apk(spec.build_apk())
             cache = PrefetchCache(max_entries_per_user=max_entries_per_user)
             proxy = AccelerationProxy(self.sim, app_origins, analysis, cache=cache)
             if admission_threshold is not None:

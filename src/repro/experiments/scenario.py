@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.model import AnalysisResult
-from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+from repro.analysis.pipeline import analyze_apk
 from repro.apk.program import ApkFile
 from repro.apps.base import AppSpec
 from repro.apps.registry import get_app
@@ -94,7 +94,7 @@ def prepare_app(
         return prepared
     spec = get_app(name)
     apk = spec.build_apk()
-    analysis = analyze_apk(apk, AnalysisOptions(run_slicing=False))
+    analysis = analyze_apk(apk)
     config, report = run_verification(
         apk,
         analysis,

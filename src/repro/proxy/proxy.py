@@ -76,16 +76,14 @@ class AccelerationProxy:
     ) -> Generator:
         """Process: Fig. 10's per-request workflow; returns Response.
 
-        ``trace`` is an optional request-lifecycle trace context (one
-        span per stage), begun by the routing boundary
-        (:meth:`~repro.proxy.multiapp.MultiAppProxy.handle_request`)
-        and handed over with the request; when ``None`` and the global
-        tracer is armed, this proxy begins its own.  Either way this
+        ``trace`` is the request-lifecycle trace context (one span per
+        stage), or ``None`` when the request is not sampled.  The entry
+        boundary begins it, so sampling is drawn once per request:
+        routing (:meth:`~repro.proxy.multiapp.MultiAppProxy.handle_request`)
+        or, for a single app, :meth:`ProxiedTransport.send`.  This
         process finishes the trace it served under.
         """
         self.client_bytes += request.wire_size()
-        if trace is None and TRACER.enabled:
-            trace = TRACER.begin(user)
         span = trace.start_span("match") if trace is not None else None
         with PERF.stage("proxy.dispatch"):
             signature = self.learner.signature_for(request)
@@ -225,7 +223,11 @@ class ProxiedTransport(Transport):
     def send(self, request: Request, user: str) -> Generator:
         request_size = request.wire_size()
         yield Delay(self.access_link.transfer_delay(self.sim.now, request_size))
-        response = yield self.sim.spawn(self.proxy.handle_request(request, user))
+        # the entry boundary draws the request's one sampling decision
+        trace = TRACER.begin(user) if TRACER.enabled else None
+        response = yield self.sim.spawn(
+            self.proxy.handle_request(request, user, trace=trace)
+        )
         response_size = response.wire_size()
         yield Delay(self.access_link.transfer_delay(self.sim.now, response_size))
         return response

@@ -6,10 +6,10 @@ The repo's determinism story hangs on one discipline: every
 caller — controls the stream.  A literal seed silently pins a stream
 two sweeps will share; a clock seed destroys replay outright.
 
-This is the same question :mod:`repro.analysis.defuse` answers for the
-mini-IR (which definitions reach this use?), scaled down to what lint
-needs: an intra-function reaching-definitions walk over simple-Name
-assignments, classifying the seed expression's *ingredients*:
+The question is the classic reaching-definitions one (which
+definitions reach this use?), scaled down to what lint needs: an
+intra-function walk over simple-Name assignments, classifying the seed
+expression's *ingredients*:
 
 ``param``
     derives from a function parameter, an attribute/subscript read

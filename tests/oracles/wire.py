@@ -1,9 +1,10 @@
-"""HTTP/1.1 wire-format serialization and parsing.
+"""HTTP/1.1 wire-format serialization and parsing (test reference code).
 
-The simulator passes message *objects* between hosts, but signatures,
-logs, and the verification phase all need a canonical textual form, and
-round-tripping through it is a correctness check the property-based
-tests rely on.
+The simulator passes message *objects* between hosts and never puts
+them on a wire, so nothing under ``src/`` renders this form.  The tests
+use it as a canonical textual form: the differential tests compare
+learned requests through it, and the property-based tests round-trip
+messages through it.
 """
 
 from __future__ import annotations

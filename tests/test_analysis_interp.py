@@ -184,6 +184,45 @@ def test_heap_ablation_loses_alias_routed_dependency():
     assert not template.dep_atoms()
 
 
+def build_field_chain_app():
+    """``this.ctx.child.token`` stored in onStart, read in another method."""
+    app = AppBuilder("com.test.chain")
+    app.config_default("api_host", "https://a.com")
+    m = MethodBuilder("onStart", params=["this", "intent"])
+    inner = m.new("Inner")
+    m.put_field(inner, "token", m.const("secret"))
+    outer = m.new("Outer")
+    m.put_field(outer, "child", inner)
+    m.put_field("this", "ctx", outer)
+    m.call("Main.use", "this")
+    app.method("Main", m)
+
+    m = MethodBuilder("use", params=["this"])
+    outer = m.get_field("this", "ctx")
+    inner = m.get_field(outer, "child")
+    token = m.get_field(inner, "token")
+    url = m.concat(m.config("api_host"), m.const("/x?t="), token)
+    m.execute(m.new_request("GET", url))
+    app.method("Main", m)
+    app.component("main", "Main", screen="home", main=True)
+    app.screen("home")
+    return app.build()
+
+
+def test_three_level_field_chain_resolved():
+    """The chain resolves through shared heap objects; the ablation loses it."""
+    for precise_heap, expected in (
+        (True, "ValueTemplate(C:'secret')"),
+        (False, "ValueTemplate(U:field:token)"),
+    ):
+        result = analyze_apk(
+            build_field_chain_app(), AnalysisOptions(precise_heap=precise_heap)
+        )
+        (signature,) = result.signatures
+        template = signature.request.fields[FieldPath.parse("query.t")]
+        assert repr(template) == expected
+
+
 def test_full_analysis_beats_every_ablation():
     full = analyze_apk(build_test_app()).summary()["dependencies"]
     for options in (

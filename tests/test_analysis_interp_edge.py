@@ -1,8 +1,8 @@
 """Edge-case tests for the abstract interpreter."""
 
 
-from repro.analysis.interp import AbstractInterpreter, InterpOptions
-from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+from repro.analysis.interp import MAX_LIST_ITERATIONS, AbstractInterpreter
+from repro.analysis.pipeline import analyze_apk
 from repro.apk.builder import AppBuilder, Lit, MethodBuilder
 from repro.httpmsg.fieldpath import FieldPath
 
@@ -76,7 +76,7 @@ def test_call_depth_guard_terminates():
         app.method("Main", helper2)
 
     # the depth bound cuts the recursion; analysis must terminate
-    result = analyze_apk(shell(build, extra), AnalysisOptions(run_slicing=False))
+    result = analyze_apk(shell(build, extra))
     assert result.signatures == []
 
 
@@ -167,8 +167,6 @@ def test_site_merging_across_two_callers():
 
 
 def test_max_list_iterations_bounds_work():
-    options = InterpOptions(max_list_iterations=2)
-
     def build(app, m):
         items = m.invoke("List.new")
         for index in range(10):
@@ -178,7 +176,7 @@ def test_max_list_iterations_bounds_work():
             m.execute(req)
 
     apk = shell(build)
-    interpreter = AbstractInterpreter(apk, options)
-    recorder = interpreter.run()
+    recorder = AbstractInterpreter(apk).run()
     site = next(iter(recorder.snapshots))
-    assert len(recorder.snapshots[site]) == 2  # bounded, not 10
+    assert MAX_LIST_ITERATIONS == 8
+    assert len(recorder.snapshots[site]) == 8  # bounded, not 10

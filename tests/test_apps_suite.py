@@ -1,8 +1,10 @@
 """Cross-app structural tests: all five evaluated apps."""
 
+import hashlib
+
 import pytest
 
-from repro.analysis import analyze_apk
+from repro.analysis import analyze_apk, dump_signatures
 from repro.apps import all_apps, app_names, get_app
 from repro.device.runtime import AppRuntime
 from repro.netsim.link import Link
@@ -37,6 +39,41 @@ def test_analysis_finds_dependencies(spec):
     assert summary["prefetchable"] >= 3
     assert summary["dependencies"] >= 4
     assert summary["max_chain"] >= 3
+
+
+# each app's summary (signatures, prefetchable, dependencies, max_chain)
+# and the SHA-256 of its signature file, as the analysis writes them
+PINNED_SIGNATURE_FILES = {
+    "wish": (
+        (13, 11, 17, 5),
+        "5b0694406ae13eed7587ec0c4536013393fc964ad735fce3e160da91aa86d915",
+    ),
+    "geek": (
+        (9, 7, 11, 3),
+        "a0785f77ab4e919940ec38dafb4b818fec45161ea9f559aa7438e247a595a2a1",
+    ),
+    "doordash": (
+        (10, 8, 9, 5),
+        "db3d65cd85e1dbf3b670d479a6d6604a1b72ff4d76106b4776841bc3abbf8578",
+    ),
+    "purple_ocean": (
+        (8, 6, 6, 3),
+        "0e1b2820520f08df1ece4b259f4eea80be14311aebd54a11c0c3e4f5aa77b97e",
+    ),
+    "postmates": (
+        (11, 9, 10, 5),
+        "101f5d57e6576d296140610fa701831c516b136009cb85b7c6a7a7dc101833ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIGNATURE_FILES))
+def test_signature_file_is_pinned(name):
+    result = analyze_apk(get_app(name).build_apk())
+    summary, digest = PINNED_SIGNATURE_FILES[name]
+    assert tuple(result.summary().values()) == summary
+    text = dump_signatures(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec", APPS, ids=lambda s: s.name)

@@ -172,14 +172,12 @@ def test_child_keeps_occurrence():
 # -- the memoised textual form ------------------------------------------------
 def plan_paths():
     """Every path the five apps' build plans and dependency edges hold."""
-    from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+    from repro.analysis.pipeline import analyze_apk
     from repro.apps.registry import all_apps, get_app
     from repro.proxy.instances import build_runtime_signatures
 
     for name in all_apps():
-        analysis = analyze_apk(
-            get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
-        )
+        analysis = analyze_apk(get_app(name).build_apk())
         for signature in build_runtime_signatures(analysis):
             plan = signature.build_plan
             for row in [plan.uri] + plan.rows:

@@ -1,10 +1,10 @@
-"""Tests for repro.httpmsg.wire (HTTP/1.1 round trips)."""
+"""Tests for the HTTP/1.1 wire-format oracle (round trips)."""
 
 from repro.httpmsg.body import BlobBody, EmptyBody, FormBody, JsonBody, TextBody
 from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri
-from repro.httpmsg.wire import (
+from tests.oracles.wire import (
     parse_request,
     parse_response,
     serialize_request,

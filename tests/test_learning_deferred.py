@@ -42,7 +42,7 @@ from repro.analysis.model import (
     UnknownAtom,
     ValueTemplate,
 )
-from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+from repro.analysis.pipeline import analyze_apk
 from repro.apps import all_apps
 from repro.apps.registry import get_app
 from repro.experiments.scale import record_session_transactions
@@ -51,12 +51,12 @@ from repro.httpmsg.fieldpath import FieldPath
 from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.httpmsg.uri import Uri
-from repro.httpmsg.wire import serialize_request
 from repro.proxy.instances import is_per_user_tag
 from repro.proxy.learning import DynamicLearner, ReadyPrefetch
 from tests.learn_helpers import learn_now
 from tests.oracles.inline_learner import InlineLearner, inline_learners
 from tests.oracles.naive_build import build_naive
+from tests.oracles.wire import serialize_request
 from tests.test_proxy_learning import (
     detail_transaction,
     feed_transaction,
@@ -322,9 +322,7 @@ def _assert_zoo_matches_rescan(steps):
 
 def _app_fixture(name):
     transactions = record_session_transactions(name)
-    analysis = analyze_apk(
-        get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
-    )
+    analysis = analyze_apk(get_app(name).build_apk())
     return transactions, analysis
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import analyze_apk
 from repro.apps import get_app
 from repro.device.runtime import AppRuntime
+from repro.experiments.scale import run_scale
 from repro.httpmsg.body import JsonBody
 from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri
@@ -30,7 +31,7 @@ from repro.metrics.trace import (
 from repro.netsim.link import Link
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import Endpoint, OriginMap
-from repro.proxy import AccelerationProxy
+from repro.proxy import AccelerationProxy, ProxiedTransport
 from repro.proxy.cache import PrefetchCache
 from repro.proxy.multiapp import MultiAppProxy, MultiAppTransport
 from repro.server.content import Catalog
@@ -375,3 +376,38 @@ def test_trace_spans_carry_virtual_time(env):
     assert fetches
     # origin round trips take simulated RTTs, not wall time
     assert any(span.get("sim_ms", 0) > 1.0 for span in fetches)
+
+
+def test_one_sampling_draw_per_routed_request():
+    # routing draws the request's sampling decision and the app proxy
+    # serves under what it is handed, so a request behind MultiAppProxy
+    # is sampled at the configured rate, not at 1 - (1 - r)^2
+    row = run_scale(
+        users=40, duration=10, apps=("wish",), strategy="none", trace_sample=0.25
+    )
+    stats = row["trace"]
+    assert row["requests"] > 100
+    assert stats["started"] == row["requests"]
+    assert 0 < stats["sampled"] < row["requests"]
+
+
+def test_single_app_transport_traces_each_request_once():
+    spec = get_app("wish")
+    sim = Simulator()
+    origins, _ = spec.build_origin_map(sim, Catalog())
+    proxy = AccelerationProxy(sim, origins, analyze_apk(spec.build_apk()))
+    runtime = AppRuntime(
+        spec.build_apk(),
+        ProxiedTransport(sim, Link(rtt=0.055, shared=True), proxy),
+        sim,
+        spec.default_profile("alice"),
+    )
+    with TRACER.capture(sim_clock=lambda: sim.now):
+        sim.run_process(runtime.launch())
+        requests = [r for r in TRACER.records() if r["kind"] == "request"]
+        prefetches = [r for r in TRACER.records() if r["kind"] == "prefetch"]
+        assert TRACER.started == len(requests) + len(prefetches)
+    assert len(requests) == proxy.forwarded + proxy.served_prefetched > 0
+    for record in requests:
+        assert validate_record(record) == []
+        assert record["tags"]["served"] in ("origin", "prefetched")

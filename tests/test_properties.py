@@ -10,16 +10,16 @@ from repro.httpmsg.fieldpath import FieldPath
 from repro.httpmsg.headers import Headers
 from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri, quote, unquote
-from repro.httpmsg.wire import (
+from repro.metrics.stats import cdf_points, mean, median, percentile
+from repro.netsim.link import Link
+from repro.netsim.sim import Delay, Simulator
+from repro.proxy.cache import PrefetchCache
+from tests.oracles.wire import (
     parse_request,
     parse_response,
     serialize_request,
     serialize_response,
 )
-from repro.metrics.stats import cdf_points, mean, median, percentile
-from repro.netsim.link import Link
-from repro.netsim.sim import Delay, Simulator
-from repro.proxy.cache import PrefetchCache
 
 # -- strategies ---------------------------------------------------------------
 printable_text = st.text(

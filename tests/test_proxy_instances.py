@@ -286,7 +286,7 @@ def test_build_plan_shared_across_replicas():
 
 
 def test_plan_build_matches_naive_oracle_complete():
-    from repro.httpmsg.wire import serialize_request
+    from tests.oracles.wire import serialize_request
 
     signature = successor_signature()
     store = ValueStore()
@@ -324,7 +324,7 @@ def test_build_reads_relearned_value():
 
 
 def test_plan_variant_choice_matches_naive():
-    from repro.httpmsg.wire import serialize_request
+    from tests.oracles.wire import serialize_request
 
     fields = {
         FieldPath.parse("body.a"): ValueTemplate.const("1"),

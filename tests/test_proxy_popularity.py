@@ -127,7 +127,6 @@ def test_popularity_recorded_from_client_traffic(analysis):
 
 # -- plan-driven item keys against the seed's template walk ----------------------
 def test_plan_driven_item_key_matches_seed_walk_on_recorded_sessions():
-    from repro.analysis.pipeline import AnalysisOptions
     from repro.apps import all_apps
     from repro.apps.registry import get_app
     from repro.experiments.scale import record_session_transactions
@@ -138,7 +137,7 @@ def test_plan_driven_item_key_matches_seed_walk_on_recorded_sessions():
     checked = keyed = 0
     for name in all_apps():
         spec = get_app(name)
-        analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
+        analysis = analyze_apk(spec.build_apk())
         matcher = SignatureMatcher(build_runtime_signatures(analysis))
         for transaction in record_session_transactions(name):
             request = transaction.request

@@ -436,13 +436,11 @@ def test_uri_unresolved_registers_every_read_key():
 def five_app_learners():
     """One learner per app, after three users replayed its recorded
     session through it."""
-    from repro.analysis.pipeline import AnalysisOptions, analyze_apk
+    from repro.analysis.pipeline import analyze_apk
     from repro.apps.registry import get_app
 
     for name in all_apps():
-        analysis = analyze_apk(
-            get_app(name).build_apk(), AnalysisOptions(run_slicing=False)
-        )
+        analysis = analyze_apk(get_app(name).build_apk())
         learner = DynamicLearner(analysis)
         transactions = record_session_transactions(name)
         for user in ("u1", "u2", "u3"):
