@@ -2,7 +2,8 @@
 
 A fig15-style sweep (all apps x RTTs) runs serially and over a 4-job
 process pool, both after every app's phases 1-2 are memoized, and the
-result goes to ``BENCH_experiments.json`` at the repo root.  Rows must be byte-identical.  The wall-clock speedup is
+result goes to ``BENCH_experiments.json`` in the ``--bench-out``
+directory.  Rows must be byte-identical.  The wall-clock speedup is
 recorded, and asserted (>= 2x) only on machines with >= 4 cores, since
 a 1-core container cannot physically show it.  On *any* machine the
 parallel entry point must not lose to serial by more than noise: with
@@ -14,8 +15,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
-
 import pytest
 
 from conftest import banner
@@ -23,7 +22,7 @@ from conftest import banner
 from repro.apps.registry import all_apps
 from repro.experiments import parallel, scenario
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_experiments.json"
+ARTIFACT = "BENCH_experiments.json"
 
 SWEEP_RTTS = (0.050, 0.100)
 SWEEP_PARTICIPANTS = 4
@@ -31,7 +30,7 @@ SWEEP_JOBS = 4
 
 
 @pytest.mark.bench
-def test_perf_experiments():
+def test_perf_experiments(bench_out):
     result = {"cpu_count": os.cpu_count(), "jobs": SWEEP_JOBS}
 
     params = {"rtts": SWEEP_RTTS, "participants": SWEEP_PARTICIPANTS}
@@ -79,5 +78,6 @@ def test_perf_experiments():
     if (os.cpu_count() or 1) >= SWEEP_JOBS:
         assert speedup >= 2.0
 
-    ARTIFACT.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print("wrote {}".format(ARTIFACT.name))
+    artifact = bench_out / ARTIFACT
+    artifact.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print("wrote {}".format(artifact))

@@ -1,21 +1,23 @@
 """Learn-stage benchmark: the learn queue vs the inline oracle.
 
-Section 1 serves one identical 1k-user open-loop workload twice: once
-through a deployment whose learners are the seed's learn-on-observe
-oracle (``tests/oracles/inline_learner.py``), once through the shipped
-learners.  It asserts the same served workload, and that the
-``proxy.learn`` stage p99 is at least 3× lower when shipped.  That gate
-measures what the ``proxy.learn`` stage times — match + enqueue when
-shipped, the whole learn pipeline in the oracle — not a latency
-change: the shipped drain (``proxy.learn_drain``) still runs before the
-response returns, at the same sim instant.  Section 2 micro-benchmarks
+Section 1 serves one identical 1k-user open-loop workload twice, fully
+traced (``trace_sample=1.0``): once through a deployment whose learners
+are the seed's learn-on-observe oracle
+(``tests/oracles/inline_learner.py``), once through the shipped
+learners.  It asserts the same served workload, and that the ``learn``
+span p99 is at least 3× lower when shipped.  That gate measures what
+the ``learn`` span times — the enqueue when shipped, the whole learn
+pipeline in the oracle — not a latency change: the shipped drain (the
+``learn_drain`` span) still runs before the response returns, at the
+same sim instant.  Section 2 micro-benchmarks
 instance builds: N replicated instances each built in one pass
 (``RequestInstance.try_build``) through the shared
 :class:`SignatureBuildPlan` they are copied on write from, vs the
 seed's per-build atom walk (``tests/oracles/naive_build.py``),
 reported as replicas/µs over several alternating rounds and gated on
-the median plan/naive ratio.  Both sections land in ``BENCH_learn.json``;
-the headline row appends to ``bench_tables.txt``.
+the median plan/naive ratio.  Both sections land in ``BENCH_learn.json``
+in the ``--bench-out`` directory; the headline rows append to
+``bench_tables.txt`` there.
 """
 
 from __future__ import annotations
@@ -46,16 +48,19 @@ from repro.proxy.instances import (
 from tests.oracles.inline_learner import inline_learners
 from tests.oracles.naive_build import build_naive
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_learn.json"
-TABLES = Path(__file__).resolve().parent.parent / "bench_tables.txt"
+ARTIFACT = "BENCH_learn.json"
+TABLES = "bench_tables.txt"
 BUDGETS = Path(__file__).resolve().parent / "perf_budgets.json"
 
 USERS = 1_000
 DURATION = 1.0  # ~500 expected arrivals, matching the scale bench cell
 RATE = 0.5
 SEED = 0
-#: the acceptance gate: shipped proxy.learn p99 vs the inline oracle's
+#: the acceptance gate: shipped learn-span p99 vs the inline oracle's
 SPEEDUP_GATE = 3.0
+#: the span rows section 1 reads, and the one its gates compare
+LEARN_SPANS = ("span:match", "span:learn", "span:learn_drain")
+LEARN_SPAN = "span:learn"
 
 #: COW micro-bench: replicas per spawn burst × bursts, timed over this
 #: many alternating naive/plan rounds and gated on the median ratio
@@ -73,11 +78,11 @@ def _learn_stages(row):
             "count": stats["count"],
         }
         for stage, stats in stages.items()
-        if stage in ("proxy.dispatch", "proxy.learn", "proxy.learn_drain")
+        if stage in LEARN_SPANS
     }
 
 
-def test_perf_learn_modes(benchmark):
+def test_perf_learn_modes(benchmark, bench_out):
     def sweep():
         with inline_learners() as oracle_learners:
             oracle = _ScaleDeployment(DEFAULT_APPS)
@@ -89,6 +94,7 @@ def test_perf_learn_modes(benchmark):
                 DURATION,
                 rate_per_user=RATE,
                 seed=SEED,
+                trace_sample=1.0,
                 _deployment=deployment,
             )
         return rows
@@ -96,7 +102,7 @@ def test_perf_learn_modes(benchmark):
     rows = run_once(benchmark, sweep)
     inline, shipped = rows["inline"], rows["shipped"]
 
-    banner("Learn stage: proxy.learn, inline oracle vs shipped queue")
+    banner("Learn stage: learn span, inline oracle vs shipped queue")
     print(
         "{:>10} {:>9} {:>10} {:>10} {:>12} {:>12} {:>8}".format(
             "mode", "requests", "learn_p50", "learn_p99",
@@ -105,8 +111,8 @@ def test_perf_learn_modes(benchmark):
     )
     for mode, row in rows.items():
         stages = row["stage_latency_us"]
-        learn = stages["proxy.learn"]
-        drain = stages.get("proxy.learn_drain")
+        learn = stages[LEARN_SPAN]
+        drain = stages.get("span:learn_drain")
         print(
             "{:>10} {:>9} {:>9.1f}u {:>9.1f}u {:>11} {:>11} {:>7.0f}%".format(
                 mode,
@@ -129,15 +135,15 @@ def test_perf_learn_modes(benchmark):
     assert shipped["learn_queue_overflows"] == 0
     assert shipped["learn_deferred_drained"] > 0
 
-    inline_p99 = inline["stage_latency_us"]["proxy.learn"]["p99_us"]
-    shipped_p99 = shipped["stage_latency_us"]["proxy.learn"]["p99_us"]
+    inline_p99 = inline["stage_latency_us"][LEARN_SPAN]["p99_us"]
+    shipped_p99 = shipped["stage_latency_us"][LEARN_SPAN]["p99_us"]
     speedup = inline_p99 / shipped_p99 if shipped_p99 else float("inf")
     print(
-        "proxy.learn p99: inline oracle {:.0f}us -> shipped {:.0f}us "
+        "learn span p99: inline oracle {:.0f}us -> shipped {:.0f}us "
         "({:.1f}x)".format(inline_p99, shipped_p99, speedup)
     )
     assert speedup >= SPEEDUP_GATE, (
-        "shipped proxy.learn p99 {:.0f}us is only {:.1f}x below the inline "
+        "shipped learn span p99 {:.0f}us is only {:.1f}x below the inline "
         "oracle's {:.0f}us (gate {:.1f}x)".format(
             shipped_p99, speedup, inline_p99, SPEEDUP_GATE
         )
@@ -145,9 +151,9 @@ def test_perf_learn_modes(benchmark):
 
     # the committed budget must hold for the shipped learner
     budgets = json.loads(BUDGETS.read_text())
-    budget_us = budgets["proxy.learn"]["p99_us"]
+    budget_us = budgets[LEARN_SPAN]["p99_us"]
     assert shipped_p99 <= budget_us, (
-        "shipped proxy.learn p99 {:.0f}us blew the committed {:.0f}us "
+        "shipped learn span p99 {:.0f}us blew the committed {:.0f}us "
         "budget".format(shipped_p99, budget_us)
     )
 
@@ -163,7 +169,7 @@ def test_perf_learn_modes(benchmark):
             "drained": shipped["learn_deferred_drained"],
         },
     }
-    _merge_artifact({"learn_modes": section})
+    _merge_artifact(bench_out, {"learn_modes": section})
 
     table = (
         "learn stage: inline oracle p99 {:.0f}us -> shipped p99 {:.0f}us "
@@ -171,9 +177,9 @@ def test_perf_learn_modes(benchmark):
             inline_p99, shipped_p99, speedup, SPEEDUP_GATE, budget_us, USERS
         )
     )
-    with TABLES.open("a") as handle:
+    with (bench_out / TABLES).open("a") as handle:
         handle.write(table)
-    print("wrote {}".format(ARTIFACT.name))
+    print("wrote {}".format(bench_out / ARTIFACT))
 
 
 def _replica_signature() -> RuntimeSignature:
@@ -221,7 +227,7 @@ def _spawn_and_build(signature, store, use_plan: bool) -> int:
     return built
 
 
-def test_perf_cow_instantiation(benchmark):
+def test_perf_cow_instantiation(benchmark, bench_out):
     store = ValueStore()
     store.learn_tag("u1", "env:cookie", "bsid=fresh")
     store.learn_tag("u1", "env:config:version", "9.9")
@@ -291,9 +297,9 @@ def test_perf_cow_instantiation(benchmark):
     )
 
     _merge_artifact(
-        {"cow_instantiation": {**results, "speedup": speedup, "rounds": rounds}}
+        bench_out, {"cow_instantiation": {**results, "speedup": speedup, "rounds": rounds}}
     )
-    with TABLES.open("a") as handle:
+    with (bench_out / TABLES).open("a") as handle:
         handle.write(
             "cow instantiation: plan {:.3f} vs naive {:.3f} replicas/us "
             "({:.2f}x) over {} replicas\n".format(
@@ -305,13 +311,14 @@ def test_perf_cow_instantiation(benchmark):
         )
 
 
-def _merge_artifact(update: dict) -> None:
+def _merge_artifact(directory: Path, update: dict) -> None:
     """Fold new sections into BENCH_learn.json without dropping others."""
+    artifact = directory / ARTIFACT
     data = {}
-    if ARTIFACT.exists():
+    if artifact.exists():
         try:
-            data = json.loads(ARTIFACT.read_text())
+            data = json.loads(artifact.read_text())
         except ValueError:
             data = {}
     data.update(update)
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    artifact.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

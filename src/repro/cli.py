@@ -341,8 +341,9 @@ def _command_scale(args) -> int:
 
 
 def _print_stage_table(stage_latency) -> None:
+    """Per-stage wall time, which comes from trace spans only."""
     if not stage_latency:
-        print("(no per-stage latency samples)")
+        print("(no trace spans recorded)")
         return
     print(
         "{:<28} {:>9} {:>11} {:>11} {:>11}".format(
@@ -657,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--trace-sample", type=float, default=None, metavar="RATE",
         help="trace sampling rate in [0, 1] (arms tracing; default 1.0 "
-             "when --trace is given)",
+             "when --trace is given); per-stage wall time comes from trace "
+             "spans only, so the stage table needs one of the two",
     )
     scale.add_argument(
         "--prom", default=None, metavar="FILE",

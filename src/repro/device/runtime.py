@@ -122,7 +122,7 @@ class _RequestBuilder:
         for name, value in self.headers:
             request.headers.add(name, str(value))
         for key, value in self.query:
-            request.uri.query.append((key, str(value)))
+            request.uri.query_add(key, value)
         if self.json_body is not None:
             request.body = JsonBody(self.json_body)
         elif self.form:

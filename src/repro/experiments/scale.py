@@ -56,8 +56,10 @@ from repro.httpmsg.cookies import CookieJar
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.metrics.catalog import (
     CACHE_MISS_PREFIX,
+    PREFETCH_HITS,
+    PREFETCH_ISSUED,
+    PREFETCH_WASTED,
     SPAN_WALL_SECONDS,
-    STAGE_SECONDS,
 )
 from repro.metrics.live import DEFAULT_WINDOW_S, LiveTelemetry, LiveWindows
 from repro.metrics.perf import PERF, rss_peak_bytes
@@ -328,25 +330,24 @@ def _origin_uri(origin: str):
 
 
 def stage_latency_from_registry(registry) -> Dict[str, Dict[str, float]]:
-    """Per-stage latency table out of a registry's histograms.
+    """Per-stage latency table out of a registry's span histograms.
 
-    ``stage_seconds{stage=...}`` (fed by ``PERF.stage``) reports under
-    the bare stage name; sampled trace spans
-    (``span_wall_seconds{stage=...}``) under a ``span:`` prefix.
+    Per-stage wall time comes from trace spans only: each
+    ``span_wall_seconds{stage=...}`` series reports under
+    ``span:<stage>``, so an untraced run's table is empty.
     """
     stage_latency: Dict[str, Dict[str, float]] = {}
-    for metric, prefix in ((STAGE_SECONDS, ""), (SPAN_WALL_SECONDS, "span:")):
-        for labels, histogram in registry.series(metric):
-            if not histogram.count:
-                continue
-            stage_latency[prefix + labels.get("stage", "")] = {
-                "count": histogram.count,
-                "p50_us": 1e6 * histogram.percentile(50),
-                "p95_us": 1e6 * histogram.percentile(95),
-                "p99_us": 1e6 * histogram.percentile(99),
-                "mean_us": 1e6 * histogram.mean,
-                "total_s": histogram.sum,
-            }
+    for labels, histogram in registry.series(SPAN_WALL_SECONDS):
+        if not histogram.count:
+            continue
+        stage_latency["span:" + labels.get("stage", "")] = {
+            "count": histogram.count,
+            "p50_us": 1e6 * histogram.percentile(50),
+            "p95_us": 1e6 * histogram.percentile(95),
+            "p99_us": 1e6 * histogram.percentile(99),
+            "mean_us": 1e6 * histogram.mean,
+            "total_s": histogram.sum,
+        }
     return stage_latency
 
 
@@ -610,9 +611,8 @@ def run_scale(
         # exported below, after the per-signature summary record is
         # appended to the ring (so offline audits see it in the file)
 
-    # per-stage latency histograms out of the registry: PERF.stage
-    # feeds stage_seconds{stage=...}; sampled trace spans feed
-    # span_wall_seconds{stage=...} (reported under a "span:" prefix)
+    # per-stage latency histograms out of the registry: sampled trace
+    # spans feed span_wall_seconds{stage=...}
     stage_latency = stage_latency_from_registry(PERF.registry)
     miss_causes = miss_causes_from_counters(PERF.counters)
 
@@ -637,9 +637,19 @@ def run_scale(
     # apps) — the audit table behind admission decisions: ``used`` and
     # ``wasted`` are the outcomes of the site's stored entries, ``hits``
     # the cache hits of demand requests matched to the site (one entry
-    # may serve several)
+    # may serve several).  The registry's per-signature series are
+    # written here, once per run, from the same per-site tallies (the
+    # ``--prom`` dump reads them); a reused deployment's tallies, like
+    # this table, span every run served on it
     by_signature: Dict[str, Dict[str, Dict[str, int]]] = {}
+    registry = PERF.registry
     for name, proxy in multi._apps:
+        for site, count in proxy.prefetcher.issued_by_site.items():
+            registry.inc(PREFETCH_ISSUED, count, labels={"signature": site})
+        for site, count in proxy.cache.hits.items():
+            registry.inc(PREFETCH_HITS, count, labels={"signature": site})
+        for site, count in proxy.cache.wasted_by_site.items():
+            registry.inc(PREFETCH_WASTED, count, labels={"signature": site})
         counts = {
             "issued": proxy.prefetcher.issued_by_site,
             "hits": proxy.cache.hits,

@@ -25,17 +25,30 @@ class Body:
 
     kind = "abstract"
 
-    #: mutation counter; :meth:`Request.exact_key` stamps its memo with
-    #: it.  Immutable bodies never bump it (the class attribute stays
-    #: 0); mutators call :meth:`touch` or ``self._version += 1``.
+    #: mutation counter; :meth:`Request.exact_key` and :meth:`wire_size`
+    #: stamp their memos with it.  Immutable bodies never bump it (the
+    #: class attribute stays 0); mutators call :meth:`touch` or
+    #: ``self._version += 1``.
     _version = 0
+    #: (``_version``, size) from the last :meth:`wire_size`; the size
+    #: is memoised, not the text, so a cached body keeps no string alive
+    _sized: Tuple[int, int] = (-1, 0)
 
     def touch(self) -> None:
         """Record an in-place mutation (e.g. nested JSON writes)."""
         self._version += 1
 
     def wire_size(self) -> int:
-        raise NotImplementedError
+        """UTF-8 length of :meth:`to_wire`, memoised on ``_version``.
+
+        A write into the body's fields or value must bump the version
+        (a mutator, or :meth:`touch`) to be seen here.
+        """
+        version, size = self._sized
+        if version != self._version:
+            size = len(self.to_wire().encode("utf-8"))
+            self._sized = (self._version, size)
+        return size
 
     def content_type(self) -> Optional[str]:
         raise NotImplementedError
@@ -118,9 +131,6 @@ class FormBody(Body):
                 ordered.append(name)
         return ordered
 
-    def wire_size(self) -> int:
-        return len(self.to_wire().encode("utf-8"))
-
     def content_type(self) -> Optional[str]:
         return "application/x-www-form-urlencoded"
 
@@ -158,21 +168,8 @@ class JsonBody(Body):
 
     kind = "json"
 
-    #: (``_version``, size) from the last :meth:`wire_size`; the size
-    #: is memoised, not the text, so a cached body keeps no string alive
-    _sized: Tuple[int, int] = (-1, 0)
-
     def __init__(self, value: Any) -> None:
         self.value = value
-
-    def wire_size(self) -> int:
-        # stamped like Request.exact_key: a write into ``value`` (or a
-        # new ``value``) must touch() the body to be seen here
-        version, size = self._sized
-        if version != self._version:
-            size = len(self.to_wire().encode("utf-8"))
-            self._sized = (self._version, size)
-        return size
 
     def content_type(self) -> Optional[str]:
         return "application/json"
@@ -204,9 +201,6 @@ class TextBody(Body):
 
     def __init__(self, text: str) -> None:
         self.text = str(text)
-
-    def wire_size(self) -> int:
-        return len(self.text.encode("utf-8"))
 
     def content_type(self) -> Optional[str]:
         return "text/plain"

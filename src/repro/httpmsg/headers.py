@@ -12,9 +12,11 @@ class Headers:
     ``Set-Cookie`` and for APPx's ``add_header`` configuration policy).
     """
 
-    #: mutation counter; :meth:`Request.exact_key` stamps its memo with
-    #: it, so every mutator must bump it
+    #: mutation counter; :meth:`Request.exact_key` and :meth:`wire_size`
+    #: stamp their memos with it, so every mutator must bump it
     _version = 0
+    #: (``_version``, size) from the last :meth:`wire_size`
+    _sized: Tuple[int, int] = (-1, 0)
 
     def __init__(self, items: Optional[List[Tuple[str, str]]] = None) -> None:
         self._items: List[Tuple[str, str]] = []
@@ -80,7 +82,11 @@ class Headers:
 
     def wire_size(self) -> int:
         """Bytes this header block occupies on the wire."""
-        return sum(len(n) + len(v) + 4 for n, v in self._items)  # "N: V\r\n"
+        version, size = self._sized
+        if version != self._version:
+            size = sum(len(n) + len(v) + 4 for n, v in self._items)  # "N: V\r\n"
+            self._sized = (self._version, size)
+        return size
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name.lower() in self._index

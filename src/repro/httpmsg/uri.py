@@ -54,14 +54,17 @@ def unquote(text: str) -> str:
 class Uri:
     """Structured URI with canonical string form.
 
-    ``_version`` is the mutation counter :meth:`Request.exact_key`
-    stamps its memo with.  In-place mutators (:meth:`query_set`, plus
-    the :meth:`FieldPath.assign` write paths, which poke attributes and
-    the query list directly) bump it via :meth:`touch`.
+    ``_version`` is the mutation counter :meth:`Request.exact_key` and
+    :meth:`path_and_query` stamp their memos with.  In-place mutators
+    (:meth:`query_set`, :meth:`query_add`, plus the
+    :meth:`FieldPath.assign` write paths, which poke attributes and the
+    query list directly and then call :meth:`touch`) bump it.
     """
 
-    #: mutation counter for exact_key memoization
+    #: mutation counter for exact_key / path_and_query memoization
     _version = 0
+    #: (``_version``, text) from the last :meth:`path_and_query`
+    _pq: Tuple[int, str] = (-1, "")
 
     def __init__(
         self,
@@ -123,6 +126,11 @@ class Uri:
                 return
         self.query.append((key, str(value)))
 
+    def query_add(self, key: str, value: str) -> None:
+        """Append a query pair, keeping any existing values for ``key``."""
+        self.query.append((str(key), str(value)))
+        self._version += 1
+
     def touch(self) -> None:
         """Record an out-of-band mutation (direct attribute writes)."""
         self._version += 1
@@ -140,12 +148,16 @@ class Uri:
         return "{}://{}".format(self.scheme, self.host)
 
     def path_and_query(self) -> str:
-        if not self.query:
-            return self.path
-        encoded = "&".join(
-            "{}={}".format(quote(name), quote(value)) for name, value in self.query
-        )
-        return "{}?{}".format(self.path, encoded)
+        version, text = self._pq
+        if version != self._version:
+            text = self.path
+            if self.query:
+                text += "?" + "&".join(
+                    "{}={}".format(quote(name), quote(value))
+                    for name, value in self.query
+                )
+            self._pq = (self._version, text)
+        return text
 
     def to_string(self) -> str:
         return self.origin() + self.path_and_query()

@@ -21,9 +21,10 @@ Conventions
 * **Labeled metrics** (:data:`METRICS`) are registry series with their
   allowed label keys; label values must be bounded dimensions
   (signature site, stage, outcome), never per-request values.
-* **Stage and span names** (:data:`PERF_STAGES`, :data:`SPAN_STAGES`)
-  plus :data:`LOOKUP_OUTCOMES` / :data:`TRACE_KINDS` round out every
-  vocabulary the trace schema validates.
+* **Span names** (:data:`SPAN_STAGES`) plus :data:`LOOKUP_OUTCOMES` /
+  :data:`TRACE_KINDS` round out every vocabulary the trace schema
+  validates.  Spans are the only per-stage wall-time source: a traced
+  run's ``span_wall_seconds{stage=...}`` histograms time each stage.
 
 Adding a metric is a two-line change: declare it here, then record it
 at the call site through the constant (never a fresh string literal).
@@ -86,28 +87,20 @@ MISS_CAUSES: Tuple[str, ...] = tuple(o for o in LOOKUP_OUTCOMES if o != "hit")
 #: run-level spanless summaries, SLO burn-rate alerts)
 TRACE_KINDS: Tuple[str, ...] = ("request", "prefetch", "summary", "alert")
 
-#: wall-clock stages accumulated by ``PERF.stage`` on the serving path
-PERF_STAGES: Tuple[str, ...] = (
-    "pass",
-    "proxy.dispatch",
-    "proxy.cache_lookup",
-    "proxy.learn",
-    "proxy.learn_drain",
-)
-
 
 # ======================================================================
 # labeled registry series
 # ======================================================================
-#: histogram of per-stage wall seconds fed by ``PERF.stage``
-STAGE_SECONDS = "stage_seconds"
 #: histogram of sampled trace-span wall seconds fed by the tracer
 SPAN_WALL_SECONDS = "span_wall_seconds"
 #: counter of span outcomes (cache_lookup hits/miss causes, issue gates)
 SPAN_OUTCOMES = "span_outcomes"
 #: counter of trace records by kind (the stats rebuild path)
 TRACES = "traces"
-#: per-signature prefetch-cache hits
+#: per-signature prefetch-cache hits.  The three per-signature series
+#: are written once, at the end of a scale run, from the per-site
+#: tallies the proxies already keep (``Prefetcher.issued_by_site``,
+#: ``PrefetchCache.hits``, ``PrefetchCache.wasted_by_site``)
 PREFETCH_HITS = "prefetch_hits"
 #: per-signature prefetch issues
 PREFETCH_ISSUED = "prefetch_issued"
@@ -117,8 +110,6 @@ PREFETCH_WASTED = "prefetch_wasted"
 METRICS: Dict[str, MetricSpec] = {
     spec.name: spec
     for spec in (
-        MetricSpec(STAGE_SECONDS, "histogram", ("stage",),
-                   "wall seconds per serving stage (PERF.stage)"),
         MetricSpec(SPAN_WALL_SECONDS, "histogram", ("stage",),
                    "wall seconds per sampled trace span"),
         MetricSpec(SPAN_OUTCOMES, "counter", ("stage", "outcome"),
@@ -184,8 +175,6 @@ COUNTER_PREFIXES: Dict[str, Tuple[str, ...]] = {
 # ======================================================================
 #: sliding-window histogram of served request latency (seconds)
 W_REQUEST = "proxy.request"
-#: sliding-window histogram of ``proxy.learn`` (match + enqueue) wall seconds
-W_LEARN = "proxy.learn"
 #: requests answered (hit + forwarded), sampled per telemetry tick
 W_ANSWERED = "proxy.answered"
 #: requests slower than the latency objective's good_under threshold
@@ -202,7 +191,6 @@ W_WASTED = "prefetch.wasted"
 #: family checks ``windows.inc/observe`` call sites against this map
 WINDOWS: Dict[str, str] = {
     W_REQUEST: "histogram",
-    W_LEARN: "histogram",
     W_ANSWERED: "counter",
     W_REQUEST_SLOW: "counter",
     W_HITS: "counter",

@@ -135,25 +135,6 @@ class RollingHistogram:
     def observe(self, now: float, value: float) -> None:
         self._bucket(now).observe(value)
 
-    def add_counts(
-        self,
-        now: float,
-        bucket_counts: Sequence[int],
-        count: int,
-        total: float,
-    ) -> None:
-        """Fold a histogram *delta* (e.g. a per-tick registry diff) in."""
-        if not count:
-            return
-        self._bucket(now).merge(
-            {
-                "bounds": self.bounds,
-                "bucket_counts": list(bucket_counts),
-                "count": count,
-                "sum": total,
-            }
-        )
-
     def _prune(self) -> None:
         floor = self._head - self.num_buckets + 1
         for index in [i for i in self.buckets if i < floor]:
@@ -231,16 +212,6 @@ class LiveWindows:
             )
         histogram.observe(now, value)
 
-    def add_histogram_counts(
-        self,
-        name: str,
-        now: float,
-        bucket_counts: Sequence[int],
-        count: int,
-        total: float,
-    ) -> None:
-        self.histograms[name].add_counts(now, bucket_counts, count, total)
-
     # -- reading --------------------------------------------------------
     def total(
         self, name: str, now: float, horizon_s: Optional[float] = None
@@ -272,7 +243,6 @@ def standard_readings(windows: LiveWindows, now: float) -> Dict[str, object]:
     answered = windows.total(catalog.W_ANSWERED, now)
     hits = windows.total(catalog.W_HITS, now)
     request = windows.histograms[catalog.W_REQUEST].fold(now)
-    learn = windows.histograms[catalog.W_LEARN].fold(now)
     return {
         "sim_now": now,
         "window_s": windows.window_s,
@@ -281,8 +251,6 @@ def standard_readings(windows: LiveWindows, now: float) -> Dict[str, object]:
         "request_p50_ms": request.percentile(50) * 1e3,
         "request_p95_ms": request.percentile(95) * 1e3,
         "request_p99_ms": request.percentile(99) * 1e3,
-        "learn_events": learn.count,
-        "learn_p99_us": learn.percentile(99) * 1e6,
         "hit_rate": hits / answered if answered else 0.0,
         "overflow": windows.total(catalog.W_OVERFLOW, now),
         "wasted": windows.total(catalog.W_WASTED, now),
@@ -295,10 +263,8 @@ class LiveTelemetry:
     ``proxies`` is the list of :class:`AccelerationProxy` instances this
     process serves (one per app).  Each :meth:`tick` diffs their
     cumulative counters (hits, answered, learner overflows, wasted
-    prefetches) into the current window bucket, folds the per-tick
-    delta of the registry's ``stage_seconds{stage=proxy.learn}``
-    histogram into the learn window (zero extra hot-path work), then
-    lets the SLO engine read the windows.
+    prefetches) into the current window bucket, then lets the SLO
+    engine read the windows.
     """
 
     def __init__(
@@ -325,7 +291,6 @@ class LiveTelemetry:
         if slo is not None:
             self.slow_threshold_s = getattr(slo, "slow_threshold_s", None)
         self._prev: Dict[str, float] = {}
-        self._prev_learn: Optional[Dict[str, object]] = None
 
     @property
     def alerts(self) -> List[Dict[str, object]]:
@@ -373,34 +338,6 @@ class LiveTelemetry:
             self.windows.inc(catalog.W_OVERFLOW, now, deltas["overflow"])
         if deltas["wasted"]:
             self.windows.inc(catalog.W_WASTED, now, deltas["wasted"])
-        # fold the per-tick delta of the registry's learn-stage
-        # histogram into the learn window: PERF.stage already observes
-        # every request's match + enqueue there, so the live plane
-        # costs the serving path nothing extra
-        histogram = PERF.registry.histogram(
-            catalog.STAGE_SECONDS, {"stage": "proxy.learn"}
-        )
-        if histogram is not None and tuple(histogram.bounds) == tuple(
-            self.windows.histograms[catalog.W_LEARN].bounds
-        ):
-            snap = histogram.snapshot()
-            prev = self._prev_learn
-            if prev is None:
-                delta_counts = list(snap["bucket_counts"])
-                delta_count = int(snap["count"])
-                delta_sum = float(snap["sum"])
-            else:
-                delta_counts = [
-                    a - b
-                    for a, b in zip(snap["bucket_counts"], prev["bucket_counts"])
-                ]
-                delta_count = int(snap["count"]) - int(prev["count"])
-                delta_sum = float(snap["sum"]) - float(prev["sum"])
-            self._prev_learn = snap
-            if delta_count > 0:
-                self.windows.add_histogram_counts(
-                    catalog.W_LEARN, now, delta_counts, delta_count, delta_sum
-                )
 
     def tick(self, now: float) -> None:
         """One telemetry pass: sample, then evaluate SLOs."""

@@ -2,24 +2,18 @@
 
 The proxy's request path — signature dispatch, pending-instance wakes,
 cache lookups, prefetch issuing — is instrumented with named counters
-and per-stage wall-clock timings so benchmarks can assert *work done*
-(regex attempts, candidates examined, retries) instead of flaky wall
-time.  Everything funnels through one process-global
-:class:`PerfCounters` instance, :data:`PERF`.
+so benchmarks can assert *work done* (regex attempts, candidates
+examined, retries) instead of flaky wall time.  Everything funnels
+through one process-global :class:`PerfCounters` instance,
+:data:`PERF`.  Per-stage wall time is not kept here: it comes from
+trace spans only (:mod:`repro.metrics.trace`), which a run records
+when it arms the tracer.
 
 :class:`PerfCounters` is a thin facade over a
-:class:`~repro.metrics.registry.MetricRegistry`: its ``counters`` and
-``timings`` dicts *are* the registry's stores (same objects), so the
-hot path keeps its raw-dict writes while labeled series, histograms,
-and the Prometheus export live in the registry.  ``stage()``
-additionally feeds a ``stage_seconds{stage=...}`` histogram so the
-scale harness can report per-stage p50/p95/p99, not just totals.
-
-Instrumentation cost: ``stage()`` returns a fresh ``__slots__`` timer
-(a shared no-op when disabled) whose histogram series key was
-formatted once per stage name, so a timed block costs two clock reads,
-a ``timings`` add and a histogram observe; nesting the same stage
-records both blocks.  The simulator tallies ``sim.events`` and
+:class:`~repro.metrics.registry.MetricRegistry`: its ``counters`` dict
+*is* the registry's store (same object), so the hot path keeps its
+raw-dict writes while labeled series, histograms, and the Prometheus
+export live in the registry.  The simulator tallies ``sim.events`` and
 ``sim.inline_starts`` itself and adds them here once per
 ``Simulator.run`` call.
 
@@ -37,72 +31,23 @@ even the call happens.  Enable around a measured region::
 from __future__ import annotations
 
 import sys
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-from repro.metrics.catalog import STAGE_SECONDS
-from repro.metrics.registry import MetricRegistry, series_key
-
-_perf_counter = time.perf_counter
-
-
-class _StageTimer:
-    """One timed ``PERF.stage`` block; a fresh one per ``with``."""
-
-    __slots__ = ("perf", "name", "key", "started")
-
-    def __init__(self, perf: "PerfCounters", name: str, key: str) -> None:
-        self.perf = perf
-        self.name = name
-        self.key = key
-
-    def __enter__(self) -> None:
-        self.started = _perf_counter()
-
-    def __exit__(self, *exc_info) -> None:
-        elapsed = _perf_counter() - self.started
-        perf = self.perf
-        name = self.name
-        timings = perf.timings
-        timings[name] = timings.get(name, 0.0) + elapsed
-        histogram = perf.registry.histograms.get(self.key)
-        if histogram is None:
-            # first block since a reset: the registry admits the series
-            perf.registry.observe(STAGE_SECONDS, elapsed, labels={"stage": name})
-        else:
-            histogram.observe(elapsed)
-
-
-class _NoStage:
-    """The stage block while counting is disabled: records nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NO_STAGE = _NoStage()
+from repro.metrics.registry import MetricRegistry
 
 
 class PerfCounters:
-    """Named monotonic counters plus accumulated stage timings."""
+    """Named monotonic counters over a metric registry."""
 
-    __slots__ = ("enabled", "registry", "counters", "timings", "_stage_keys")
+    __slots__ = ("enabled", "registry", "counters")
 
     def __init__(self) -> None:
         self.enabled = False
         self.registry = MetricRegistry()
-        # facade: these are the registry's own stores, not copies —
-        # reset() clears them in place so the aliases stay live
+        # facade: the registry's own store, not a copy — reset()
+        # clears it in place so the alias stays live
         self.counters: Dict[str, int] = self.registry.counters
-        self.timings: Dict[str, float] = self.registry.timings
-        #: stage name -> its ``stage_seconds`` series key
-        self._stage_keys: Dict[str, str] = {}
 
     # -- lifecycle ------------------------------------------------------
     def enable(self) -> None:
@@ -136,28 +81,12 @@ class PerfCounters:
         if self.enabled and value > self.counters.get(name, 0):
             self.counters[name] = value
 
-    def stage(self, name: str):
-        """Accumulate wall-clock time under ``name`` while enabled.
-
-        Use as ``with PERF.stage("proxy.learn"):``; a block entered
-        while disabled records nothing.
-        """
-        if not self.enabled:
-            return _NO_STAGE
-        key = self._stage_keys.get(name)
-        if key is None:
-            key = self._stage_keys[name] = series_key(STAGE_SECONDS, {"stage": name})
-        return _StageTimer(self, name, key)
-
     # -- reading --------------------------------------------------------
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def snapshot(self) -> Dict[str, Dict]:
-        data: Dict[str, Dict] = {
-            "counters": dict(self.counters),
-            "timings_s": dict(self.timings),
-        }
+        data: Dict[str, Dict] = {"counters": dict(self.counters)}
         histograms = self.registry.snapshot_histograms()
         if histograms:
             data["histograms"] = histograms

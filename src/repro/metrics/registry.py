@@ -13,10 +13,11 @@ kinds:
   bucket holding the rank.
 
 :data:`~repro.metrics.perf.PERF` is a thin facade over one registry:
-its ``counters``/``timings`` dicts *are* the registry's stores, so
-every existing ``PERF.incr`` call site is already writing labeled-less
-series here, and ``PERF.stage`` feeds a ``stage_seconds{stage=...}``
-histogram alongside the accumulated total.
+its ``counters`` dict *is* the registry's store, so every
+``PERF.incr`` call site is already writing labeled-less series here.
+Per-stage wall time lands here only from trace spans: the tracer
+feeds ``span_wall_seconds{stage=...}`` for every span of a sampled
+request.
 
 Label cardinality is bounded per metric (``max_series_per_metric``):
 once a metric has that many live series, further new label sets are
@@ -132,12 +133,11 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Process-wide labeled counters, gauges, timings, and histograms."""
+    """Process-wide labeled counters, gauges, and histograms."""
 
     __slots__ = (
         "counters",
         "gauges",
-        "timings",
         "histograms",
         "max_series_per_metric",
         "overflow_series",
@@ -150,8 +150,6 @@ class MetricRegistry:
         #: :class:`~repro.metrics.perf.PerfCounters` as its ``counters``
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
-        #: accumulated stage seconds, the facade's ``timings`` store
-        self.timings: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.max_series_per_metric = max_series_per_metric
         self.overflow_series = 0
@@ -226,7 +224,6 @@ class MetricRegistry:
         """Clear every store *in place* (facade dicts stay aliased)."""
         self.counters.clear()
         self.gauges.clear()
-        self.timings.clear()
         self.histograms.clear()
         self._series_count.clear()
         self._keys.clear()
@@ -240,7 +237,6 @@ class MetricRegistry:
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "timings_s": dict(self.timings),
             "histograms": self.snapshot_histograms(),
             "overflow_series": self.overflow_series,
         }
@@ -263,8 +259,6 @@ class MetricRegistry:
 
         for key in sorted(self.counters):
             emit(key, "counter", "_total", self.counters[key])
-        for key in sorted(self.timings):
-            emit(key, "counter", "_seconds_total", self.timings[key])
         for key in sorted(self.gauges):
             emit(key, "gauge", "", self.gauges[key])
         for key in sorted(self.histograms):

@@ -160,7 +160,6 @@ class PrefetchCache:
             self.on_decided(user, site)
         if PERF.enabled:
             PERF.incr("prefetch.wasted")
-            PERF.registry.inc("prefetch_wasted", labels={"signature": site})
 
     def _evict(self, user: str, exact: str, entry: CacheEntry) -> None:
         shard = self._shards.get(user)
@@ -228,8 +227,6 @@ class PrefetchCache:
 
     def record_hit(self, site: str) -> None:
         self.hits[site] = self.hits.get(site, 0) + 1
-        if PERF.enabled:
-            PERF.registry.inc("prefetch_hits", labels={"signature": site})
 
     def record_miss(self, site: str) -> None:
         self.misses[site] = self.misses.get(site, 0) + 1

@@ -627,7 +627,7 @@ class RequestInstance:
             if row.root == "header":
                 request.headers.add(row.part0, value)
             elif row.root == "query":
-                request.uri.query.append((row.part0, value))
+                request.uri.query_add(row.part0, value)
             elif row.root == "body":
                 if body_kind == "form":
                     request.body.add(row.part0, value)

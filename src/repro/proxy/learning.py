@@ -98,8 +98,8 @@ returns its response and the prefetcher after each background fetch,
 both at the sim instant of the observation.  So the queue holds at
 most the one observation just parked (measured depth 1 across every
 benchmark workload) and the drain runs on the response path.  What the
-split buys is a ``proxy.learn`` stage that times only match + enqueue,
-with the learn work timed apart as ``proxy.learn_drain``.  A full queue drops the
+split buys is a ``learn`` span that times only match + enqueue, with the
+learn work timed apart by the ``learn_drain`` span.  A full queue drops the
 observation (counted under ``learn.queue_overflow``) rather than ever
 blocking; :attr:`DynamicLearner.learn_queue_capacity` is a safety bound
 that no workload reaches.  The seed's learn-on-observe pipeline is the
@@ -288,8 +288,9 @@ class DynamicLearner:
         ``depth`` is the prefetch-chain depth of the transaction (0 for
         client traffic); instances it spawns get ``depth + 1``.
         ``trace`` (optional) collects a ``learn`` span around the
-        enqueue.  The caller runs :meth:`drain_learn_queue` to learn
-        from it and collect the completed prefetch requests.  While
+        match and the enqueue.  The caller runs
+        :meth:`drain_learn_queue` to learn from it and collect the
+        completed prefetch requests.  While
         :attr:`any_prefetchable` says no successor site can be
         prefetched, the observation is only counted.
         """
@@ -297,20 +298,20 @@ class DynamicLearner:
         prefetchable = self.any_prefetchable
         if prefetchable is not None and not prefetchable():
             return
+        span = trace.start_span("learn") if trace is not None else None
         signature = self.matcher.match(transaction.request)
         # the matched signature rides along so the drain skips a second
         # (memoized, but still non-free) dispatch
-        span = (
-            trace.start_span("learn", signature=signature.site if signature else "")
-            if trace is not None
-            else None
-        )
         if len(self._learn_queue) >= self.learn_queue_capacity:
             self.queue_overflows += 1
             if PERF.enabled:
                 PERF.incr("learn.queue_overflow")
             if span is not None:
-                trace.end_span(span, outcome="overflow")
+                trace.end_span(
+                    span,
+                    signature=signature.site if signature else "",
+                    outcome="overflow",
+                )
             return
         self._learn_queue.append(
             _QueuedObservation(signature, transaction, user, depth)
@@ -319,7 +320,11 @@ class DynamicLearner:
         if PERF.enabled:
             PERF.peak("learn.queue_depth_peak", len(self._learn_queue))
         if span is not None:
-            trace.end_span(span, outcome="enqueued")
+            trace.end_span(
+                span,
+                signature=signature.site if signature else "",
+                outcome="enqueued",
+            )
 
     def _process_observation(
         self,

@@ -368,8 +368,7 @@ class Prefetcher:
         if not learner.learn_queue_depth:
             return 0
         span = trace.start_span("learn_drain") if trace is not None else None
-        with PERF.stage("proxy.learn_drain"):
-            ready_list = learner.drain_learn_queue(trace)
+        ready_list = learner.drain_learn_queue(trace)
         if span is not None:
             trace.end_span(span, completed=len(ready_list))
         if trace is not None:
@@ -485,7 +484,6 @@ class Prefetcher:
             self.issued_by_site[site] = self.issued_by_site.get(site, 0) + 1
             if PERF.enabled:
                 PERF.incr("prefetch.issued")
-                PERF.registry.inc("prefetch_issued", labels={"signature": site})
             elapsed = self.sim.now - started_at
             self._record_response_time(site, elapsed)
             if site not in self.sample_requests:

@@ -85,14 +85,12 @@ class AccelerationProxy:
         """
         self.client_bytes += request.wire_size()
         span = trace.start_span("match") if trace is not None else None
-        with PERF.stage("proxy.dispatch"):
-            signature = self.learner.signature_for(request)
+        signature = self.learner.signature_for(request)
         site = signature.site if signature else None
         if span is not None:
             trace.end_span(span, signature=site or "")
         span = trace.start_span("cache_lookup") if trace is not None else None
-        with PERF.stage("proxy.cache_lookup"):
-            entry, lookup_outcome = self.cache.lookup(user, request, self.sim.now)
+        entry, lookup_outcome = self.cache.lookup(user, request, self.sim.now)
         started_at = self.sim.now
         if entry is not None:
             if span is not None:
@@ -140,8 +138,7 @@ class AccelerationProxy:
             user=user,
             prefetched=prefetched,
         )
-        with PERF.stage("proxy.learn"):
-            self.learner.observe(transaction, user, depth=0, trace=trace)
+        self.learner.observe(transaction, user, depth=0, trace=trace)
         # learn from it now, at the sim instant the response is known:
         # completed prefetches submit before the response returns
         self.pump_learning(trace)

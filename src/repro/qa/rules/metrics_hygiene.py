@@ -191,9 +191,6 @@ class MetricsHygieneRule(Rule):
         attr = func.attr
         if attr in ("incr", "peak", "get") and receiver == "perf":
             return self._check_counter(node, ctx)
-        if attr == "stage" and receiver == "perf":
-            return self._check_vocab(
-                node, ctx, catalog.PERF_STAGES, "PERF.stage name")
         if attr in ("inc", "observe", "set_gauge") and "registry" in receiver_dotted:
             return self._check_registry(node, ctx)
         if attr in ("inc", "observe") and (

@@ -28,10 +28,17 @@ class InlineLearner(DynamicLearner):
 
     def observe(self, transaction, user, depth=0, trace=None) -> None:
         self.observed_count += 1
+        # the same ``learn`` span the shipped learner opens around its
+        # match and enqueue, here around the match and the whole inline
+        # pipeline, so the two learners' span:learn rows compare like
+        # with like
+        span = trace.start_span("learn") if trace is not None else None
         signature = self.matcher.match(transaction.request)
         self._ready.extend(
             self._process_observation(signature, transaction, user, depth, trace)
         )
+        if span is not None:
+            trace.end_span(span, signature=signature.site if signature else "")
 
     @property
     def learn_queue_depth(self) -> int:

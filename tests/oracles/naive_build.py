@@ -115,7 +115,7 @@ def build_naive(
         if path.root == "header":
             request.headers.add(str(path.parts[0]), value)
         elif path.root == "query":
-            request.uri.query.append((str(path.parts[0]), value))
+            request.uri.query_add(path.parts[0], value)
         elif path.root == "body":
             if template.body_kind == "form":
                 request.body.add(str(path.parts[0]), value)

@@ -41,11 +41,47 @@ def test_run_scale_reports_consistent_metrics():
 
 
 def test_per_request_stages_time_every_request():
-    row = run_scale(users=10, duration=4.0, seed=3, rate_per_user=0.5)
+    """Per-stage wall time comes from trace spans only: a fully traced
+    run times every demand request's match and cache lookup, and an
+    untraced run reports no stage at all."""
+    row = run_scale(users=10, duration=4.0, seed=3, rate_per_user=0.5, trace_sample=1.0)
     stages = row["stage_latency_us"]
-    for stage in ("proxy.dispatch", "proxy.cache_lookup", "proxy.learn"):
+    for stage in ("span:match", "span:cache_lookup"):
         assert stages[stage]["count"] == row["requests"], stage
-    assert stages["proxy.learn_drain"]["count"] > 0
+    assert stages["span:learn_drain"]["count"] > 0
+    untraced = run_scale(users=10, duration=4.0, seed=3, rate_per_user=0.5)
+    assert untraced["stage_latency_us"] == {}
+
+
+def test_per_signature_series_match_the_row():
+    """The registry's per-signature prefetch series, written once at the
+    end of the run, hold the row's per-signature cells summed over apps."""
+    row = run_scale(
+        users=10, duration=40.0, apps=tuple(all_apps()), seed=5,
+        rate_per_user=1.0, warm_start=True, admission_threshold=0.2,
+        estimate_expiration=True,
+    )
+    expected = {}
+    for cells in row["prefetch_by_signature"].values():
+        for site, cell in cells.items():
+            for metric, key in (
+                ("prefetch_issued", "issued"),
+                ("prefetch_hits", "hits"),
+                ("prefetch_wasted", "wasted"),
+            ):
+                if cell[key]:
+                    series = '{}{{signature="{}"}}'.format(metric, site)
+                    expected[series] = expected.get(series, 0) + cell[key]
+    written = {
+        key: count
+        for key, count in PERF.registry.counters.items()
+        if key.startswith(("prefetch_issued{", "prefetch_hits{", "prefetch_wasted{"))
+    }
+    assert written == expected
+    # the run prefetched, served hits and wasted some entries
+    assert {key.partition("{")[0] for key in written} == {
+        "prefetch_issued", "prefetch_hits", "prefetch_wasted",
+    }
 
 
 def test_every_observation_is_drained_before_the_next():

@@ -9,9 +9,9 @@ from repro.metrics.registry import DEFAULT_BUCKETS, MetricRegistry
 
 def test_default_buckets_round_trip():
     a = MetricRegistry()
-    a.observe("stage_seconds", 0.004)
+    a.observe("span_wall_seconds", 0.004)
     snapshot = a.snapshot()
-    bounds = snapshot["histograms"]["stage_seconds"]["bounds"]
+    bounds = snapshot["histograms"]["span_wall_seconds"]["bounds"]
     assert tuple(bounds) == DEFAULT_BUCKETS
 
 
@@ -33,7 +33,7 @@ def test_prometheus_escapes_label_values():
 def test_prometheus_escapes_histogram_labels_too():
     registry = MetricRegistry()
     registry.observe(
-        "stage_seconds", 0.01, labels={"stage": 'le"arn'}
+        "span_wall_seconds", 0.01, labels={"stage": 'le"arn'}
     )
     text = registry.render_prometheus()
     assert 'stage="le\\"arn"' in text

@@ -194,9 +194,9 @@ def test_declared_counter_and_stage_pass():
     ids = rule_ids("""
         from repro.metrics.perf import PERF
 
-        def hot(request):
+        def hot(request, trace):
             PERF.incr("matcher.requests")
-            with PERF.stage("proxy.dispatch"):
+            with trace.span("match"):
                 pass
     """)
     assert ids == []
